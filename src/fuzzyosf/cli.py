@@ -69,6 +69,17 @@ def _maybe_file(arg: str) -> str:
     return arg
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def _load_session(args) -> SortLattice:
     if not args.ontology:
         raise _InputFailure("this command needs --ontology <file>")
@@ -408,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("theorems", help="run the semantic self-check harness")
-    p.add_argument("--max-domain", type=int, default=4)
-    p.add_argument("--max-sorts", type=int, default=5)
-    p.add_argument("--max-features", type=int, default=2)
+    p.add_argument("--max-domain", type=_positive_int, default=4)
+    p.add_argument("--max-sorts", type=_positive_int, default=5)
+    p.add_argument("--max-features", type=_positive_int, default=2)
     p.set_defaults(func=cmd_theorems)
 
     return parser

@@ -122,7 +122,9 @@ class SortGraph:
                 raise UnknownSort(sub)
             if sup not in self._index:
                 raise UnknownSort(sup)
-            if not isinstance(degree, (int, float)) or not 0.0 < degree <= 1.0:
+            if isinstance(degree, bool) or not (
+                isinstance(degree, (int, float)) and 0.0 < degree <= 1.0
+            ):
                 raise DegreeOutOfRange(
                     f"edge degree must lie in (0, 1]: {sub} -> {sup} @ {degree!r}"
                 )
@@ -210,16 +212,28 @@ class SortLattice:
     Closure degrees are computed lazily, one source at a time, by a single
     relaxation pass over the topological order — O(|sorts| + |edges|) per
     distinct source, memoized.  ``densify()`` forces every row at once.
-    GLBs are computed on the crisp support (reachability ignoring degrees):
-    the greatest lower bound exists iff the common-lower-bound set has a
-    unique maximal element.
+    GLBs live on the crisp support, as bit vectors (Aït-Kaci, Boyer, Lincoln
+    & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
+    extension with ``bot`` at bit 0, two sorts' common lower bounds are the
+    AND, and the GLB exists iff the sort at its highest bit has exactly that
+    down-set.  ``validate()`` tests all n²/2 pairs and stores nothing per pair.
     """
 
     def __init__(self, graph: SortGraph):
         self.graph = graph
         self._rows: dict[int, list[float]] = {}
-        self._down: dict[int, frozenset[int]] = {}
-        self._glb: dict[tuple[int, int], int] = {}
+        # Pin bot and top to the ends: graph._topo may put leaves before bot.
+        bot, top = graph._index[BOT], graph._index[TOP]
+        order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
+        down = [0] * len(order)
+        for bit, u in enumerate(order):
+            down[u] = 1 << bit | 1
+            for v, _ in graph._pred[u]:
+                down[u] |= down[v]
+        down[top] = (1 << len(order)) - 1
+        self._below: dict[str, int] = dict(zip(graph.sorts, down))
+        self._bit_sort: list[str] = [graph.sorts[u] for u in order]
+        self._bit_below: list[int] = [down[u] for u in order]
         self._validated = False
 
     # -- closure ---------------------------------------------------------
@@ -277,58 +291,28 @@ class SortLattice:
 
     # -- crisp support and GLBs ------------------------------------------
 
-    def _down_set(self, i: int) -> frozenset[int]:
-        cached = self._down.get(i)
-        if cached is not None:
-            return cached
-        g = self.graph
-        name = g.sorts[i]
-        if name == TOP:
-            result = frozenset(range(len(g.sorts)))
-        else:
-            seen = {i, g._index[BOT]}
-            stack = [i]
-            while stack:
-                u = stack.pop()
-                for v, _ in g._pred[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            result = frozenset(seen)
-        self._down[i] = result
-        return result
+    def _maximal(self, common: int) -> list[str]:
+        """Sorted names of the maximal sorts in a down-closed bitset."""
+        # From the highest bit down: maximal iff below no maximal sort seen.
+        out, covered = [], 0
+        for bit in range(common.bit_length() - 1, -1, -1):
+            if common >> bit & 1 and not covered >> bit & 1:
+                out.append(self._bit_sort[bit])
+                covered |= self._bit_below[bit]
+        return sorted(out)
 
     def glb(self, s: str, t: str) -> str:
         """Greatest lower bound on the crisp support; raises NotALattice."""
-        idx = self.graph._index
-        if s not in idx:
+        below = self._below
+        if s not in below:
             raise UnknownSort(s)
-        if t not in idx:
+        if t not in below:
             raise UnknownSort(t)
-        i, j = idx[s], idx[t]
-        if i > j:
-            i, j = j, i
-        cached = self._glb.get((i, j))
-        if cached is not None:
-            return self.graph.sorts[cached]
-        di, dj = self._down_set(i), self._down_set(j)
-        if i in dj:
-            win = i
-        elif j in di:
-            win = j
-        else:
-            cand = di & dj
-            maximal = [
-                u
-                for u in cand
-                if not any(v != u and u in self._down_set(v) for v in cand)
-            ]
-            if len(maximal) != 1:
-                names = sorted(self.graph.sorts[u] for u in maximal)
-                raise NotALattice(s, t, names)
-            win = maximal[0]
-        self._glb[(i, j)] = win
-        return self.graph.sorts[win]
+        common = below[s] & below[t]
+        high = common.bit_length() - 1
+        if self._bit_below[high] != common:
+            raise NotALattice(s, t, self._maximal(common))
+        return self._bit_sort[high]
 
     def glb_all(self, names: list[str]) -> str:
         """Fold glb over a non-empty list of sorts."""
@@ -343,9 +327,13 @@ class SortLattice:
         """Exhaustively check that every sort pair has a unique GLB."""
         if not self._validated:
             names = self.graph.sorts
-            for a in range(len(names)):
-                for b in range(a + 1, len(names)):
-                    self.glb(names[a], names[b])
+            downs = list(self._below.values())
+            by_bit = self._bit_below
+            for a, da in enumerate(downs):
+                for b in range(a + 1, len(downs)):
+                    common = da & downs[b]
+                    if by_bit[common.bit_length() - 1] != common:
+                        raise NotALattice(names[a], names[b], self._maximal(common))
             self._validated = True
         return self
 
@@ -366,7 +354,7 @@ def build_similarity(pairs: list[tuple[str, str, float]]) -> dict[tuple[str, str
     """
     table: dict[tuple[str, str], float] = {}
     for a, b, d in pairs:
-        if not isinstance(d, (int, float)) or not 0.0 <= d <= 1.0:
+        if isinstance(d, bool) or not (isinstance(d, (int, float)) and 0.0 <= d <= 1.0):
             raise DegreeOutOfRange(f"similarity degree must lie in [0, 1]: {a} ~ {b} @ {d!r}")
         if a == b and d != 1.0:
             raise DegreeOutOfRange(f"self-similarity must be 1: {a} ~ {a} @ {d!r}")
@@ -411,30 +399,23 @@ def enrich_from_similarity(
     idx = graph._index
     n = len(graph.sorts)
 
-    # Crisp up-sets over declared edges only (reflexive; no implicit bounds).
-    up: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        seen = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for v, _ in graph._succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        up[i] = seen
+    # Crisp down-sets over declared edges only (reflexive; no implicit bounds).
+    down = [1 << i for i in range(n)]
+    for u in graph._topo:
+        for v, _ in graph._pred[u]:
+            down[u] |= down[v]
 
     candidates: dict[tuple[int, int], float] = {}
     for (u, s2), beta in sim.items():
         if beta <= 0.0:
             continue
         j = idx[s2]
-        ui = idx[u]
-        for i in range(n):
-            if ui in up[i]:
-                key = (i, j)
-                if candidates.get(key, 0.0) < beta:
-                    candidates[key] = beta
+        below = down[idx[u]]
+        while below:
+            i = below.bit_length() - 1
+            below ^= 1 << i
+            if candidates.get((i, j), 0.0) < beta:
+                candidates[(i, j)] = beta
 
     succ: list[set[int]] = [set(v for v, _ in graph._succ[i]) for i in range(n)]
 
@@ -510,6 +491,8 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             if len(parts) < 2:
                 fail(lineno, "expected: sort <name>...")
             for name in parts[1:]:
+                if name in (BOT, TOP):
+                    fail(lineno, f"{name} is implicit and cannot be declared")
                 sorts[name] = None
         elif kind == "feature":
             if len(parts) < 2:

@@ -117,18 +117,22 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     if problems:
         return problems
 
-    # Graded-subsumption compatibility (condition on every sort pair).
+    # Graded-subsumption compatibility (condition on every sort pair).  All
+    # degrees lie in [0, 1] here, so pairs with degree(s0, s1) = 0 hold.
+    above: dict[str, list[tuple[str, float]]] = {}
     for e in model.elements:
         for s0 in sorts:
             d0 = model.sort_degree(s0, e)
             if d0 <= 0.0:
                 continue
-            for s1 in sorts:
-                bound = min(d0, lattice.degree(s0, s1))
+            if s0 not in above:
+                above[s0] = [(s1, d) for s1 in sorts if (d := lattice.degree(s0, s1)) > 0.0]
+            for s1, d in above[s0]:
+                bound = min(d0, d)
                 if bound > model.sort_degree(s1, e):
                     problems.append(
                         f"membership gap: {s0}({e})={d0:g} and "
-                        f"degree({s0},{s1})={lattice.degree(s0, s1):g} force "
+                        f"degree({s0},{s1})={d:g} force "
                         f"{s1}({e}) >= {bound:g}, found {model.sort_degree(s1, e):g}"
                     )
     # Meet consistency: jointly positive sorts need a positive meet.

@@ -117,6 +117,15 @@ def test_check_reports_parse_errors_with_line(capsys, tmp_ontology):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text,line", [("sort top a", "line 1"), ("sort a\nsort b bot", "line 2")])
+def test_check_rejects_declared_bounds(capsys, tmp_ontology, text, line):
+    path = tmp_ontology(text, "bounds.txt")
+    code, out, err = run(capsys, "--ontology", path, "check")
+    assert code == 1
+    assert out == ""
+    assert line in err
+
+
 def test_missing_file_is_an_input_failure(capsys):
     code, out, err = run(capsys, "--ontology", "/nonexistent/x.txt", "check")
     assert code == 1
@@ -424,3 +433,12 @@ def test_commands_without_ontology_fail_politely(capsys):
     code, _, err = run(capsys, "degree", "a", "b")
     assert code == 1
     assert "--ontology" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-domain", "--max-sorts", "--max-features"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_theorems_rejects_sizes_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorems", flag, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

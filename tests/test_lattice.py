@@ -120,6 +120,14 @@ def test_degree_above_one_rejected():
         build_sort_graph(["a", "b"], [], [("a", "b", 1.5)])
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_degrees_rejected(flag):
+    with pytest.raises(DegreeOutOfRange):
+        build_sort_graph(["a", "b"], [], [("a", "b", flag)])
+    with pytest.raises(DegreeOutOfRange):
+        build_similarity([("a", "b", flag)])
+
+
 def test_cycle_detected_with_witness():
     with pytest.raises(CycleDetected) as exc:
         lat = SortLattice(
@@ -162,6 +170,31 @@ def test_diamond_is_not_a_lattice():
     assert set(exc.value.maximal) == {"a", "b"}
 
 
+def test_validate_reports_the_first_pair_in_declaration_order():
+    # (e, d), (e, c) and (d, c) all fail; the first in sort-index order is reported.
+    graph = build_sort_graph(
+        ["e", "d", "c", "a", "b", "x"],
+        [],
+        [(a, b, 1.0) for a in "ab" for b in "cde"] + [("x", "e", 1.0), ("x", "c", 0.5)],
+    )
+    with pytest.raises(NotALattice) as exc:
+        validate_lattice(graph)
+    assert exc.value.pair == ("e", "d")
+    assert exc.value.maximal == ["a", "b"]
+    assert str(exc.value) == (
+        "no unique greatest lower bound for (e, d); maximal common lower bounds: a, b"
+    )
+
+
+def test_glb_of_a_chain_declared_bottom_up():
+    # Leaves declared before the implicit bot come first in the graph's
+    # topological order; bot must still sit below them in the bit order.
+    lattice = validate_lattice(build_sort_graph(["x", "z"], [], [("x", "z", 1.0)]))
+    assert lattice.glb("x", "z") == lattice.glb("z", "x") == "x"
+    assert lattice.glb("x", BOT) == lattice.glb(BOT, "z") == BOT
+    assert lattice.glb("z", TOP) == "z"
+
+
 def test_validate_is_idempotent(chain_lattice):
     assert chain_lattice.validate() is chain_lattice
 
@@ -195,6 +228,25 @@ def test_glb_agrees_with_support_oracle(dag):
     for s in sorts:
         for t in sorts:
             assert [lattice.glb(s, t)] == oracles.glb_candidates(sorts, edges, s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.dags(max_sorts=8))
+def test_every_glb_and_failure_matches_the_oracle(dag):
+    sorts, edges = dag
+    lattice = SortLattice(build_sort_graph(sorts, [], edges))
+    downs = oracles.down_sets(sorts, edges)
+    nodes = [BOT, *sorts, TOP]
+    for s in nodes:
+        for t in nodes:
+            candidates = oracles.glb_candidates(sorts, edges, s, t, downs)
+            if len(candidates) == 1:
+                assert lattice.glb(s, t) == candidates[0], (s, t)
+                continue
+            with pytest.raises(NotALattice) as exc:
+                lattice.glb(s, t)
+            assert exc.value.pair == (s, t)
+            assert exc.value.maximal == candidates
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,6 +339,8 @@ def test_load_ontology_roundtrip():
         ("edge a b nope", "bad degree"),
         ("hedge a b 1", "unknown directive"),
         ("sort a\nedge a b 2", "line 2"),
+        ("sort top", "line 1: top is implicit"),
+        ("sort a\nsort b bot c", "line 2: bot is implicit"),
     ],
 )
 def test_load_ontology_reports_line_numbers(text, fragment):
