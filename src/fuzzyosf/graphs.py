@@ -3,32 +3,18 @@
 A feature graph has tag-named nodes labeled with sorts and feature-labeled
 edges, all nodes reachable from a root.  Terms, solved rooted clauses, and
 graphs are three presentations of the same structure; this module holds the
-graph side of those bijections plus the graph-level services: sort
-membership at the root, feature application (total via lazily created
-"trivial" placeholders), canonical forms, and equivalence.
-
-Trivial elements stand for the top-sorted targets a graph does not mention:
-applying feature ``f`` at a node with no ``f``-edge yields
-``TrivialGraph((f,), g)``, and further applications extend the path.  They
-carry no constraints — their sort degree is 1 exactly at ``top`` — and their
-identity is the (path, origin) pair, so repeated application is stable.
+graph side of those bijections plus canonical forms, equivalence and
+rendering.  Feature application and sort membership as a model, with
+"trivial" elements for the top-sorted targets a graph does not mention, live
+in :class:`fuzzyosf.semantics.CanonicalAlgebra`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
-from .lattice import BOT, TOP, SortLattice
-from .terms import (
-    Clause,
-    EqualityConstraint,
-    FeatureConstraint,
-    NotSolved,
-    SortConstraint,
-    Term,
-    assert_normal,
-)
+from .lattice import TOP
+from .terms import Clause, Term, _expand, _solved_structure, assert_normal
 
 
 @dataclass
@@ -47,58 +33,6 @@ class OsfGraph:
 
     def nodes(self) -> list[str]:
         return list(self.sorts)
-
-    def successor(self, node: str, feature: str) -> str | None:
-        for f, target in self.out.get(node, ()):
-            if f == feature:
-                return target
-        return None
-
-
-@dataclass(frozen=True)
-class TrivialGraph:
-    """A placeholder reached from ``origin`` by the unconstrained ``path``."""
-
-    path: tuple[str, ...]
-    origin: "OsfGraph" = None  # type: ignore[assignment]
-
-    def __str__(self) -> str:
-        return "~" + ".".join(self.path)
-
-
-GraphElement = Union[OsfGraph, TrivialGraph]
-
-
-def validate_graph(g: OsfGraph) -> list[str]:
-    """Violations of graph well-formedness (empty list means valid)."""
-    problems: list[str] = []
-    if g.root not in g.sorts:
-        problems.append(f"root {g.root} has no node")
-    for node, sort in g.sorts.items():
-        if sort == BOT:
-            problems.append(f"node {node} is labeled {BOT}")
-    for node, edges in g.out.items():
-        if node not in g.sorts:
-            problems.append(f"edge source {node} has no node")
-        feats = [f for f, _ in edges]
-        if len(set(feats)) != len(feats):
-            problems.append(f"node {node} repeats a feature")
-        for _, target in edges:
-            if target not in g.sorts:
-                problems.append(f"edge target {target} has no node")
-    reach = set()
-    stack = [g.root]
-    while stack:
-        n = stack.pop()
-        if n in reach or n not in g.sorts:
-            continue
-        reach.add(n)
-        for _, target in g.out.get(n, ()):
-            stack.append(target)
-    for node in g.sorts:
-        if node not in reach:
-            problems.append(f"node {node} is unreachable from the root")
-    return problems
 
 
 # -- bijections --------------------------------------------------------------
@@ -137,39 +71,7 @@ def term_to_graph(t: Term) -> OsfGraph:
 
 def graph_to_term(g: OsfGraph) -> Term:
     """Term of a graph: depth-first, each node expanded at first encounter."""
-    expanded: set[str] = set()
-    result: Term | None = None
-    frames: list[list] = []
-    control: list[tuple[str, object]] = [("visit", g.root)]
-    while control:
-        op, payload = control.pop()
-        if op == "visit":
-            tag = payload  # type: ignore[assignment]
-            if tag in expanded:
-                node = Term(tag, TOP, ())
-                if frames:
-                    frames[-1][1].append(node)
-                else:
-                    result = node
-                continue
-            expanded.add(tag)
-            frame = [tag, []]
-            frames.append(frame)
-            control.append(("close", frame))
-            for _, target in reversed(g.out.get(tag, ())):
-                control.append(("visit", target))
-        else:
-            frame = payload  # type: ignore[assignment]
-            frames.pop()
-            tag = frame[0]
-            names = [f for f, _ in g.out.get(tag, ())]
-            node = Term(tag, g.sorts[tag], tuple(zip(names, frame[1])))
-            if frames:
-                frames[-1][1].append(node)
-            else:
-                result = node
-    assert result is not None
-    return result
+    return _expand(g.root, g.sorts, g.out)
 
 
 def clause_structure(clause: Clause) -> tuple[dict[str, str], dict[str, list[tuple[str, str]]]]:
@@ -178,22 +80,7 @@ def clause_structure(clause: Clause) -> tuple[dict[str, str], dict[str, list[tup
     Unsorted tags default to top.  Raises NotSolved on equalities, duplicate
     sorts, duplicate features, or bot sorts.
     """
-    sorts: dict[str, str] = {}
-    out: dict[str, list[tuple[str, str]]] = {}
-    for c in clause.constraints:
-        if isinstance(c, EqualityConstraint):
-            raise NotSolved(f"clause still has an equality: {c}")
-        if isinstance(c, SortConstraint):
-            if c.tag in sorts:
-                raise NotSolved(f"tag {c.tag} has more than one sort constraint")
-            if c.sort == BOT:
-                raise NotSolved(f"tag {c.tag} is sorted {BOT}")
-            sorts[c.tag] = c.sort
-        else:
-            bucket = out.setdefault(c.tag, [])
-            if any(f == c.feature for f, _ in bucket):
-                raise NotSolved(f"tag {c.tag} has more than one value for feature {c.feature}")
-            bucket.append((c.feature, c.target))
+    sorts, out = _solved_structure(clause)
     for tag in clause.tags():
         sorts.setdefault(tag, TOP)
         out.setdefault(tag, [])
@@ -220,44 +107,6 @@ def clause_to_graphs(clause: Clause) -> dict[str, OsfGraph]:
             out={n: tuple(out[n]) for n in reach},
         )
     return result
-
-
-def rooted_subgraph(g: OsfGraph, node: str) -> OsfGraph:
-    """The reachable slice of ``g`` re-rooted at ``node``."""
-    reach: dict[str, None] = {}
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n in reach:
-            continue
-        reach[n] = None
-        for _, target in reversed(g.out.get(n, ())):
-            stack.append(target)
-    return OsfGraph(
-        root=node,
-        sorts={n: g.sorts[n] for n in reach},
-        out={n: g.out.get(n, ()) for n in reach},
-    )
-
-
-# -- graph algebra operations -------------------------------------------------
-
-
-def sort_membership(element: GraphElement, sort: str, lattice: SortLattice) -> float:
-    """Degree to which a graph element belongs to a sort (root label vs sort)."""
-    if isinstance(element, TrivialGraph):
-        return lattice.degree(TOP, sort)
-    return lattice.degree(element.sorts[element.root], sort)
-
-
-def apply_feature(element: GraphElement, feature: str) -> GraphElement:
-    """Follow a feature: the rooted subgraph if the edge exists, else a trivial element."""
-    if isinstance(element, TrivialGraph):
-        return TrivialGraph(element.path + (feature,), element.origin)
-    target = element.successor(element.root, feature)
-    if target is None:
-        return TrivialGraph((feature,), element)
-    return rooted_subgraph(element, target)
 
 
 # -- canonical form and equivalence -------------------------------------------

@@ -354,18 +354,22 @@ def build_similarity(pairs: list[tuple[str, str, float]]) -> dict[tuple[str, str
     """
     table: dict[tuple[str, str], float] = {}
     for a, b, d in pairs:
-        if isinstance(d, bool) or not (isinstance(d, (int, float)) and 0.0 <= d <= 1.0):
-            raise DegreeOutOfRange(f"similarity degree must lie in [0, 1]: {a} ~ {b} @ {d!r}")
-        if a == b and d != 1.0:
-            raise DegreeOutOfRange(f"self-similarity must be 1: {a} ~ {a} @ {d!r}")
-        for key in ((a, b), (b, a)):
-            if key in table and table[key] != float(d):
-                raise OntologyError(
-                    f"conflicting similarity degrees for ({key[0]}, {key[1]}): "
-                    f"{table[key]:g} vs {d:g}"
-                )
-            table[key] = float(d)
+        _add_similarity(table, a, b, d)
     return table
+
+
+def _add_similarity(table: dict[tuple[str, str], float], a: str, b: str, d: float) -> None:
+    if isinstance(d, bool) or not (isinstance(d, (int, float)) and 0.0 <= d <= 1.0):
+        raise DegreeOutOfRange(f"similarity degree must lie in [0, 1]: {a} ~ {b} @ {d!r}")
+    if a == b and d != 1.0:
+        raise DegreeOutOfRange(f"self-similarity must be 1: {a} ~ {a} @ {d!r}")
+    for key in ((a, b), (b, a)):
+        if key in table and table[key] != float(d):
+            raise OntologyError(
+                f"conflicting similarity degrees for ({key[0]}, {key[1]}): "
+                f"{table[key]:g} vs {d:g}"
+            )
+        table[key] = float(d)
 
 
 @dataclass(frozen=True)
@@ -471,15 +475,24 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
     Lines: ``sort <name>...``, ``feature <name>...``,
     ``edge <sub> <sup> <degree>``, ``sim <a> <b> <degree>``; ``#`` starts a
     comment; blank lines are ignored.  Sorts referenced by edges or sims are
-    declared implicitly.
+    declared implicitly.  Every error names the line of the offending item;
+    for a cycle, that is the line of its first declared edge.
     """
-    sorts: dict[str, None] = {}
+    sorts: dict[str, None] = {BOT: None, TOP: None}
     features: dict[str, None] = {}
+    edge_line: dict[tuple[str, str], int] = {}
     edges: list[tuple[str, str, float]] = []
-    sims: list[tuple[str, str, float]] = []
+    sim: dict[tuple[str, str], float] = {}
 
-    def fail(lineno: int, msg: str) -> None:
-        raise OntologyError(f"line {lineno}: {msg}")
+    def fail(lineno: int, msg: str, kind: type[OntologyError] = OntologyError) -> None:
+        raise kind(f"line {lineno}: {msg}")
+
+    def add_sort(lineno: int, name: str) -> None:
+        if not _SORT_RE.match(name):
+            fail(lineno, f"bad sort name: {name!r}")
+        if name in features:
+            fail(lineno, f"name used as both sort and feature: {name}", DuplicateName)
+        sorts[name] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -493,11 +506,15 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             for name in parts[1:]:
                 if name in (BOT, TOP):
                     fail(lineno, f"{name} is implicit and cannot be declared")
-                sorts[name] = None
+                add_sort(lineno, name)
         elif kind == "feature":
             if len(parts) < 2:
                 fail(lineno, "expected: feature <name>...")
             for name in parts[1:]:
+                if not _FEATURE_RE.match(name):
+                    fail(lineno, f"bad feature name: {name!r}")
+                if name in sorts:
+                    fail(lineno, f"name used as both sort and feature: {name}", DuplicateName)
                 features[name] = None
         elif kind == "edge":
             if len(parts) != 4:
@@ -508,8 +525,9 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
                 fail(lineno, f"bad degree: {parts[3]!r}")
             if not 0.0 < d <= 1.0:
                 fail(lineno, f"edge degree must lie in (0, 1]: {parts[3]}")
-            sorts.setdefault(parts[1], None)
-            sorts.setdefault(parts[2], None)
+            add_sort(lineno, parts[1])
+            add_sort(lineno, parts[2])
+            edge_line.setdefault((parts[1], parts[2]), lineno)
             edges.append((parts[1], parts[2], d))
         elif kind == "sim":
             if len(parts) != 4:
@@ -520,16 +538,26 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
                 fail(lineno, f"bad degree: {parts[3]!r}")
             if not 0.0 <= d <= 1.0:
                 fail(lineno, f"sim degree must lie in [0, 1]: {parts[3]}")
-            sorts.setdefault(parts[1], None)
-            sorts.setdefault(parts[2], None)
-            sims.append((parts[1], parts[2], d))
+            add_sort(lineno, parts[1])
+            add_sort(lineno, parts[2])
+            try:
+                _add_similarity(sim, parts[1], parts[2], d)
+            except OntologyError as err:
+                err.args = (f"line {lineno}: {err}",)
+                raise
         else:
             fail(lineno, f"unknown directive: {kind!r}")
 
-    graph = SortGraph(
-        [s for s in sorts if s not in (BOT, TOP)], list(features), edges
-    )
-    return graph, build_similarity(sims)
+    try:
+        graph = SortGraph(
+            [s for s in sorts if s not in (BOT, TOP)], list(features), edges
+        )
+    except CycleDetected as err:
+        steps = zip(err.cycle, err.cycle[1:])
+        first = next(edge_line[step] for step in steps if step in edge_line)
+        err.args = (f"line {first}: {err}",)
+        raise
+    return graph, sim
 
 
 def format_ontology(

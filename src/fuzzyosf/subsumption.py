@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import SignatureMismatch, SortGraph, SortLattice, TOP
-from .terms import Term, assert_normal, check_normal, fresh_tags
+from .lattice import SortLattice, TOP
+from .terms import Term, assert_normal, fresh_tags
 from .graphs import OsfGraph, term_to_graph
 
 
@@ -34,12 +34,6 @@ class SubsumptionWitness:
     mapping: dict[str, str]
     degree: float
     per_tag: dict[str, tuple[str, str, float]]
-
-
-def _signature_check(t: Term, graph: SortGraph) -> None:
-    problems = [p for p in check_normal(t, graph) if p.startswith("unknown")]
-    if problems:
-        raise SignatureMismatch("; ".join(problems))
 
 
 def _find_witness(
@@ -85,10 +79,8 @@ def _find_witness(
 def _witness_of(
     t0: Term, t1: Term, lattice: SortLattice, complete: bool
 ) -> SubsumptionWitness | None:
-    _signature_check(t0, lattice.graph)
-    _signature_check(t1, lattice.graph)
-    assert_normal(t0)
-    assert_normal(t1)
+    assert_normal(t0, lattice.graph)
+    assert_normal(t1, lattice.graph)
     g0 = term_to_graph(t0)
     g1 = term_to_graph(t1)
     found = _find_witness(g0, g1, complete)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .lattice import BOT, TOP, SortGraph, UnknownFeature, UnknownSort
+from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort
 
 
 class TermSyntaxError(ValueError):
@@ -163,39 +163,50 @@ def term_sorts(t: Term) -> dict[str, str]:
     return sorts
 
 
-def check_normal(t: Term, graph: SortGraph | None = None) -> list[str]:
-    """Violations of the normal-form conditions (empty list means normal)."""
-    problems: list[str] = []
+def _violations(t: Term, graph: SortGraph | None) -> list[tuple[bool, str]]:
+    """Normal-form violations in walk order, each flagged True when it names
+    a sort or feature outside ``graph``'s signature."""
+    problems: list[tuple[bool, str]] = []
     structured: dict[str, int] = {}
     for node in term_nodes(t):
         if node.sort == BOT:
-            problems.append(f"tag {node.tag} is sorted {BOT}")
+            problems.append((False, f"tag {node.tag} is sorted {BOT}"))
         if graph is not None:
             if not graph.has_sort(node.sort):
-                problems.append(f"unknown sort: {node.sort}")
+                problems.append((True, f"unknown sort: {node.sort}"))
             for f, _ in node.args:
                 if not graph.has_feature(f):
-                    problems.append(f"unknown feature: {f}")
+                    problems.append((True, f"unknown feature: {f}"))
         feats = [f for f, _ in node.args]
         if len(set(feats)) != len(feats):
             dup = sorted({f for f in feats if feats.count(f) > 1})
-            problems.append(f"tag {node.tag} repeats feature(s): {', '.join(dup)}")
+            problems.append((False, f"tag {node.tag} repeats feature(s): {', '.join(dup)}"))
         if node.sort != TOP or node.args:
             structured[node.tag] = structured.get(node.tag, 0) + 1
     for tag, k in structured.items():
         if k > 1:
-            problems.append(f"tag {tag} has {k} structured occurrences")
+            problems.append((False, f"tag {tag} has {k} structured occurrences"))
     return problems
 
 
+def check_normal(t: Term, graph: SortGraph | None = None) -> list[str]:
+    """Violations of the normal-form conditions (empty list means normal)."""
+    return [msg for _, msg in _violations(t, graph)]
+
+
 def is_normal(t: Term, graph: SortGraph | None = None) -> bool:
-    return not check_normal(t, graph)
+    return not _violations(t, graph)
 
 
 def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
-    problems = check_normal(t, graph)
+    """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
+    signature, else NotNormalTerm if it breaks another normal-form condition."""
+    problems = _violations(t, graph)
     if problems:
-        raise NotNormalTerm("; ".join(problems))
+        unknown = [msg for signature, msg in problems if signature]
+        if unknown:
+            raise SignatureMismatch("; ".join(unknown))
+        raise NotNormalTerm("; ".join(msg for _, msg in problems))
 
 
 def rename_term(t: Term, mapping: dict[str, str]) -> Term:
@@ -461,16 +472,14 @@ def term_to_clause(t: Term, graph: SortGraph | None = None) -> Clause:
     return Clause(tuple(constraints), root=t.tag)
 
 
-def clause_to_term(clause: Clause) -> Term:
-    """Rebuild the term of a solved, rooted clause.
+def _solved_structure(
+    clause: Clause,
+) -> tuple[dict[str, str], dict[str, list[tuple[str, str]]]]:
+    """Explicit sort and ordered out-edges per tag of a solved clause.
 
-    Each tag expands (sort plus feature arguments) at its first encounter in
-    the depth-first walk from the root; later encounters print as bare
-    back-references.  Raises NotSolved for duplicate sorts/features or
-    leftover equalities, NotRooted when tags are unreachable or unsorted.
+    Raises NotSolved for leftover equalities, duplicate sorts or features,
+    and bot sorts.
     """
-    if clause.root is None:
-        raise NotRooted("clause has no root", [])
     sort_of: dict[str, str] = {}
     feats: dict[str, list[tuple[str, str]]] = {}
     for c in clause.constraints:
@@ -487,6 +496,20 @@ def clause_to_term(clause: Clause) -> Term:
             if any(f == c.feature for f, _ in bucket):
                 raise NotSolved(f"tag {c.tag} has more than one value for feature {c.feature}")
             bucket.append((c.feature, c.target))
+    return sort_of, feats
+
+
+def clause_to_term(clause: Clause) -> Term:
+    """Rebuild the term of a solved, rooted clause.
+
+    Each tag expands (sort plus feature arguments) at its first encounter in
+    the depth-first walk from the root; later encounters print as bare
+    back-references.  Raises NotSolved for duplicate sorts/features or
+    leftover equalities, NotRooted when tags are unreachable or unsorted.
+    """
+    if clause.root is None:
+        raise NotRooted("clause has no root", [])
+    sort_of, feats = _solved_structure(clause)
 
     all_tags = clause.tags()
     if clause.root not in all_tags:
@@ -510,14 +533,22 @@ def clause_to_term(clause: Clause) -> Term:
         if unsorted:
             parts.append("unsorted: " + ", ".join(unsorted))
         raise NotRooted("; ".join(parts), stray + unsorted)
+    return _expand(clause.root, sort_of, feats)
 
-    # Iterative first-encounter expansion; revisits become bare top leaves.
+
+def _expand(root: str, sort_of: dict[str, str], out: dict) -> Term:
+    """The term of a rooted structure, given each reachable tag's sort and
+    ordered ``(feature, target)`` edges.
+
+    Depth-first from ``root``, each tag expands at its first encounter;
+    revisits become bare top leaves (back-references).
+    """
     expanded: set[str] = set()
     # Frames: [tag, args_accumulated]; drive with an explicit control stack of
     # ("visit", tag) / ("close", frame) entries.
     result: Term | None = None
     frames: list[list] = []
-    control: list[tuple[str, object]] = [("visit", clause.root)]
+    control: list[tuple[str, object]] = [("visit", root)]
     while control:
         op, payload = control.pop()
         if op == "visit":
@@ -533,16 +564,14 @@ def clause_to_term(clause: Clause) -> Term:
             frame = [tag, []]
             frames.append(frame)
             control.append(("close", frame))
-            for _, target in reversed(feats.get(tag, ())):
+            for _, target in reversed(out.get(tag, ())):
                 control.append(("visit", target))
         else:
             frame = payload  # type: ignore[assignment]
             frames.pop()
             tag = frame[0]
-            children = frame[1]
-            names = [f for f, _ in feats.get(tag, ())]
-            args = tuple(zip(names, children))
-            node = Term(tag, sort_of[tag], args)
+            names = [f for f, _ in out.get(tag, ())]
+            node = Term(tag, sort_of[tag], tuple(zip(names, frame[1])))
             if frames:
                 frames[-1][1].append(node)
             else:

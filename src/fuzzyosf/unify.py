@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import SignatureMismatch, SortLattice, TOP
-from .normalize import Inconsistent, UnionFind, normalize
+from .lattice import SortLattice, TOP
+from .normalize import Inconsistent, normalize
 from .terms import (
     Clause,
     EqualityConstraint,
@@ -25,7 +25,6 @@ from .terms import (
     SortConstraint,
     Term,
     assert_normal,
-    check_normal,
     clause_to_term,
     fresh_tags,
     rename_term,
@@ -75,21 +74,14 @@ def _disjoint_rename(t1: Term, t2: Term) -> tuple[Term, dict[str, str]]:
     return rename_term(t2, mapping), mapping
 
 
-def _term_constraints(t: Term) -> list:
-    """Constraint form in emission order, every tag explicitly sorted."""
-    return list(term_to_clause(t).constraints)
-
-
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
-    for t in (t1, t2):
-        problems = [p for p in check_normal(t, lattice.graph) if p.startswith("unknown")]
-        if problems:
-            raise SignatureMismatch("; ".join(problems))
-        assert_normal(t)
+    assert_normal(t1, lattice.graph)
+    assert_normal(t2, lattice.graph)
 
     t2r, renamed = _disjoint_rename(t1, t2)
-    constraints = _term_constraints(t1) + _term_constraints(t2r)
+    constraints = list(term_to_clause(t1).constraints)
+    constraints += term_to_clause(t2r).constraints
     constraints.append(EqualityConstraint(t1.tag, t2r.tag))
     combined = Clause(tuple(constraints), root=t1.tag)
 
@@ -99,31 +91,24 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
             unifier=None, beta1=1.0, beta2=1.0, beta=1.0, tag_classes={}, renamed=renamed
         )
 
-    # Partition of all tags (singletons included), fresh representatives in
-    # first-encounter order of the combined clause.
-    uf = UnionFind()
+    # normalize's partition (tags missing from rep_of are their own
+    # representatives), with fresh class names in first-encounter order of
+    # the combined clause.
+    rep_of = {member: rep for rep, member in nf.equalities}
     tag_order = combined.tags()
+    fresh = fresh_tags(set(tag_order), prefix="_Z")
+    members: dict[str, list[str]] = {}
     for tag in tag_order:
-        uf.add(tag)
-    for rep, member in nf.equalities:
-        uf.union(rep, member)
-
-    all_tags = set(tag_order)
-    fresh = fresh_tags(all_tags, prefix="_Z")
+        members.setdefault(rep_of.get(tag, tag), []).append(tag)
     class_name: dict[str, str] = {}
     tag_classes: dict[str, tuple[str, ...]] = {}
-    members_by_root: dict[str, list[str]] = {}
-    for tag in tag_order:
-        members_by_root.setdefault(uf.find(tag), []).append(tag)
-    for tag in tag_order:
-        root = uf.find(tag)
-        if root not in class_name:
-            name = next(fresh)
-            class_name[root] = name
-            tag_classes[name] = tuple(members_by_root[root])
+    for rep, group in members.items():
+        name = next(fresh)
+        class_name[rep] = name
+        tag_classes[name] = tuple(group)
 
     def z(tag: str) -> str:
-        return class_name[uf.find(tag)]
+        return class_name[rep_of.get(tag, tag)]
 
     class_sort: dict[str, str] = {}
     renamed_constraints = []

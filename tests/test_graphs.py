@@ -9,7 +9,6 @@ import strategies
 from fuzzyosf import (
     NotSolved,
     OsfGraph,
-    apply_feature,
     canonical_form,
     clause_to_graphs,
     format_term,
@@ -19,10 +18,8 @@ from fuzzyosf import (
     graph_to_term,
     parse_clause,
     parse_term,
-    sort_membership,
     term_to_graph,
 )
-from fuzzyosf.graphs import TrivialGraph
 
 
 @pytest.fixture(scope="module")
@@ -67,34 +64,6 @@ def test_clause_to_graphs_rejects_unsolved(sig):
     clause = parse_clause("X = Y & X: s", sig)
     with pytest.raises(NotSolved):
         clause_to_graphs(clause)
-
-
-# -- graph algebra -------------------------------------------------------------------
-
-
-def test_sort_membership_degree(chain_lattice):
-    g = term_to_graph(parse_term("X: q", chain_lattice.graph))
-    assert sort_membership(g, "u", chain_lattice) == 0.7
-    assert sort_membership(g, "q", chain_lattice) == 1.0
-    assert sort_membership(g, "p", chain_lattice) == 0.0
-
-
-def test_apply_feature_follows_edges(sig):
-    g = term_to_graph(parse_term("X: s(f -> Y: u)", sig))
-    sub = apply_feature(g, "f")
-    assert sub.root == "Y"
-    assert sub.sorts["Y"] == "u"
-
-
-def test_apply_absent_feature_is_trivial(chain_lattice):
-    g = term_to_graph(parse_term("X: s(f -> Y: u)", chain_lattice.graph))
-    t = apply_feature(g, "g")
-    assert isinstance(t, TrivialGraph)
-    assert sort_membership(t, "top", chain_lattice) == 1.0
-    assert sort_membership(t, "u", chain_lattice) == 0.0
-    deeper = apply_feature(t, "f")
-    assert isinstance(deeper, TrivialGraph)
-    assert deeper.path != t.path
 
 
 # -- canonical forms and equivalence -------------------------------------------------

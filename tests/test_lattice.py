@@ -341,6 +341,15 @@ def test_load_ontology_roundtrip():
         ("sort a\nedge a b 2", "line 2"),
         ("sort top", "line 1: top is implicit"),
         ("sort a\nsort b bot c", "line 2: bot is implicit"),
+        ("sort a\nsort Bad", "line 2: bad sort name: 'Bad'"),
+        ("sort a\nedge a B 1", "line 2: bad sort name: 'B'"),
+        ("feature f\nfeature Bad", "line 2: bad feature name: 'Bad'"),
+        ("sort a\nfeature a", "line 2: name used as both sort and feature: a"),
+        ("feature a\nsim b a 1", "line 2: name used as both sort and feature: a"),
+        ("sort a\nsim a a 0.5", "line 2: self-similarity must be 1"),
+        ("sim a b 0.5\n# note\nsim b a 0.6", "line 3: conflicting similarity degrees"),
+        ("edge c d 1\nedge b a 1\nedge a b 1", "line 2: subsumption cycle: b -> a -> b"),
+        ("sort x\nedge x bot 1", "line 2: subsumption cycle"),
     ],
 )
 def test_load_ontology_reports_line_numbers(text, fragment):

@@ -149,8 +149,12 @@ def test_canonical_algebra_accepts_itself(movies, query):
     assert canon.sort_degree("movie", "X") == 1.0
     assert canon.sort_degree("slasher", "X") == 0.0
     assert canon.feature_image("directed_by", "X") == "Y"
+    assert canon.sort_degree("director", "Y") == 1.0
     # its own shape scores 1 under the identity assignment
     assert best_denotation(query, canon, "X") == 1.0
+    # membership is graded: a slasher is a thriller to degree 0.5
+    slasher = term_to_graph(parse_term("X: slasher", movies.graph))
+    assert CanonicalAlgebra.from_graph(slasher, movies).sort_degree("thriller", "X") == 0.5
 
 
 def test_canonical_algebra_triviality(movies, query):
@@ -159,6 +163,9 @@ def test_canonical_algebra_triviality(movies, query):
     assert canon.is_trivial(sink)
     assert canon.sort_degree("top", sink) == 1.0
     assert canon.sort_degree("movie", sink) == 0.0
+    deeper = canon.feature_image("title", sink)
+    assert canon.is_trivial(deeper)
+    assert deeper != sink
 
 
 # -- morphisms ---------------------------------------------------------------------------

@@ -142,6 +142,21 @@ def test_repeated_structure_parses_but_is_not_normal(sig):
     assert any("structured" in p for p in check_normal(t))
 
 
+def test_check_normal_lists_every_violation_in_walk_order(sig):
+    t = Term(
+        "X",
+        "zork",
+        (("f", Term("Y", "s", ())), ("blip", Term("Y", "u", ())), ("f", Term("Z", "bot", ()))),
+    )
+    shape = [
+        "tag X repeats feature(s): f",
+        "tag Z is sorted bot",
+        "tag Y has 2 structured occurrences",
+    ]
+    assert check_normal(t, sig) == ["unknown sort: zork", "unknown feature: blip"] + shape
+    assert check_normal(t) == shape
+
+
 def test_cyclic_term_is_normal(sig):
     t = parse_term("X: s(f -> Y: u(g -> X))", sig)
     assert is_normal(t)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import strategies
 from fuzzyosf import (
     NotNormalTerm,
+    SignatureMismatch,
     Term,
     format_term,
     fuzzy_subsumption_degree,
@@ -103,6 +104,20 @@ def test_non_normal_inputs_rejected(movies):
     bad = parse_term("X: movie(genre -> Y: horror, genre -> Z: thriller)", g)
     with pytest.raises(NotNormalTerm):
         unify(bad, Term("T", "top", ()), movies)
+
+
+def test_foreign_signature_rejected(chain_lattice):
+    alien = Term("X", "zork", (("f", Term("Y", "s", ())),))
+    with pytest.raises(SignatureMismatch, match="^unknown sort: zork$"):
+        unify(alien, Term("T", "top", ()), chain_lattice)
+
+
+def test_signature_errors_outrank_shape_errors(chain_lattice):
+    # Y is structured twice, but only the unknown name is reported.
+    t = Term("X", "zork", (("f", Term("Y", "s", ())), ("g", Term("Y", "t", ()))))
+    with pytest.raises(SignatureMismatch) as exc:
+        unify(Term("T", "top", ()), t, chain_lattice)
+    assert str(exc.value) == "unknown sort: zork"
 
 
 def test_mutual_subsumption_detects_the_lower_input(movies, movie_terms):
