@@ -41,6 +41,11 @@ class OsfGraph:
 def term_to_graph(t: Term) -> OsfGraph:
     """Graph of a normal term: one node per tag, edges from the structured occurrence."""
     assert_normal(t)
+    return _term_graph(t)
+
+
+def _term_graph(t: Term) -> OsfGraph:
+    """:func:`term_to_graph` for a term already known to be normal."""
     sorts: dict[str, str] = {}
     out: dict[str, tuple[tuple[str, str], ...]] = {}
     stack = [t]

@@ -10,12 +10,12 @@ explicit inconsistency:
 * tag elimination — an equality substitutes one tag for the other everywhere
   else (applicable only when the tags differ).
 
-The production engine (:func:`normalize`) is a deterministic union-find
-strategy: equalities merge eagerly, feature merges queue behind them, sort
-intersections fold as constraints land on a class.  A small-step engine
-(:func:`normalize_small_step`) applies one rule instance at a time in a
-seedable random order; it exists so tests can check that every order reaches
-the same normal form, and it is not the production path.
+The production engine (:func:`normalize`, and ``unify`` on the same solver)
+is a deterministic union-find strategy: equalities merge eagerly, feature
+merges queue behind them, sort intersections fold as constraints land.  A
+small-step engine (:func:`normalize_small_step`) applies one rule instance at
+a time in a seedable random order; it exists so tests can check that every
+order reaches the same normal form, and it is not the production path.
 """
 
 from __future__ import annotations
@@ -83,12 +83,14 @@ class UnionFind:
             self.rank[x] = 0
 
     def find(self, x: str) -> str:
-        self.add(x)
+        parent = self.parent
+        if x not in parent:
+            self.add(x)
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, x: str, y: str) -> str:
@@ -115,6 +117,75 @@ class _Collapse(Exception):
         self.tag = tag
 
 
+class _Solver:
+    """The union-find engine behind :func:`normalize` and ``unify``.
+
+    Classes of tags carry at most one sort (``sorts``) and one value per
+    feature (``feats``), both keyed by the class's root.  Constraints land
+    through :meth:`add_sort` and :meth:`add_feat`; equalities queue on
+    ``pending`` and :meth:`drain` merges them, queueing the feature merges
+    they force.  A bot sort raises ``_Collapse``.  With ``trace`` set, every
+    rule firing is logged.
+    """
+
+    def __init__(self, lattice: SortLattice, trace: bool = False):
+        self.lattice = lattice
+        self.trace = trace
+        self.uf = UnionFind()
+        self.find = self.uf.find
+        self.sorts: dict[str, str] = {}
+        self.feats: dict[str, dict[str, str]] = {}
+        self.pending: deque[tuple[str, str]] = deque()
+        self.log: list[str] = []
+
+    def add_sort(self, rep: str, sort: str) -> None:
+        cur = self.sorts.get(rep)
+        if cur is not None:
+            meet = self.lattice.glb(cur, sort)
+            if self.trace:
+                self.log.append(f"sort-intersection: {rep} : glb({cur}, {sort}) = {meet}")
+            sort = meet
+        if sort == BOT:
+            if self.trace:
+                self.log.append(f"inconsistent-sort: {rep} is {BOT}")
+            raise _Collapse(rep)
+        self.sorts[rep] = sort
+
+    def add_feat(self, rep: str, feature: str, target: str) -> None:
+        bucket = self.feats.get(rep)
+        if bucket is None:
+            self.feats[rep] = {feature: target}
+            return
+        existing = bucket.get(feature)
+        if existing is None:
+            bucket[feature] = target
+            return
+        if self.find(existing) != self.find(target):
+            if self.trace:
+                self.log.append(f"feature-functionality: {rep}.{feature} forces {existing} = {target}")
+            self.pending.append((existing, target))
+
+    def drain(self) -> None:
+        """Merge queued equalities until none is left."""
+        pending, find = self.pending, self.find
+        while pending:
+            x, y = pending.popleft()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            winner = self.uf.union(rx, ry)
+            loser = ry if winner == rx else rx
+            if self.trace:
+                self.log.append(f"tag-elimination: {loser} -> {winner}")
+            lost_sort = self.sorts.pop(loser, None)
+            if lost_sort is not None:
+                self.add_sort(winner, lost_sort)
+            lost_feats = self.feats.pop(loser, None)
+            if lost_feats is not None:
+                for feature, target in lost_feats.items():
+                    self.add_feat(winner, feature, target)
+
+
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
     """Drive a clause to solved form (or detect inconsistency) in near-linear time.
 
@@ -123,103 +194,49 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
     order of the input; equalities reproduce the union-find partition as
     (representative, member) pairs.
     """
-    uf = UnionFind()
-    tag_order: list[str] = clause.tags()
-    for tag in tag_order:
-        uf.add(tag)
-
-    sorts: dict[str, str] = {}
-    feats: dict[str, dict[str, str]] = {}
-    log: list[str] = []
-    pending: deque[tuple[str, str]] = deque()
-
-    def note(msg: str) -> None:
-        if trace:
-            log.append(msg)
-
-    def add_sort(rep: str, sort: str) -> None:
-        cur = sorts.get(rep)
-        if cur is None:
-            if sort == BOT:
-                note(f"inconsistent-sort: {rep} is {BOT}")
-                raise _Collapse(rep)
-            sorts[rep] = sort
-            return
-        meet = lattice.glb(cur, sort)
-        note(f"sort-intersection: {rep} : glb({cur}, {sort}) = {meet}")
-        if meet == BOT:
-            note(f"inconsistent-sort: {rep} is {BOT}")
-            raise _Collapse(rep)
-        sorts[rep] = meet
-
-    def add_feat(rep: str, feature: str, target: str) -> None:
-        bucket = feats.setdefault(rep, {})
-        existing = bucket.get(feature)
-        if existing is None:
-            bucket[feature] = target
-            return
-        if uf.find(existing) != uf.find(target):
-            note(f"feature-functionality: {rep}.{feature} forces {existing} = {target}")
-            pending.append((existing, target))
-
-    def merge(x: str, y: str) -> None:
-        rx, ry = uf.find(x), uf.find(y)
-        if rx == ry:
-            return
-        winner = uf.union(rx, ry)
-        loser = ry if winner == rx else rx
-        note(f"tag-elimination: {loser} -> {winner}")
-        lost_sort = sorts.pop(loser, None)
-        if lost_sort is not None:
-            add_sort(winner, lost_sort)
-        lost_feats = feats.pop(loser, None)
-        if lost_feats is not None:
-            for feature, target in lost_feats.items():
-                add_feat(winner, feature, target)
-
+    solver = _Solver(lattice, trace)
+    find = solver.find
     try:
         for c in clause.constraints:
             if isinstance(c, SortConstraint):
-                add_sort(uf.find(c.tag), c.sort)
+                solver.add_sort(find(c.tag), c.sort)
             elif isinstance(c, FeatureConstraint):
-                add_feat(uf.find(c.tag), c.feature, c.target)
+                solver.add_feat(find(c.tag), c.feature, c.target)
             else:
-                pending.append((c.left, c.right))
-            while pending:
-                merge(*pending.popleft())
+                solver.pending.append((c.left, c.right))
+            solver.drain()
     except _Collapse as stop:
-        return Inconsistent(tag=stop.tag, trace=log)
+        return Inconsistent(tag=stop.tag, trace=solver.log)
 
+    tag_order = clause.tags()
     rep_order: list[str] = []
-    seen: set[str] = set()
+    members_by_rep: dict[str, list[str]] = {}
     for tag in tag_order:
-        rep = uf.find(tag)
-        if rep not in seen:
-            seen.add(rep)
+        rep = find(tag)
+        if rep not in members_by_rep:
+            members_by_rep[rep] = []
             rep_order.append(rep)
+        members_by_rep[rep].append(tag)
 
     constraints: list[Constraint] = []
     for rep in rep_order:
-        if rep in sorts:
-            constraints.append(SortConstraint(rep, sorts[rep]))
+        if rep in solver.sorts:
+            constraints.append(SortConstraint(rep, solver.sorts[rep]))
     for rep in rep_order:
-        for feature, target in feats.get(rep, {}).items():
-            constraints.append(FeatureConstraint(rep, feature, uf.find(target)))
+        for feature, target in solver.feats.get(rep, {}).items():
+            constraints.append(FeatureConstraint(rep, feature, find(target)))
 
-    members_by_rep: dict[str, list[str]] = {}
-    for tag in tag_order:
-        members_by_rep.setdefault(uf.find(tag), []).append(tag)
     equalities: list[tuple[str, str]] = []
     for rep in rep_order:
-        for tag in members_by_rep.get(rep, ()):
+        for tag in members_by_rep[rep]:
             if tag != rep:
                 equalities.append((rep, tag))
 
-    root = uf.find(clause.root) if clause.root is not None else None
+    root = find(clause.root) if clause.root is not None else None
     return Normalized(
         solved=Clause(tuple(constraints), root=root),
         equalities=tuple(equalities),
-        trace=log,
+        trace=solver.log,
     )
 
 

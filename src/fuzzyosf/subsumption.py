@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .lattice import SortLattice, TOP
 from .terms import Term, assert_normal, fresh_tags
-from .graphs import OsfGraph, term_to_graph
+from .graphs import OsfGraph, _term_graph
 
 
 @dataclass
@@ -81,8 +81,8 @@ def _witness_of(
 ) -> SubsumptionWitness | None:
     assert_normal(t0, lattice.graph)
     assert_normal(t1, lattice.graph)
-    g0 = term_to_graph(t0)
-    g1 = term_to_graph(t1)
+    g0 = _term_graph(t0)
+    g1 = _term_graph(t1)
     found = _find_witness(g0, g1, complete)
     if found is None:
         return None

@@ -14,7 +14,7 @@ levels) never hit the recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort
@@ -53,6 +53,26 @@ class Term:
 
     def __repr__(self) -> str:
         return f"Term({self.tag}:{self.sort}, {len(self.args)} args)"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.tag != b.tag or a.sort != b.sort or len(a.args) != len(b.args):
+                return False
+            for (f, x), (g, y) in zip(a.args, b.args):
+                if f != g:
+                    return False
+                stack.append((x, y))
+        return True
+
+    def __hash__(self) -> int:
+        # Equal terms have equal preorder node sequences.
+        return hash(tuple((n.tag, n.sort, tuple(f for f, _ in n.args)) for n in term_nodes(self)))
 
 
 @dataclass(frozen=True)
@@ -146,138 +166,96 @@ def term_tags(t: Term) -> dict[str, int]:
     return counts
 
 
-def term_sorts(t: Term) -> dict[str, str]:
-    """The sort each tag carries at its structured occurrence (top if bare-only).
+def _walk(
+    t: Term, graph: SortGraph | None, nodes: list[Term] | None = None
+) -> tuple[list[tuple[bool, str]], dict[str, str]]:
+    """One preorder walk of ``t``.
 
-    Requires a normal term (at most one structured occurrence per tag).
+    Returns the normal-form violations in walk order, each flagged True when
+    it names a sort or feature outside ``graph``'s signature, and each tag's
+    sort at its structured occurrence (top if it has none) in first-occurrence
+    order.  Appends every visited node to ``nodes`` when given.
     """
-    sorts: dict[str, str] = {}
-    for node in term_nodes(t):
-        if node.sort != TOP or node.args:
-            prev = sorts.get(node.tag)
-            if prev is not None and prev != TOP:
-                raise NotNormalTerm(f"tag {node.tag} has more than one structured occurrence")
-            sorts[node.tag] = node.sort
-        else:
-            sorts.setdefault(node.tag, TOP)
-    return sorts
-
-
-def _violations(t: Term, graph: SortGraph | None) -> list[tuple[bool, str]]:
-    """Normal-form violations in walk order, each flagged True when it names
-    a sort or feature outside ``graph``'s signature."""
     problems: list[tuple[bool, str]] = []
+    sorts: dict[str, str] = {}
     structured: dict[str, int] = {}
-    for node in term_nodes(t):
-        if node.sort == BOT:
-            problems.append((False, f"tag {node.tag} is sorted {BOT}"))
-        if graph is not None:
-            if not graph.has_sort(node.sort):
-                problems.append((True, f"unknown sort: {node.sort}"))
-            for f, _ in node.args:
-                if not graph.has_feature(f):
-                    problems.append((True, f"unknown feature: {f}"))
-        feats = [f for f, _ in node.args]
-        if len(set(feats)) != len(feats):
-            dup = sorted({f for f in feats if feats.count(f) > 1})
-            problems.append((False, f"tag {node.tag} repeats feature(s): {', '.join(dup)}"))
-        if node.sort != TOP or node.args:
-            structured[node.tag] = structured.get(node.tag, 0) + 1
+    has_sort = graph.has_sort if graph is not None else None
+    has_feature = graph.has_feature if graph is not None else None
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if nodes is not None:
+            nodes.append(node)
+        tag, sort, args = node.tag, node.sort, node.args
+        if sort == BOT:
+            problems.append((False, f"tag {tag} is sorted {BOT}"))
+        if has_sort is not None and not has_sort(sort):
+            problems.append((True, f"unknown sort: {sort}"))
+        if args:
+            feats = [f for f, _ in args]
+            if has_feature is not None:
+                for f in feats:
+                    if not has_feature(f):
+                        problems.append((True, f"unknown feature: {f}"))
+            if len(set(feats)) != len(feats):
+                dup = sorted({f for f in feats if feats.count(f) > 1})
+                problems.append((False, f"tag {tag} repeats feature(s): {', '.join(dup)}"))
+            stack.extend([child for _, child in reversed(args)])
+        if sort != TOP or args:
+            structured[tag] = structured.get(tag, 0) + 1
+            sorts[tag] = sort
+        elif tag not in sorts:
+            sorts[tag] = TOP
     for tag, k in structured.items():
         if k > 1:
             problems.append((False, f"tag {tag} has {k} structured occurrences"))
-    return problems
+    return problems, sorts
 
 
 def check_normal(t: Term, graph: SortGraph | None = None) -> list[str]:
     """Violations of the normal-form conditions (empty list means normal)."""
-    return [msg for _, msg in _violations(t, graph)]
+    return [msg for _, msg in _walk(t, graph)[0]]
 
 
 def is_normal(t: Term, graph: SortGraph | None = None) -> bool:
-    return not _violations(t, graph)
+    return not _walk(t, graph)[0]
 
 
-def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
-    """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
-    signature, else NotNormalTerm if it breaks another normal-form condition."""
-    problems = _violations(t, graph)
+def _gate(t: Term, graph: SortGraph | None, nodes: list[Term] | None = None) -> dict[str, str]:
+    """:func:`assert_normal`'s check; on success, the sorts of :func:`_walk`."""
+    problems, sorts = _walk(t, graph, nodes)
     if problems:
         unknown = [msg for signature, msg in problems if signature]
         if unknown:
             raise SignatureMismatch("; ".join(unknown))
         raise NotNormalTerm("; ".join(msg for _, msg in problems))
+    return sorts
 
 
-def rename_term(t: Term, mapping: dict[str, str]) -> Term:
-    """Rebuild a term with tags renamed (iterative postorder)."""
-    out: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            args = tuple((f, out[id(child)]) for f, child in node.args)
-            out[id(node)] = Term(mapping.get(node.tag, node.tag), node.sort, args)
-        else:
-            stack.append((node, True))
-            for _, child in node.args:
-                stack.append((child, False))
-    return out[id(t)]
+def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
+    """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
+    signature, else NotNormalTerm if it breaks another normal-form condition."""
+    _gate(t, graph)
 
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"->|[():,.]|[A-Za-z_][A-Za-z0-9_]*")
-_WS_RE = re.compile(r"\s*")
+# One token per match, classified by the group that matched (``lastindex``).
+_LEX = re.compile(r"\s*(?:([A-Z_][A-Za-z0-9_]*)|([a-z][A-Za-z0-9_]*)|(->|[():,.])|(\S))")
+_TAG, _NAME, _PUNCT, _OTHER = 1, 2, 3, 4
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-def _is_tag(tok: str) -> bool:
-    return bool(re.match(r"[A-Z_]", tok[0])) and re.fullmatch(r"[A-Z_][A-Za-z0-9_]*", tok) is not None
-
-
-def _is_lower(tok: str) -> bool:
-    return re.fullmatch(r"[a-z][A-Za-z0-9_]*", tok) is not None
-
-
-class _TokenStream:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.text = text
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self, what: str = "token") -> str:
-        if self.i >= len(self.tokens):
-            raise TermSyntaxError(f"unexpected end of input; expected {what}")
-        tok, _ = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        tok = self.next(repr(literal))
-        if tok != literal:
-            raise TermSyntaxError(f"expected {literal!r}, found {tok!r}")
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
+def _tokenize(text: str) -> tuple[list[int], list[str]]:
+    """Token kinds and texts of the whole input; rejects stray characters."""
+    kinds: list[int] = []
+    toks: list[str] = []
+    for m in _LEX.finditer(text):
+        kind = m.lastindex
+        if kind == _OTHER:
+            raise TermSyntaxError(f"unexpected character {m[kind]!r} at position {m.start(kind)}")
+        kinds.append(kind)
+        toks.append(m[kind])
+    return kinds, toks
 
 
 def parse_term(text: str, graph: SortGraph | None) -> Term:
@@ -288,30 +266,37 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     sort nor args is a back-reference.  With ``graph=None``, any sort and
     feature names are accepted.
     """
-    stream = _TokenStream(text)
-    user_tags = {tok for tok, _ in stream.tokens if _is_tag(tok)}
-    fresh = fresh_tags(user_tags)
+    kinds, toks = _tokenize(text)
+    n = len(toks)
+    fresh = fresh_tags({tok for kind, tok in zip(kinds, toks) if kind == _TAG})
 
     # frames: [tag, sort, args_list, pending_feature]
     frames: list[list] = []
     cur: Term | None = None
+    i = 0
     state = "term"
     while True:
         if state == "term":
-            tok = stream.next("a term")
-            if _is_tag(tok):
+            if i >= n:
+                raise TermSyntaxError("unexpected end of input; expected a term")
+            kind, tok = kinds[i], toks[i]
+            i += 1
+            if kind == _TAG:
                 tag = tok
-                if stream.peek() == ":":
-                    stream.expect(":")
-                    sort = stream.next("a sort name")
-                    if not _is_lower(sort):
+                if i < n and toks[i] == ":":
+                    i += 1
+                    if i >= n:
+                        raise TermSyntaxError("unexpected end of input; expected a sort name")
+                    sort = toks[i]
+                    if kinds[i] != _NAME:
                         raise TermSyntaxError(f"expected a sort name after ':', found {sort!r}")
+                    i += 1
                     if graph is not None and not graph.has_sort(sort):
                         raise UnknownSort(sort)
                 else:
                     sort = TOP
-            elif _is_lower(tok):
-                if stream.peek() == ":":
+            elif kind == _NAME:
+                if i < n and toks[i] == ":":
                     raise TermSyntaxError(
                         f"tags start with an uppercase letter or '_': {tok!r}"
                     )
@@ -321,20 +306,26 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 sort = tok
             else:
                 raise TermSyntaxError(f"expected a term, found {tok!r}")
-            if stream.peek() == "(":
-                stream.expect("(")
+            if i < n and toks[i] == "(":
+                i += 1
                 frames.append([tag, sort, [], None])
                 state = "feature"
             else:
                 cur = Term(tag, sort, ())
                 state = "after"
         elif state == "feature":
-            tok = stream.next("a feature name")
-            if not _is_lower(tok):
+            if i >= n:
+                raise TermSyntaxError("unexpected end of input; expected a feature name")
+            tok = toks[i]
+            if kinds[i] != _NAME:
                 raise TermSyntaxError(f"expected a feature name, found {tok!r}")
             if graph is not None and not graph.has_feature(tok):
                 raise UnknownFeature(tok)
-            stream.expect("->")
+            if i + 1 >= n:
+                raise TermSyntaxError("unexpected end of input; expected '->'")
+            if toks[i + 1] != "->":
+                raise TermSyntaxError(f"expected '->', found {toks[i + 1]!r}")
+            i += 2
             frames[-1][3] = tok
             state = "term"
         else:  # "after"
@@ -342,7 +333,10 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 break
             frame = frames[-1]
             frame[2].append((frame[3], cur))
-            tok = stream.next("',' or ')'")
+            if i >= n:
+                raise TermSyntaxError("unexpected end of input; expected ',' or ')'")
+            tok = toks[i]
+            i += 1
             if tok == ",":
                 state = "feature"
             elif tok == ")":
@@ -351,8 +345,8 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 state = "after"
             else:
                 raise TermSyntaxError(f"expected ',' or ')', found {tok!r}")
-    if not stream.done():
-        raise TermSyntaxError(f"trailing input after term: {stream.peek()!r}")
+    if i < n:
+        raise TermSyntaxError(f"trailing input after term: {toks[i]!r}")
     assert cur is not None
     return cur
 
@@ -543,38 +537,24 @@ def _expand(root: str, sort_of: dict[str, str], out: dict) -> Term:
     Depth-first from ``root``, each tag expands at its first encounter;
     revisits become bare top leaves (back-references).
     """
-    expanded: set[str] = set()
-    # Frames: [tag, args_accumulated]; drive with an explicit control stack of
-    # ("visit", tag) / ("close", frame) entries.
-    result: Term | None = None
-    frames: list[list] = []
-    control: list[tuple[str, object]] = [("visit", root)]
-    while control:
-        op, payload = control.pop()
-        if op == "visit":
-            tag = payload  # type: ignore[assignment]
-            if tag in expanded:
-                node = Term(tag, TOP, ())
-                if frames:
-                    frames[-1][1].append(node)
-                else:
-                    result = node
-                continue
-            expanded.add(tag)
-            frame = [tag, []]
-            frames.append(frame)
-            control.append(("close", frame))
-            for _, target in reversed(out.get(tag, ())):
-                control.append(("visit", target))
-        else:
-            frame = payload  # type: ignore[assignment]
-            frames.pop()
-            tag = frame[0]
-            names = [f for f, _ in out.get(tag, ())]
-            node = Term(tag, sort_of[tag], tuple(zip(names, frame[1])))
-            if frames:
-                frames[-1][1].append(node)
+    expanded = {root}
+    # Frames: [tag, edges, index of the next edge, args built so far].
+    stack = [[root, out.get(root, ()), 0, []]]
+    while True:
+        frame = stack[-1]
+        tag, edges, i, args = frame
+        if i < len(edges):
+            frame[2] = i + 1
+            target = edges[i][1]
+            if target in expanded:
+                args.append((edges[i][0], Term(target, TOP, ())))
             else:
-                result = node
-    assert result is not None
-    return result
+                expanded.add(target)
+                stack.append([target, out.get(target, ()), 0, []])
+            continue
+        stack.pop()
+        node = Term(tag, sort_of[tag], tuple(args))
+        if not stack:
+            return node
+        parent = stack[-1]
+        parent[3].append((parent[1][parent[2] - 1][0], node))

@@ -1,10 +1,11 @@
 """Graded unification of feature terms.
 
 Unification conjoins the constraint forms of the two terms with an equality
-between their roots and normalizes.  An inconsistent result is the bottom
-term at degree 1 (failure is certain).  Otherwise the solved part, with each
-equality class renamed to a fresh representative, rebuilds the unifier term;
-the degree to which each input subsumes the unifier is
+between their roots and solves them with :func:`normalize`'s union-find
+engine, fed straight from one walk of each term.  An inconsistent result is
+the bottom term at degree 1 (failure is certain).  Otherwise each class of
+tags gets a fresh name and the solved classes rebuild the unifier term; the
+degree to which each input subsumes the unifier is
 
     beta_i = min over tags X of term_i of degree(class sort of X, sort of X in term_i)
 
@@ -17,21 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import SortLattice, TOP
-from .normalize import Inconsistent, normalize
-from .terms import (
-    Clause,
-    EqualityConstraint,
-    FeatureConstraint,
-    SortConstraint,
-    Term,
-    assert_normal,
-    clause_to_term,
-    fresh_tags,
-    rename_term,
-    term_sorts,
-    term_tags,
-    term_to_clause,
-)
+from .normalize import _Collapse, _Solver
+from .terms import Term, _expand, _gate, fresh_tags
 from .graphs import graph_equivalent, term_to_graph
 
 
@@ -57,13 +45,11 @@ class UnifyResult:
         return self.unifier is None
 
 
-def _disjoint_rename(t1: Term, t2: Term) -> tuple[Term, dict[str, str]]:
-    tags1 = set(term_tags(t1))
-    tags2 = term_tags(t2)
+def _disjoint_rename(tags1: dict[str, str], tags2: dict[str, str]) -> dict[str, str]:
+    """Renames of the second term's tags that clash with the first's: each
+    clashing tag takes ``_`` suffixes until its name is unused."""
     clash = [tag for tag in tags2 if tag in tags1]
-    if not clash:
-        return t2, {}
-    taken = tags1 | set(tags2)
+    taken = tags1.keys() | tags2.keys()
     mapping: dict[str, str] = {}
     for tag in clash:
         candidate = tag
@@ -71,79 +57,89 @@ def _disjoint_rename(t1: Term, t2: Term) -> tuple[Term, dict[str, str]]:
             candidate = candidate + "_"
         mapping[tag] = candidate
         taken.add(candidate)
-    return rename_term(t2, mapping), mapping
+    return mapping
+
+
+def _feed(
+    solver: _Solver, nodes: list[Term], sorts: dict[str, str], rename: dict[str, str],
+    order: dict[str, None],
+) -> None:
+    """Hand a term's constraints to the solver in :func:`term_to_clause`
+    order (per node in preorder its sort unless top, then its features; last
+    ``X:top`` for every tag never sorted), noting tags in the order that
+    clause first mentions them."""
+    find = solver.find
+    for node in nodes:
+        tag = rename.get(node.tag, node.tag)
+        order[tag] = None
+        if node.sort != TOP:
+            solver.add_sort(find(tag), node.sort)
+        for f, child in node.args:
+            target = rename.get(child.tag, child.tag)
+            order[target] = None
+            solver.add_feat(find(tag), f, target)
+            if solver.pending:
+                solver.drain()
+    for tag, sort in sorts.items():
+        if sort == TOP:
+            solver.add_sort(find(rename.get(tag, tag)), TOP)
 
 
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
-    assert_normal(t1, lattice.graph)
-    assert_normal(t2, lattice.graph)
+    nodes1: list[Term] = []
+    nodes2: list[Term] = []
+    sorts1 = _gate(t1, lattice.graph, nodes1)
+    sorts2 = _gate(t2, lattice.graph, nodes2)
+    renamed = _disjoint_rename(sorts1, sorts2)
 
-    t2r, renamed = _disjoint_rename(t1, t2)
-    constraints = list(term_to_clause(t1).constraints)
-    constraints += term_to_clause(t2r).constraints
-    constraints.append(EqualityConstraint(t1.tag, t2r.tag))
-    combined = Clause(tuple(constraints), root=t1.tag)
-
-    nf = normalize(combined, lattice)
-    if isinstance(nf, Inconsistent):
+    solver = _Solver(lattice)
+    order: dict[str, None] = {}  # tags of the combined clause, first mention first
+    try:
+        _feed(solver, nodes1, sorts1, {}, order)
+        _feed(solver, nodes2, sorts2, renamed, order)
+        solver.pending.append((t1.tag, renamed.get(t2.tag, t2.tag)))
+        solver.drain()
+    except _Collapse:
         return UnifyResult(
             unifier=None, beta1=1.0, beta2=1.0, beta=1.0, tag_classes={}, renamed=renamed
         )
 
-    # normalize's partition (tags missing from rep_of are their own
-    # representatives), with fresh class names in first-encounter order of
-    # the combined clause.
-    rep_of = {member: rep for rep, member in nf.equalities}
-    tag_order = combined.tags()
-    fresh = fresh_tags(set(tag_order), prefix="_Z")
-    members: dict[str, list[str]] = {}
-    for tag in tag_order:
-        members.setdefault(rep_of.get(tag, tag), []).append(tag)
+    # Fresh class names in first-mention order of the classes' tags.
+    find = solver.find
+    fresh = fresh_tags(order.keys(), prefix="_Z")
     class_name: dict[str, str] = {}
-    tag_classes: dict[str, tuple[str, ...]] = {}
-    for rep, group in members.items():
-        name = next(fresh)
-        class_name[rep] = name
-        tag_classes[name] = tuple(group)
+    members: dict[str, list[str]] = {}
+    for tag in order:
+        rep = find(tag)
+        name = class_name.get(rep)
+        if name is None:
+            name = class_name[rep] = next(fresh)
+            members[name] = []
+        members[name].append(tag)
+    class_sort = {class_name[rep]: sort for rep, sort in solver.sorts.items()}
+    out = {
+        class_name[rep]: [(f, class_name[find(target)]) for f, target in feats.items()]
+        for rep, feats in solver.feats.items()
+    }
+    unifier = _expand(class_name[find(t1.tag)], class_sort, out)
 
-    def z(tag: str) -> str:
-        return class_name[rep_of.get(tag, tag)]
-
-    class_sort: dict[str, str] = {}
-    renamed_constraints = []
-    for c in nf.solved.constraints:
-        if isinstance(c, SortConstraint):
-            class_sort[z(c.tag)] = c.sort
-            renamed_constraints.append(SortConstraint(z(c.tag), c.sort))
-        else:
-            assert isinstance(c, FeatureConstraint)
-            renamed_constraints.append(FeatureConstraint(z(c.tag), c.feature, z(c.target)))
-    for name in tag_classes:
-        if name not in class_sort:
-            class_sort[name] = TOP
-            renamed_constraints.append(SortConstraint(name, TOP))
-
-    root = z(t1.tag)
-    unifier = clause_to_term(Clause(tuple(renamed_constraints), root=root))
-
-    def beta_against(t: Term, rename: dict[str, str]) -> float:
+    def beta_against(sorts: dict[str, str], rename: dict[str, str]) -> float:
         beta = 1.0
-        for tag, sort in term_sorts(t).items():
-            zsort = class_sort[z(rename.get(tag, tag))]
-            d = lattice.degree(zsort, sort)
+        for tag, sort in sorts.items():
+            d = lattice.degree(class_sort[class_name[find(rename.get(tag, tag))]], sort)
             if d < beta:
                 beta = d
         return beta
 
-    beta1 = beta_against(t1, {})
-    beta2 = beta_against(t2, renamed)
+    beta1 = beta_against(sorts1, {})
+    beta2 = beta_against(sorts2, renamed)
     return UnifyResult(
         unifier=unifier,
         beta1=beta1,
         beta2=beta2,
         beta=min(beta1, beta2),
-        tag_classes=tag_classes,
+        tag_classes={name: tuple(group) for name, group in members.items()},
         renamed=renamed,
     )
 

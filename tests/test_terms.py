@@ -88,6 +88,41 @@ def test_parse_rejects_malformed_terms(sig, text):
         parse_term(text, sig)
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("X: s(f - Y)", TermSyntaxError, "unexpected character '-' at position 7"),
+        ("X: s(f -> 9a)", TermSyntaxError, "unexpected character '9' at position 10"),
+        ("X: é", TermSyntaxError, "unexpected character 'é' at position 3"),
+        ("", TermSyntaxError, "unexpected end of input; expected a term"),
+        ("X:", TermSyntaxError, "unexpected end of input; expected a sort name"),
+        ("X: s(", TermSyntaxError, "unexpected end of input; expected a feature name"),
+        ("X: s(f", TermSyntaxError, "unexpected end of input; expected '->'"),
+        ("X: s(f -> Y: u", TermSyntaxError, "unexpected end of input; expected ',' or ')'"),
+        ("X: Y", TermSyntaxError, "expected a sort name after ':', found 'Y'"),
+        ("x: s", TermSyntaxError, "tags start with an uppercase letter or '_': 'x'"),
+        ("->", TermSyntaxError, "expected a term, found '->'"),
+        ("X: s(f -> )", TermSyntaxError, "expected a term, found ')'"),
+        ("X: s(F -> Y)", TermSyntaxError, "expected a feature name, found 'F'"),
+        ("X: s(f -> Y: u, ->)", TermSyntaxError, "expected a feature name, found '->'"),
+        ("X: s(f Y: u)", TermSyntaxError, "expected '->', found 'Y'"),
+        ("X: s(f -> Y: u g -> Z)", TermSyntaxError, "expected ',' or ')', found 'g'"),
+        ("X: s(f -> Y: u))", TermSyntaxError, "trailing input after term: ')'"),
+        ("X: s(f -> Y: u) extra", TermSyntaxError, "trailing input after term: 'extra'"),
+        ("X: nosuch", UnknownSort, "unknown sort: nosuch"),
+        ("X: s(nosuch -> Y: u)", UnknownFeature, "unknown feature: nosuch"),
+        # the whole text is tokenized first: a bad character outranks
+        # every grammar and signature error before it
+        ("X: nosuch(f -> Y: u) é", TermSyntaxError, "unexpected character 'é' at position 21"),
+    ],
+)
+def test_parse_error_messages(sig, text, error, message):
+    with pytest.raises(error) as exc:
+        parse_term(text, sig)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_unknown_names(sig):
     with pytest.raises(UnknownSort):
         parse_term("X: nosuch", sig)
@@ -121,6 +156,20 @@ def test_format_compact_drops_noise(sig):
 def test_term_str_matches_explicit_format(sig):
     t = parse_term("X: s(f -> Y: u)", sig)
     assert str(t) == format_term(t)
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    def chain(n: int, leaf: str) -> Term:
+        t = Term(f"X{n}", leaf, ())
+        for i in range(n - 1, -1, -1):
+            t = Term(f"X{i}", "s", (("f", t),))
+        return t
+
+    a, b, c = chain(10_000, "u"), chain(10_000, "u"), chain(10_000, "s")
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert hash(a) == hash(b)
+    assert len({a, b, c}) == 2
 
 
 # -- normality --------------------------------------------------------------------

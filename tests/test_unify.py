@@ -9,6 +9,7 @@ import strategies
 from fuzzyosf import (
     NotNormalTerm,
     SignatureMismatch,
+    SortLattice,
     Term,
     format_term,
     fuzzy_subsumption_degree,
@@ -128,6 +129,109 @@ def test_mutual_subsumption_detects_the_lower_input(movies, movie_terms):
     assert found == (1, 1.0)
     found = mutual_subsumption_via_unify(t3, t2, movies)
     assert found == (2, 1.0)
+
+
+# -- frozen renaming and lattice traffic ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "left, right, unifier, betas, classes, renamed",
+    [
+        (  # both inputs carry parser-made _Z tags
+            "u(f -> v(h -> r))",
+            "v(f -> u(g -> t))",
+            "_Z3: s(f -> _Z4: s(h -> _Z5: r, g -> _Z6: t))",
+            (0.4, 0.4),
+            {"_Z3": ("_Z0", "_Z0_"), "_Z4": ("_Z1", "_Z1_"), "_Z5": ("_Z2",), "_Z6": ("_Z2_",)},
+            {"_Z0": "_Z0_", "_Z1": "_Z1_", "_Z2": "_Z2_"},
+        ),
+        (  # X_ is taken, so the clash on X renames it to X__
+            "X: u(f -> Y: v)",
+            "X: v(g -> X_: t)",
+            "_Z0: s(f -> _Z1: v, g -> _Z2: t)",
+            (0.7, 0.4),
+            {"_Z0": ("X", "X__"), "_Z1": ("Y",), "_Z2": ("X_",)},
+            {"X": "X__"},
+        ),
+        (  # a clash on the root tag
+            "X: u(f -> Y: v)",
+            "X: v(g -> Z: t)",
+            "_Z0: s(f -> _Z1: v, g -> _Z2: t)",
+            (0.7, 0.4),
+            {"_Z0": ("X", "X_"), "_Z1": ("Y",), "_Z2": ("Z",)},
+            {"X": "X_"},
+        ),
+        (  # a back-reference to a renamed tag
+            "Y0: u(f -> Y1: v(g -> Y0))",
+            "Y1: v(f -> Y0: u(g -> Y1, h -> W: r))",
+            "_Z0: s(f -> _Z1: s(g -> _Z0, h -> _Z2: r))",
+            (0.4, 0.4),
+            {"_Z0": ("Y0", "Y1_"), "_Z1": ("Y1", "Y0_"), "_Z2": ("W",)},
+            {"Y1": "Y1_", "Y0": "Y0_"},
+        ),
+    ],
+)
+def test_unify_renaming_frozen(chain_lattice, left, right, unifier, betas, classes, renamed):
+    g = chain_lattice.graph
+    result = unify(parse_term(left, g), parse_term(right, g), chain_lattice)
+    assert format_term(result.unifier) == unifier
+    assert (result.beta1, result.beta2, result.beta) == (*betas, min(betas))
+    assert result.tag_classes == classes
+    assert list(result.tag_classes) == list(classes)
+    assert result.renamed == renamed
+    assert list(result.renamed) == list(renamed)
+
+
+def test_bottom_keeps_renames(movies):
+    g = movies.graph
+    a = parse_term("X: movie(directed_by -> Y: director)", g)
+    b = parse_term("X: movie(directed_by -> Y: string)", g)
+    result = unify(a, b, movies)
+    assert result.unifier is None
+    assert (result.beta1, result.beta2, result.beta) == (1.0, 1.0, 1.0)
+    assert result.tag_classes == {}
+    assert result.renamed == {"X": "X_", "Y": "Y_"}
+
+
+class _RecordingLattice(SortLattice):
+    """Records every glb and degree call made through the lattice object."""
+
+    def glb(self, s, t):
+        self.calls.append(("glb", s, t))
+        return super().glb(s, t)
+
+    def degree(self, s, t):
+        self.calls.append(("degree", s, t))
+        return super().degree(s, t)
+
+
+def _recording(lattice: SortLattice) -> _RecordingLattice:
+    rec = _RecordingLattice(lattice.graph).validate()
+    rec.calls = []
+    return rec
+
+
+def test_unify_lattice_calls_on_the_cyclic_pair(chain_lattice, cyclic_pair):
+    lattice = _recording(chain_lattice)
+    unify(*cyclic_pair, lattice)
+    assert lattice.calls == [
+        ("glb", "u", "v"), ("glb", "v", "u"), ("glb", "s", "t"),
+        ("degree", "q", "u"), ("degree", "s", "v"), ("degree", "r", "r"),
+        ("degree", "q", "v"), ("degree", "s", "u"), ("degree", "q", "t"),
+    ]
+
+
+def test_unify_lattice_calls_on_the_movie_pair(movies, movie_terms):
+    t1, _, t3 = movie_terms
+    lattice = _recording(movies)
+    unify(t1, t3, lattice)
+    assert lattice.calls == [
+        ("glb", "movie", "movie"), ("glb", "person", "director"), ("glb", "thriller", "horror"),
+        ("degree", "movie", "movie"), ("degree", "director", "person"),
+        ("degree", "slasher", "thriller"), ("degree", "movie", "movie"),
+        ("degree", "director", "director"), ("degree", "string", "string"),
+        ("degree", "slasher", "horror"),
+    ]
 
 
 # -- laws ------------------------------------------------------------------------------
