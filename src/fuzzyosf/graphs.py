@@ -3,10 +3,12 @@
 A feature graph has tag-named nodes labeled with sorts and feature-labeled
 edges, all nodes reachable from a root.  Terms, solved rooted clauses, and
 graphs are three presentations of the same structure; this module holds the
-graph side of those bijections plus canonical forms, equivalence and
-rendering.  Feature application and sort membership as a model, with
-"trivial" elements for the top-sorted targets a graph does not mention, live
-in :class:`fuzzyosf.semantics.CanonicalAlgebra`.
+term <-> graph bijection plus canonical forms, equivalence and rendering.
+Solved clauses become terms in :mod:`fuzzyosf.terms`.  Feature application
+and sort membership as a model, with "trivial" elements for the top-sorted
+targets a graph does not mention, live in
+:class:`fuzzyosf.semantics.CanonicalAlgebra`, which builds from a graph or
+straight from a solved clause.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import TOP
-from .terms import Clause, Term, _expand, _solved_structure, assert_normal
+from .terms import Term, _expand, assert_normal
 
 
 @dataclass
@@ -30,9 +32,6 @@ class OsfGraph:
     root: str
     sorts: dict[str, str]
     out: dict[str, tuple[tuple[str, str], ...]]
-
-    def nodes(self) -> list[str]:
-        return list(self.sorts)
 
 
 # -- bijections --------------------------------------------------------------
@@ -77,41 +76,6 @@ def _term_graph(t: Term) -> OsfGraph:
 def graph_to_term(g: OsfGraph) -> Term:
     """Term of a graph: depth-first, each node expanded at first encounter."""
     return _expand(g.root, g.sorts, g.out)
-
-
-def clause_structure(clause: Clause) -> tuple[dict[str, str], dict[str, list[tuple[str, str]]]]:
-    """Sort labels and ordered out-edges of a solved clause, every tag covered.
-
-    Unsorted tags default to top.  Raises NotSolved on equalities, duplicate
-    sorts, duplicate features, or bot sorts.
-    """
-    sorts, out = _solved_structure(clause)
-    for tag in clause.tags():
-        sorts.setdefault(tag, TOP)
-        out.setdefault(tag, [])
-    return sorts, out
-
-
-def clause_to_graphs(clause: Clause) -> dict[str, OsfGraph]:
-    """One rooted graph per tag of a solved clause (its canonical subgraphs)."""
-    sorts, out = clause_structure(clause)
-    result: dict[str, OsfGraph] = {}
-    for tag in sorts:
-        reach: dict[str, None] = {}
-        stack = [tag]
-        while stack:
-            n = stack.pop()
-            if n in reach:
-                continue
-            reach[n] = None
-            for _, target in reversed(out[n]):
-                stack.append(target)
-        result[tag] = OsfGraph(
-            root=tag,
-            sorts={n: sorts[n] for n in reach},
-            out={n: tuple(out[n]) for n in reach},
-        )
-    return result
 
 
 # -- canonical form and equivalence -------------------------------------------

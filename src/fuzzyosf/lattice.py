@@ -113,6 +113,7 @@ class SortGraph:
                 raise DuplicateName(f"name used as both sort and feature: {name}")
             feats.add(name)
         self.features: list[str] = list(features)
+        self._feature_set = feats
 
         self._index: dict[str, int] = {name: i for i, name in enumerate(self.sorts)}
         n = len(self.sorts)
@@ -185,7 +186,7 @@ class SortGraph:
         return name in self._index
 
     def has_feature(self, name: str) -> bool:
-        return name in self.features
+        return name in self._feature_set
 
     def to_dot(self) -> str:
         lines = ["digraph sorts {", "  rankdir=BT;"]
@@ -336,11 +337,6 @@ class SortLattice:
                         raise NotALattice(names[a], names[b], self._maximal(common))
             self._validated = True
         return self
-
-
-def validate_lattice(graph: SortGraph) -> SortLattice:
-    """Build the query layer and run the exhaustive unique-GLB check."""
-    return SortLattice(graph).validate()
 
 
 # -- similarity enrichment -------------------------------------------------

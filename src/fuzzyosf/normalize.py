@@ -35,10 +35,6 @@ from .terms import (
 )
 
 
-class InconsistentInput(ValueError):
-    """Raised when a solved part is demanded from an inconsistent clause."""
-
-
 @dataclass
 class Inconsistent:
     """Normalization collapsed the clause; ``tag`` is the first witness."""
@@ -57,13 +53,6 @@ class Normalized:
 
 
 NormalForm = Union[Inconsistent, Normalized]
-
-
-def solved_part(nf: NormalForm) -> Clause:
-    """The solved clause of a normal form; raises on inconsistency."""
-    if isinstance(nf, Inconsistent):
-        raise InconsistentInput(f"clause is inconsistent (witness tag {nf.tag})")
-    return nf.solved
 
 
 class UnionFind:
@@ -103,13 +92,6 @@ class UnionFind:
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
         return rx
-
-    def groups(self) -> dict[str, list[str]]:
-        """Members per representative, in insertion order."""
-        out: dict[str, list[str]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 class _Collapse(Exception):
@@ -363,53 +345,3 @@ def _substitute(c: Constraint, old: str, new: str) -> Constraint:
         new if c.left == old else c.left,
         new if c.right == old else c.right,
     )
-
-
-def canonical_normal_form(
-    nf: NormalForm,
-) -> tuple[str, frozenset, frozenset] | tuple[str]:
-    """Rename-independent fingerprint of a normal form, for confluence checks.
-
-    Tags are canonicalized to the lexicographically least member of their
-    equality class; the solved constraints become a set, the partition a set
-    of sets.  Two normalization runs agree up to tag renaming iff their
-    fingerprints are equal.
-    """
-    if isinstance(nf, Inconsistent):
-        return ("inconsistent",)
-    uf = UnionFind()
-    for rep, member in nf.equalities:
-        uf.union(rep, member)
-    for c in nf.solved.constraints:
-        if isinstance(c, SortConstraint):
-            uf.add(c.tag)
-        elif isinstance(c, FeatureConstraint):
-            uf.add(c.tag)
-            uf.add(c.target)
-
-    def canon(tag: str) -> str:
-        group = [t for t in uf.parent if uf.find(t) == uf.find(tag)]
-        return min(group)
-
-    constraints = []
-    for c in nf.solved.constraints:
-        if isinstance(c, SortConstraint):
-            constraints.append(("sort", canon(c.tag), c.sort))
-        elif isinstance(c, FeatureConstraint):
-            constraints.append(("feat", canon(c.tag), c.feature, canon(c.target)))
-    partition = frozenset(
-        group
-        for rep, members in _partition_of(nf.equalities).items()
-        if len(group := frozenset(members + [rep])) > 1
-    )
-    return ("normalized", frozenset(constraints), partition)
-
-
-def _partition_of(equalities: list[tuple[str, str]]) -> dict[str, list[str]]:
-    uf = UnionFind()
-    for a, b in equalities:
-        uf.union(a, b)
-    out: dict[str, list[str]] = {}
-    for tag in uf.parent:
-        out.setdefault(uf.find(tag), []).append(tag)
-    return {rep: [t for t in members if t != rep] for rep, members in out.items()}

@@ -32,10 +32,11 @@ from .terms import (
     FeatureConstraint,
     SortConstraint,
     Term,
+    _solved_structure,
     term_to_clause,
 )
 from .normalize import Inconsistent, normalize
-from .graphs import OsfGraph, clause_structure, term_to_graph, graph_to_term
+from .graphs import OsfGraph, term_to_graph, graph_to_term
 from .subsumption import fuzzy_subsumption_degree
 
 
@@ -261,8 +262,11 @@ class CanonicalAlgebra:
 
     @classmethod
     def from_clause(cls, clause: Clause, lattice: SortLattice) -> "CanonicalAlgebra":
-        sorts, out = clause_structure(clause)
-        return cls(sorts, {n: tuple(v) for n, v in out.items()}, lattice)
+        sorts, out = _solved_structure(clause)
+        for tag in clause.tags():
+            sorts.setdefault(tag, TOP)
+            out.setdefault(tag, [])
+        return cls(sorts, out, lattice)
 
     def sort_degree(self, sort: str, element) -> float:
         if isinstance(element, tuple):

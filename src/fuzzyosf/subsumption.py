@@ -2,10 +2,10 @@
 
 ``t0`` is subsumed by ``t1`` (t0 is the more specific term) when there is a
 tag mapping ``h`` from t1's tags into t0's that sends root to root and
-commutes with every feature edge of t1.  The crisp check demands the edges
-exist in t0; the graded check first completes t0 with fresh top-sorted nodes
-at every position t1 demands (they cost nothing: degree of top below any
-sort s is 0 unless s is top), then takes
+commutes with every feature edge of t1.  The check first completes t0 with
+fresh top-sorted nodes at every position t1 demands that t0 lacks (a tag
+of t1 with sort s that lands on such a node scores degree(top, s), which is
+0 unless s is top), then takes
 
     degree = min over tags X of t1 of  degree(sort_t0(h(X)), sort_t1(X))
 
@@ -36,14 +36,11 @@ class SubsumptionWitness:
     per_tag: dict[str, tuple[str, str, float]]
 
 
-def _find_witness(
-    g0: OsfGraph, g1: OsfGraph, complete: bool
-) -> tuple[dict[str, str], dict[str, str], dict[str, tuple[tuple[str, str], ...]]] | None:
-    """Map g1's nodes into (possibly completed) g0; None if impossible.
+def _find_witness(g0: OsfGraph, g1: OsfGraph) -> tuple[dict[str, str], dict[str, str]] | None:
+    """Map g1's nodes into g0, completed with fresh top nodes where g1
+    demands an edge g0 lacks; None on a coreference conflict.
 
-    Returns (mapping, completed sorts, completed out-edges); the sort and
-    edge dicts extend g0's when ``complete`` is set and fresh top nodes were
-    materialized.
+    Returns (mapping, completed sorts): g0's sorts plus the fresh nodes.
     """
     sorts0 = dict(g0.sorts)
     out0 = {n: list(e) for n, e in g0.out.items()}
@@ -61,8 +58,6 @@ def _find_witness(
                     m0 = target
                     break
             if m0 is None:
-                if not complete:
-                    return None
                 m0 = next(fresh)
                 sorts0[m0] = TOP
                 out0[m0] = []
@@ -73,20 +68,19 @@ def _find_witness(
                 queue.append(m1)
             elif known != m0:
                 return None
-    return mapping, sorts0, {n: tuple(e) for n, e in out0.items()}
+    return mapping, sorts0
 
 
-def _witness_of(
-    t0: Term, t1: Term, lattice: SortLattice, complete: bool
-) -> SubsumptionWitness | None:
+def subsumption_witness(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
+    """Witness after top-completion of t0; None only on a coreference conflict."""
     assert_normal(t0, lattice.graph)
     assert_normal(t1, lattice.graph)
     g0 = _term_graph(t0)
     g1 = _term_graph(t1)
-    found = _find_witness(g0, g1, complete)
+    found = _find_witness(g0, g1)
     if found is None:
         return None
-    mapping, sorts0, _ = found
+    mapping, sorts0 = found
     per_tag: dict[str, tuple[str, str, float]] = {}
     degree = 1.0
     for n1 in g1.sorts:
@@ -97,16 +91,6 @@ def _witness_of(
         if d < degree:
             degree = d
     return SubsumptionWitness(mapping=mapping, degree=degree, per_tag=per_tag)
-
-
-def syntactic_subsumes(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
-    """Witness that t0 is (crisply shaped) below t1 — no completion, no missing edges."""
-    return _witness_of(t0, t1, lattice, complete=False)
-
-
-def subsumption_witness(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
-    """Witness after top-completion of t0; None only on a coreference conflict."""
-    return _witness_of(t0, t1, lattice, complete=True)
 
 
 def fuzzy_subsumption_degree(t0: Term, t1: Term, lattice: SortLattice) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .lattice import SortLattice, TOP
 from .normalize import _Collapse, _Solver
 from .terms import Term, _expand, _gate, fresh_tags
-from .graphs import graph_equivalent, term_to_graph
 
 
 @dataclass
@@ -142,25 +141,3 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
         tag_classes={name: tuple(group) for name, group in members.items()},
         renamed=renamed,
     )
-
-
-def mutual_subsumption_via_unify(
-    t1: Term, t2: Term, lattice: SortLattice
-) -> tuple[int, float] | None:
-    """Compare two terms through their unifier.
-
-    Returns (index of the more specific term, unification degree) when the
-    unifier is equivalent to one input (index 1 wins ties, i.e. equivalent
-    terms report as 1), or None when the terms are incomparable or
-    incompatible.
-    """
-    result = unify(t1, t2, lattice)
-    if result.is_bottom:
-        return None
-    assert result.unifier is not None
-    gu = term_to_graph(result.unifier)
-    if graph_equivalent(gu, term_to_graph(t1)):
-        return 1, result.beta
-    if graph_equivalent(gu, term_to_graph(t2)):
-        return 2, result.beta
-    return None

@@ -348,3 +348,40 @@ def best_denotation(term, model, element: str) -> float:
         alpha[root] = element
         best = max(best, denotation(term, model, alpha))
     return best
+
+
+# -- normal-form fingerprints ---------------------------------------------------------
+#
+# Confluence checks compare normal forms up to tag renaming.  The classes of
+# eliminated tags are rebuilt by merging plain sets (no union-find), and each
+# class is named by its least member.
+
+
+def canonical_normal_form(nf) -> tuple:
+    """Rename-independent fingerprint of a normal form.
+
+    ``("inconsistent",)`` for a collapsed clause; otherwise
+    ``("normalized", constraints, partition)``: the solved constraints as a
+    set of tuples over canonical tags, and the equality classes with more
+    than one member.  Touches only ``.solved.constraints`` and
+    ``.equalities``.
+    """
+    if not hasattr(nf, "solved"):
+        return ("inconsistent",)
+    classes: dict[str, frozenset] = {}
+    for a, b in nf.equalities:
+        merged = classes.get(a, frozenset((a,))) | classes.get(b, frozenset((b,)))
+        for tag in merged:
+            classes[tag] = merged
+
+    def canon(tag: str) -> str:
+        return min(classes.get(tag, (tag,)))
+
+    constraints = set()
+    for c in nf.solved.constraints:
+        if hasattr(c, "sort"):
+            constraints.add(("sort", canon(c.tag), c.sort))
+        elif hasattr(c, "feature"):
+            constraints.add(("feat", canon(c.tag), c.feature, canon(c.target)))
+    partition = frozenset(group for group in classes.values() if len(group) > 1)
+    return ("normalized", frozenset(constraints), partition)

@@ -13,6 +13,7 @@ import time
 
 import oracles
 import strategies
+from oracles import canonical_normal_form
 from fuzzyosf import (
     BOT,
     TOP,
@@ -21,7 +22,6 @@ from fuzzyosf import (
     SortLattice,
     Term,
     build_sort_graph,
-    canonical_normal_form,
     check_theorems,
     clause_to_term,
     crisp_subsumes,

@@ -7,16 +7,13 @@ from hypothesis import given, settings
 
 import strategies
 from fuzzyosf import (
-    NotSolved,
     OsfGraph,
     canonical_form,
-    clause_to_graphs,
     format_term,
     graph_equivalent,
     graph_isomorphic,
     graph_to_dot,
     graph_to_term,
-    parse_clause,
     parse_term,
     term_to_graph,
 )
@@ -51,40 +48,25 @@ def test_graph_roundtrip_random(bundle):
     assert format_term(again) == format_term(t)
 
 
-def test_clause_to_graphs_slices_by_tag(sig):
-    clause = parse_clause("X: s & X.f = Y & Y: u & Z: v", sig)
-    graphs = clause_to_graphs(clause)
-    assert set(graphs) == {"X", "Y", "Z"}
-    assert graphs["X"].out["X"] == (("f", "Y"),)
-    assert graphs["Y"].out.get("Y", ()) == ()
-    assert graphs["Z"].sorts["Z"] == "v"
-
-
-def test_clause_to_graphs_rejects_unsolved(sig):
-    clause = parse_clause("X = Y & X: s", sig)
-    with pytest.raises(NotSolved):
-        clause_to_graphs(clause)
-
-
 # -- canonical forms and equivalence -------------------------------------------------
 
 
 def test_canonical_form_strips_top_leaves(sig):
     g = term_to_graph(parse_term("X: s(f -> Y: u, g -> Z: top)", sig))
     c = canonical_form(g)
-    assert "Z" not in c.nodes()
+    assert "Z" not in c.sorts
     assert c.out["X"] == (("f", "Y"),)
 
 
 def test_canonical_form_keeps_shared_top_leaves(sig):
     g = term_to_graph(parse_term("X: s(f -> Y: top, g -> Y)", sig))
     c = canonical_form(g)
-    assert "Y" in c.nodes()
+    assert "Y" in c.sorts
 
 
 def test_canonical_form_keeps_the_root(sig):
     g = term_to_graph(parse_term("X: top", sig))
-    assert "X" in canonical_form(g).nodes()
+    assert "X" in canonical_form(g).sorts
 
 
 def test_equivalence_modulo_trivial_leaf(sig):

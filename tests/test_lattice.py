@@ -24,7 +24,6 @@ from fuzzyosf import (
     enrich_from_similarity,
     format_ontology,
     load_ontology,
-    validate_lattice,
 )
 
 
@@ -165,7 +164,7 @@ def test_diamond_is_not_a_lattice():
         [("a", "c", 1.0), ("a", "d", 1.0), ("b", "c", 1.0), ("b", "d", 1.0)],
     )
     with pytest.raises(NotALattice) as exc:
-        validate_lattice(graph)
+        SortLattice(graph).validate()
     assert set(exc.value.pair) == {"c", "d"}
     assert set(exc.value.maximal) == {"a", "b"}
 
@@ -178,7 +177,7 @@ def test_validate_reports_the_first_pair_in_declaration_order():
         [(a, b, 1.0) for a in "ab" for b in "cde"] + [("x", "e", 1.0), ("x", "c", 0.5)],
     )
     with pytest.raises(NotALattice) as exc:
-        validate_lattice(graph)
+        SortLattice(graph).validate()
     assert exc.value.pair == ("e", "d")
     assert exc.value.maximal == ["a", "b"]
     assert str(exc.value) == (
@@ -189,7 +188,7 @@ def test_validate_reports_the_first_pair_in_declaration_order():
 def test_glb_of_a_chain_declared_bottom_up():
     # Leaves declared before the implicit bot come first in the graph's
     # topological order; bot must still sit below them in the bit order.
-    lattice = validate_lattice(build_sort_graph(["x", "z"], [], [("x", "z", 1.0)]))
+    lattice = SortLattice(build_sort_graph(["x", "z"], [], [("x", "z", 1.0)])).validate()
     assert lattice.glb("x", "z") == lattice.glb("z", "x") == "x"
     assert lattice.glb("x", BOT) == lattice.glb(BOT, "z") == BOT
     assert lattice.glb("z", TOP) == "z"

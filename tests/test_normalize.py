@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 
 import strategies
+from oracles import canonical_normal_form
 from fuzzyosf import (
     Clause,
     EqualityConstraint,
@@ -15,13 +15,11 @@ from fuzzyosf import (
     Inconsistent,
     Normalized,
     SortConstraint,
-    canonical_normal_form,
     format_clause,
     normalize,
     normalize_small_step,
     parse_clause,
     parse_term,
-    solved_part,
     step_bound,
     term_to_clause,
 )
@@ -90,12 +88,6 @@ def test_inconsistency_trace_ends_with_the_clash(movies):
     nf = normalize(term_to_clause(tprime), movies, trace=True)
     assert isinstance(nf, Inconsistent)
     assert "inconsistent-sort" in nf.trace[-1]
-
-
-def test_solved_part_raises_on_inconsistency(chain_lattice):
-    nf = normalize(Clause((SortConstraint("X", "bot"),)), chain_lattice)
-    with pytest.raises(ValueError):
-        solved_part(nf)
 
 
 def test_normalize_keeps_the_root(chain_lattice):

@@ -2,7 +2,81 @@
 
 from __future__ import annotations
 
+import types
+
 import fuzzyosf
+
+# Adding or removing an export is a deliberate act: it must come with an edit here.
+EXPORTS = [
+    "BOT",
+    "CanonicalAlgebra",
+    "Clause",
+    "CycleDetected",
+    "DegreeOutOfRange",
+    "DroppedEdge",
+    "DuplicateName",
+    "EqualityConstraint",
+    "FeatureConstraint",
+    "Inconsistent",
+    "Interpretation",
+    "Morphism",
+    "Normalized",
+    "NotALattice",
+    "NotNormalTerm",
+    "NotRooted",
+    "NotSolved",
+    "OntologyError",
+    "OsfGraph",
+    "SignatureMismatch",
+    "SortConstraint",
+    "SortGraph",
+    "SortLattice",
+    "SubsumptionWitness",
+    "TOP",
+    "Term",
+    "TermSyntaxError",
+    "TheoremReport",
+    "UnifyResult",
+    "UnknownFeature",
+    "UnknownSort",
+    "approximation_degree",
+    "best_denotation",
+    "build_similarity",
+    "build_sort_graph",
+    "canonical_form",
+    "check_normal",
+    "check_theorems",
+    "clause_to_term",
+    "crisp_subsumes",
+    "denote",
+    "enrich_from_similarity",
+    "find_morphism",
+    "format_clause",
+    "format_ontology",
+    "format_term",
+    "fuzzy_subsumption_degree",
+    "generated_subalgebra",
+    "graph_equivalent",
+    "graph_isomorphic",
+    "graph_to_dot",
+    "graph_to_term",
+    "is_normal",
+    "load_interpretation",
+    "load_ontology",
+    "morphism_max_beta",
+    "normalize",
+    "normalize_small_step",
+    "parse_clause",
+    "parse_term",
+    "satisfaction_degree",
+    "satisfies",
+    "step_bound",
+    "subsumption_witness",
+    "term_to_clause",
+    "term_to_graph",
+    "unify",
+    "validate_interpretation",
+]
 
 
 def test_every_export_resolves_once():
@@ -10,3 +84,20 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(fuzzyosf, name), name
+
+
+def test_exports_are_frozen():
+    assert len(EXPORTS) == 68
+    assert sorted(fuzzyosf.__all__) == EXPORTS
+
+
+def test_everything_importable_is_exported():
+    # The README promises that __all__ lists every public name of the package.
+    public = {
+        name
+        for name, value in vars(fuzzyosf).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and name != "annotations"
+    }
+    assert public == set(fuzzyosf.__all__)

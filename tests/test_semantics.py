@@ -12,7 +12,10 @@ import oracles
 import strategies
 from fuzzyosf import (
     CanonicalAlgebra,
+    Clause,
+    FeatureConstraint,
     Interpretation,
+    SortConstraint,
     approximation_degree,
     best_denotation,
     check_theorems,
@@ -25,6 +28,7 @@ from fuzzyosf import (
     parse_term,
     satisfaction_degree,
     satisfies,
+    term_to_clause,
     term_to_graph,
     validate_interpretation,
 )
@@ -166,6 +170,44 @@ def test_canonical_algebra_triviality(movies, query):
     deeper = canon.feature_image("title", sink)
     assert canon.is_trivial(deeper)
     assert deeper != sink
+
+
+def test_canonical_algebra_from_a_solved_clause(chain_lattice):
+    # Y is sorted before X; Z and W are never sorted, so they default to top.
+    clause = Clause(
+        (
+            FeatureConstraint("X", "f", "Y"),
+            SortConstraint("Y", "u"),
+            FeatureConstraint("Y", "g", "Z"),
+            SortConstraint("X", "s"),
+            FeatureConstraint("W", "h", "X"),
+        ),
+        root="X",
+    )
+    canon = CanonicalAlgebra.from_clause(clause, chain_lattice)
+    assert canon.elements == ["Y", "X", "Z", "W"]
+    for tag in ("Z", "W"):
+        for sort in chain_lattice.graph.sorts:
+            assert canon.sort_degree(sort, tag) == (1.0 if sort == "top" else 0.0)
+    assert canon.sort_degree("u", "X") == 0.7
+    assert canon.feature_image("g", "Y") == "Z"
+    assert canon.feature_image("h", "W") == "X"
+    assert canon.is_trivial(canon.feature_image("f", "Z"))
+
+
+def test_canonical_algebra_from_clause_matches_from_graph(movies, movie_terms):
+    graph = movies.graph
+    for t in movie_terms:
+        by_clause = CanonicalAlgebra.from_clause(term_to_clause(t), movies)
+        by_graph = CanonicalAlgebra.from_graph(term_to_graph(t), movies)
+        assert set(by_clause.elements) == set(by_graph.elements)
+        for element in by_graph.elements:
+            for sort in graph.sorts:
+                assert by_clause.sort_degree(sort, element) == by_graph.sort_degree(sort, element)
+            for feature in graph.features:
+                assert by_clause.feature_image(feature, element) == by_graph.feature_image(
+                    feature, element
+                )
 
 
 # -- morphisms ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from fuzzyosf import (
     graph_equivalent,
     parse_term,
     subsumption_witness,
-    syntactic_subsumes,
     term_to_graph,
 )
 
@@ -86,15 +85,6 @@ def test_coreference_conflict_has_no_witness(chain_lattice):
     shared = parse_term("A: s(f -> B: top, g -> B)", g)
     assert subsumption_witness(split, shared, chain_lattice) is None
     assert fuzzy_subsumption_degree(split, shared, chain_lattice) == 0.0
-
-
-def test_syntactic_subsumes_skips_completion(chain_lattice):
-    g = chain_lattice.graph
-    specific = parse_term("X: q", g)
-    general = parse_term("A: s(f -> B: top)", g)
-    assert syntactic_subsumes(specific, general, chain_lattice) is None
-    same_shape = parse_term("A: s", g)
-    assert syntactic_subsumes(specific, same_shape, chain_lattice) is not None
 
 
 def test_cyclic_terms_subsume(chain_lattice, cyclic_pair):

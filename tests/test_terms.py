@@ -9,11 +9,13 @@ from hypothesis import given, settings
 
 import strategies
 from fuzzyosf import (
+    CanonicalAlgebra,
     Clause,
     EqualityConstraint,
     FeatureConstraint,
     NotNormalTerm,
     NotRooted,
+    NotSolved,
     SortConstraint,
     Term,
     TermSyntaxError,
@@ -248,6 +250,39 @@ def test_clause_to_term_rejects_unreachable_tags(sig):
     with pytest.raises(NotRooted) as exc:
         clause_to_term(clause)
     assert "Y" in exc.value.tags
+
+
+@pytest.mark.parametrize(
+    "constraints,message",
+    [
+        (
+            (SortConstraint("X", "s"), EqualityConstraint("X", "Y")),
+            "clause still has an equality: X ≐ Y",
+        ),
+        (
+            (SortConstraint("X", "s"), SortConstraint("X", "u")),
+            "tag X has more than one sort constraint",
+        ),
+        ((SortConstraint("X", "bot"),), "tag X is sorted bot"),
+        (
+            (
+                SortConstraint("X", "s"),
+                FeatureConstraint("X", "f", "Y"),
+                FeatureConstraint("X", "f", "Z"),
+            ),
+            "tag X has more than one value for feature f",
+        ),
+    ],
+)
+def test_unsolved_clauses_are_rejected(chain_lattice, constraints, message):
+    # Both readers of solved clauses raise the same error with the same text.
+    clause = Clause(constraints, root="X")
+    readers = [clause_to_term, lambda c: CanonicalAlgebra.from_clause(c, chain_lattice)]
+    for read in readers:
+        with pytest.raises(NotSolved) as exc:
+            read(clause)
+        assert type(exc.value) is NotSolved
+        assert str(exc.value) == message
 
 
 def test_parse_clause_syntax(sig):

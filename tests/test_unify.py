@@ -14,7 +14,6 @@ from fuzzyosf import (
     format_term,
     fuzzy_subsumption_degree,
     graph_equivalent,
-    mutual_subsumption_via_unify,
     parse_term,
     term_to_graph,
     unify,
@@ -119,16 +118,6 @@ def test_signature_errors_outrank_shape_errors(chain_lattice):
     with pytest.raises(SignatureMismatch) as exc:
         unify(Term("T", "top", ()), t, chain_lattice)
     assert str(exc.value) == "unknown sort: zork"
-
-
-def test_mutual_subsumption_detects_the_lower_input(movies, movie_terms):
-    t1, t2, t3 = movie_terms
-    found = mutual_subsumption_via_unify(t1, t3, movies)
-    assert found is None
-    found = mutual_subsumption_via_unify(t2, t3, movies)
-    assert found == (1, 1.0)
-    found = mutual_subsumption_via_unify(t3, t2, movies)
-    assert found == (2, 1.0)
 
 
 # -- frozen renaming and lattice traffic ------------------------------------------------
