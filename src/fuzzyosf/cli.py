@@ -17,7 +17,6 @@ import json
 import sys
 
 from .lattice import (
-    NotALattice,
     OntologyError,
     SortLattice,
     enrich_from_similarity,

@@ -13,7 +13,7 @@ edge degrees or 0/1 — comparisons stay exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BOT = "bot"
 TOP = "top"
@@ -79,9 +79,9 @@ class SortGraph:
 
     Construction runs the linear structural checks (name syntax and
     uniqueness, degree ranges, acyclicity including the implicit bot/top
-    bounds).  The exhaustive unique-GLB property is checked separately by
+    bounds).  The unique-GLB property is checked separately by
     :meth:`SortLattice.validate`, because it is quadratic in the number of
-    sorts.
+    branching sorts.
     """
 
     def __init__(
@@ -217,7 +217,7 @@ class SortLattice:
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
     AND, and the GLB exists iff the sort at its highest bit has exactly that
-    down-set.  ``validate()`` tests all n²/2 pairs and stores nothing per pair.
+    down-set.  ``validate()`` tests only branching pairs and stores nothing.
     """
 
     def __init__(self, graph: SortGraph):
@@ -324,17 +324,33 @@ class SortLattice:
             acc = self.glb(acc, name)
         return acc
 
+    def _first_failure(self, indices: list[int] | range) -> tuple[int, int] | None:
+        """The first pair of sort ``indices``, in order, with no unique GLB."""
+        # If (a, b) has maximal common lower bounds m1 != m2, so has (a', b') for
+        # a' <= a, b' <= b minimal above both: incomparable, and each has two
+        # declared lower covers, one above m1 and one above m2, so both branch.
+        downs = list(self._below.values())
+        by_bit = self._bit_below
+        for i, a in enumerate(indices):
+            da = downs[a]
+            for b in indices[i + 1 :]:
+                common = da & downs[b]
+                if common != da and common != downs[b] and by_bit[common.bit_length() - 1] != common:
+                    return a, b
+        return None
+
     def validate(self) -> "SortLattice":
-        """Exhaustively check that every sort pair has a unique GLB."""
+        """Check that every sort pair has a unique GLB; raises NotALattice.
+
+        Only pairs of sorts with two or more declared subsorts are tested; an
+        invalid hierarchy is rescanned in full to report its first failing pair.
+        """
         if not self._validated:
-            names = self.graph.sorts
-            downs = list(self._below.values())
-            by_bit = self._bit_below
-            for a, da in enumerate(downs):
-                for b in range(a + 1, len(downs)):
-                    common = da & downs[b]
-                    if by_bit[common.bit_length() - 1] != common:
-                        raise NotALattice(names[a], names[b], self._maximal(common))
+            g = self.graph
+            branching = [u for u, preds in enumerate(g._pred) if len(preds) >= 2]
+            if self._first_failure(branching) is not None:
+                a, b = self._first_failure(range(len(g.sorts)))
+                self.glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
             self._validated = True
         return self
 

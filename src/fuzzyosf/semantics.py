@@ -468,7 +468,7 @@ def random_lattice(rng: random.Random, max_sorts: int, max_features: int) -> Sor
     """A random valid lattice: a forest of sorts, sometimes with extra edges.
 
     Forests are always lattices (incomparable sorts meet at bot); extra
-    cross edges are kept only if the exhaustive GLB check still passes.
+    cross edges are kept only if ``SortLattice.validate`` still passes.
     """
     n = rng.randint(1, max_sorts)
     names = [f"s{i}" for i in range(n)]

@@ -47,6 +47,17 @@ edge b c 1
 edge b d 1
 """
 
+# Not a lattice; e has one declared subsort, so its failing pair (e, d) is not
+# a pair of branching sorts, yet it is the first failure in declaration order.
+FALLBACK = """\
+sort e d c a b
+edge a c 1
+edge a d 1
+edge b c 1
+edge b d 1
+edge c e 1
+"""
+
 MOVIE_MODEL = """\
 elem psycho halloween hitchcock carpenter psycho_title halloween_title null
 deg movie psycho 1
@@ -108,6 +119,18 @@ def test_check_rejects_a_diamond(capsys, tmp_ontology):
     assert code == 1
     assert out == ""
     assert "c" in err and "d" in err
+
+
+@pytest.mark.parametrize("command", [["check"], ["unify", "X: a", "Y: b"]])
+def test_invalid_ontology_reports_its_first_failing_pair(capsys, tmp_ontology, command):
+    path = tmp_ontology(FALLBACK, "fallback.txt")
+    code, out, err = run(capsys, "--ontology", path, *command)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: no unique greatest lower bound for (e, d); "
+        "maximal common lower bounds: a, b\n"
+    )
 
 
 def test_check_reports_parse_errors_with_line(capsys, tmp_ontology):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -185,6 +187,23 @@ def test_validate_reports_the_first_pair_in_declaration_order():
     )
 
 
+def test_validate_reports_the_first_pair_even_past_a_non_branching_sort():
+    # e has a single declared subsort, so a scan of branching sorts alone
+    # would meet (d, c) first; the reported pair is still (e, d).
+    graph = build_sort_graph(
+        ["e", "d", "c", "a", "b"],
+        [],
+        [(a, b, 1.0) for a in "ab" for b in "cd"] + [("c", "e", 1.0)],
+    )
+    with pytest.raises(NotALattice) as exc:
+        SortLattice(graph).validate()
+    assert exc.value.pair == ("e", "d")
+    assert exc.value.maximal == ["a", "b"]
+    assert str(exc.value) == (
+        "no unique greatest lower bound for (e, d); maximal common lower bounds: a, b"
+    )
+
+
 def test_glb_of_a_chain_declared_bottom_up():
     # Leaves declared before the implicit bot come first in the graph's
     # topological order; bot must still sit below them in the bit order.
@@ -246,6 +265,48 @@ def test_every_glb_and_failure_matches_the_oracle(dag):
                 lattice.glb(s, t)
             assert exc.value.pair == (s, t)
             assert exc.value.maximal == candidates
+
+
+def _assert_validate_matches_the_oracle(sorts, edges):
+    # The first failing pair in declaration order, with its maximal common lower bounds.
+    downs = oracles.down_sets(sorts, edges)
+    first = None
+    for s, t in itertools.combinations(sorts, 2):
+        candidates = oracles.glb_candidates(sorts, edges, s, t, downs)
+        if len(candidates) != 1:
+            first = (s, t), candidates
+            break
+    lattice = SortLattice(build_sort_graph(sorts, [], edges))
+    if oracles.is_lattice(sorts, edges):
+        assert first is None
+        assert lattice.validate() is lattice
+        return
+    with pytest.raises(NotALattice) as exc:
+        lattice.validate()
+    (s, t), candidates = first
+    assert exc.value.pair == (s, t)
+    assert exc.value.maximal == candidates
+    assert str(exc.value) == (
+        f"no unique greatest lower bound for ({s}, {t}); "
+        f"maximal common lower bounds: {', '.join(candidates)}"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.dags(max_sorts=9))
+def test_validate_verdict_and_first_pair_match_the_oracle(dag):
+    _assert_validate_matches_the_oracle(*dag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.3, 0.4, 0.5]))
+def test_validate_matches_the_oracle_on_dense_shuffled_dags(seed, edge_prob):
+    # Declaring the sorts in random order, not bottom-up, lets the first failing
+    # pair involve a sort with fewer than two declared subsorts.
+    rng = random.Random(seed)
+    sorts, edges = strategies.random_dag(rng, max_sorts=16, edge_prob=edge_prob)
+    rng.shuffle(sorts)
+    _assert_validate_matches_the_oracle(sorts, edges)
 
 
 @settings(max_examples=100, deadline=None)

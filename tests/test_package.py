@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import types
+from pathlib import Path
 
 import fuzzyosf
 
@@ -101,3 +104,27 @@ def test_everything_importable_is_exported():
         and name != "annotations"
     }
     assert public == set(fuzzyosf.__all__)
+
+
+def test_no_unused_imports():
+    # A module-level import that nothing reads is dead code and a false dependency.
+    unused = []
+    for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        module = importlib.import_module(f"fuzzyosf.{path.stem}".removesuffix(".__init__"))
+        exported = set(getattr(module, "__all__", ()))
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{path.name}:{stmt.lineno}: {name}")
+    assert unused == []
