@@ -106,12 +106,8 @@ def _fmt(degree: float) -> str:
 def cmd_check(args) -> int:
     if not args.ontology:
         raise _InputFailure("this command needs --ontology <file>")
-    try:
-        graph, sim = load_ontology(_read_text(args.ontology))
-        SortLattice(graph).validate()
-    except OntologyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    graph, sim = load_ontology(_read_text(args.ontology))
+    SortLattice(graph).validate()
     n_sorts = len(graph.sorts)
     payload = {
         "ok": True,
@@ -223,9 +219,12 @@ def cmd_unify(args) -> int:
                 raise _InputFailure(
                     f"{args.batch}:{lineno}: expected two tab-separated terms"
                 )
-            t1 = parse_term(parts[0], lattice.graph)
-            t2 = parse_term(parts[1], lattice.graph)
-            records.append(unify(t1, t2, lattice))
+            try:
+                t1 = parse_term(parts[0], lattice.graph)
+                t2 = parse_term(parts[1], lattice.graph)
+                records.append(unify(t1, t2, lattice))
+            except (OntologyError, ValueError) as err:
+                raise _InputFailure(f"{args.batch}:{lineno}: {err}") from err
         if args.json:
             print(json.dumps([_unify_payload(r) for r in records]))
         else:
@@ -433,10 +432,7 @@ def main(argv=None) -> int:
     except _SemanticFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (_InputFailure, OntologyError, TermSyntaxError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (_InputFailure, OntologyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

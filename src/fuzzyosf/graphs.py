@@ -4,19 +4,19 @@ A feature graph has tag-named nodes labeled with sorts and feature-labeled
 edges, all nodes reachable from a root.  Terms, solved rooted clauses, and
 graphs are three presentations of the same structure; this module holds the
 term <-> graph bijection plus canonical forms, equivalence and rendering.
-Solved clauses become terms in :mod:`fuzzyosf.terms`.  Feature application
-and sort membership as a model, with "trivial" elements for the top-sorted
-targets a graph does not mention, live in
-:class:`fuzzyosf.semantics.CanonicalAlgebra`, which builds from a graph or
-straight from a solved clause.
+A term's sorts and edges come from the walk that checks its normal form
+(``terms._walk``); here they are only re-keyed.  Feature application and sort
+membership as a model, with "trivial" elements for the top-sorted targets a
+graph does not mention, live in :class:`fuzzyosf.semantics.CanonicalAlgebra`,
+which builds from a graph or straight from a solved clause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import TOP
-from .terms import Term, _expand, assert_normal
+from .lattice import TOP, SortGraph
+from .terms import Term, _expand, _gate
 
 
 @dataclass
@@ -39,38 +39,24 @@ class OsfGraph:
 
 def term_to_graph(t: Term) -> OsfGraph:
     """Graph of a normal term: one node per tag, edges from the structured occurrence."""
-    assert_normal(t)
-    return _term_graph(t)
+    return _graph(t, None)
 
 
-def _term_graph(t: Term) -> OsfGraph:
-    """:func:`term_to_graph` for a term already known to be normal."""
-    sorts: dict[str, str] = {}
-    out: dict[str, tuple[tuple[str, str], ...]] = {}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.sort != TOP or node.args:
-            sorts[node.tag] = node.sort
-            out[node.tag] = tuple((f, child.tag) for f, child in node.args)
-        else:
-            sorts.setdefault(node.tag, TOP)
-            out.setdefault(node.tag, ())
-        for _, child in reversed(node.args):
-            stack.append(child)
-    # Re-key in depth-first first-encounter order for stable presentation.
+def _graph(t: Term, signature: SortGraph | None) -> OsfGraph:
+    """The graph of ``t``, normal over ``signature``, keyed depth-first."""
+    sorts, structured = _gate(t, signature)
     ordered: dict[str, str] = {}
-    ordered_out: dict[str, tuple[tuple[str, str], ...]] = {}
+    out: dict[str, tuple[tuple[str, str], ...]] = {}
     walk = [t.tag]
     while walk:
         tag = walk.pop()
         if tag in ordered:
             continue
         ordered[tag] = sorts[tag]
-        ordered_out[tag] = out[tag]
-        for _, target in reversed(out[tag]):
+        edges = out[tag] = tuple((f, child.tag) for f, child in structured.get(tag, ()))
+        for _, target in reversed(edges):
             walk.append(target)
-    return OsfGraph(root=t.tag, sorts=ordered, out=ordered_out)
+    return OsfGraph(root=t.tag, sorts=ordered, out=out)
 
 
 def graph_to_term(g: OsfGraph) -> Term:

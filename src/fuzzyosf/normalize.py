@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 from .lattice import BOT, SortLattice
 from .terms import (
@@ -167,6 +167,18 @@ class _Solver:
                 for feature, target in lost_feats.items():
                     self.add_feat(winner, feature, target)
 
+    def classes(self, tags: Iterable[str]) -> dict[str, list[str]]:
+        """``tags`` grouped by class root; classes and members in ``tags`` order."""
+        find = self.find
+        groups: dict[str, list[str]] = {}
+        for tag in tags:
+            rep = find(tag)
+            members = groups.get(rep)
+            if members is None:
+                members = groups[rep] = []
+            members.append(tag)
+        return groups
+
 
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
     """Drive a clause to solved form (or detect inconsistency) in near-linear time.
@@ -190,29 +202,15 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
     except _Collapse as stop:
         return Inconsistent(tag=stop.tag, trace=solver.log)
 
-    tag_order = clause.tags()
-    rep_order: list[str] = []
-    members_by_rep: dict[str, list[str]] = {}
-    for tag in tag_order:
-        rep = find(tag)
-        if rep not in members_by_rep:
-            members_by_rep[rep] = []
-            rep_order.append(rep)
-        members_by_rep[rep].append(tag)
-
+    classes = solver.classes(clause.tags())
     constraints: list[Constraint] = []
-    for rep in rep_order:
+    for rep in classes:
         if rep in solver.sorts:
             constraints.append(SortConstraint(rep, solver.sorts[rep]))
-    for rep in rep_order:
+    for rep in classes:
         for feature, target in solver.feats.get(rep, {}).items():
             constraints.append(FeatureConstraint(rep, feature, find(target)))
-
-    equalities: list[tuple[str, str]] = []
-    for rep in rep_order:
-        for tag in members_by_rep[rep]:
-            if tag != rep:
-                equalities.append((rep, tag))
+    equalities = [(rep, tag) for rep, members in classes.items() for tag in members if tag != rep]
 
     root = find(clause.root) if clause.root is not None else None
     return Normalized(

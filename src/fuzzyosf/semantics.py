@@ -288,14 +288,10 @@ class CanonicalAlgebra:
 # -- denotation and satisfaction -----------------------------------------------
 
 
-def denote(t: Term, model, alpha: dict[str, object], at=None) -> float:
-    """Degree of an element under a total assignment (default: the root's image)."""
-    try:
-        d = alpha[t.tag] if at is None else at
-    except KeyError:
-        raise ValueError(f"assignment missing tag {t.tag}") from None
+def denote(t: Term, model, alpha: dict[str, object]) -> float:
+    """Degree of the root's image under a total assignment."""
     value = 1.0
-    stack = [(t, d)]
+    stack = [(t, alpha.get(t.tag))]  # an unassigned root fails below
     while stack:
         node, d = stack.pop()
         bound = alpha.get(node.tag)

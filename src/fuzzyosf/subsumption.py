@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import SortLattice, TOP
-from .terms import Term, assert_normal, fresh_tags
-from .graphs import OsfGraph, _term_graph
+from .terms import Term, fresh_tags
+from .graphs import OsfGraph, _graph
 
 
 @dataclass
@@ -73,10 +73,8 @@ def _find_witness(g0: OsfGraph, g1: OsfGraph) -> tuple[dict[str, str], dict[str,
 
 def subsumption_witness(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
     """Witness after top-completion of t0; None only on a coreference conflict."""
-    assert_normal(t0, lattice.graph)
-    assert_normal(t1, lattice.graph)
-    g0 = _term_graph(t0)
-    g1 = _term_graph(t1)
+    g0 = _graph(t0, lattice.graph)
+    g1 = _graph(t1, lattice.graph)
     found = _find_witness(g0, g1)
     if found is None:
         return None

@@ -166,26 +166,24 @@ def term_tags(t: Term) -> dict[str, int]:
     return counts
 
 
-def _walk(
-    t: Term, graph: SortGraph | None, nodes: list[Term] | None = None
-) -> tuple[list[tuple[bool, str]], dict[str, str]]:
-    """One preorder walk of ``t``.
+def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], dict[str, str], dict]:
+    """One preorder walk of ``t``, the only place a term is read into its graph.
 
     Returns the normal-form violations in walk order, each flagged True when
-    it names a sort or feature outside ``graph``'s signature, and each tag's
-    sort at its structured occurrence (top if it has none) in first-occurrence
-    order.  Appends every visited node to ``nodes`` when given.
+    it names a sort or feature outside ``graph``'s signature; each tag's sort
+    at its structured occurrence (top if it has none) in first-occurrence
+    order; and each structured tag's args, keyed in preorder (the last
+    occurrence's when a term that is not normal has several).
     """
     problems: list[tuple[bool, str]] = []
     sorts: dict[str, str] = {}
-    structured: dict[str, int] = {}
+    structured: dict[str, tuple[tuple[str, Term], ...]] = {}
+    counts: dict[str, int] = {}
     has_sort = graph.has_sort if graph is not None else None
     has_feature = graph.has_feature if graph is not None else None
     stack = [t]
     while stack:
         node = stack.pop()
-        if nodes is not None:
-            nodes.append(node)
         tag, sort, args = node.tag, node.sort, node.args
         if sort == BOT:
             problems.append((False, f"tag {tag} is sorted {BOT}"))
@@ -202,14 +200,15 @@ def _walk(
                 problems.append((False, f"tag {tag} repeats feature(s): {', '.join(dup)}"))
             stack.extend([child for _, child in reversed(args)])
         if sort != TOP or args:
-            structured[tag] = structured.get(tag, 0) + 1
+            counts[tag] = counts.get(tag, 0) + 1
+            structured[tag] = args
             sorts[tag] = sort
         elif tag not in sorts:
             sorts[tag] = TOP
-    for tag, k in structured.items():
+    for tag, k in counts.items():
         if k > 1:
             problems.append((False, f"tag {tag} has {k} structured occurrences"))
-    return problems, sorts
+    return problems, sorts, structured
 
 
 def check_normal(t: Term, graph: SortGraph | None = None) -> list[str]:
@@ -221,15 +220,15 @@ def is_normal(t: Term, graph: SortGraph | None = None) -> bool:
     return not _walk(t, graph)[0]
 
 
-def _gate(t: Term, graph: SortGraph | None, nodes: list[Term] | None = None) -> dict[str, str]:
-    """:func:`assert_normal`'s check; on success, the sorts of :func:`_walk`."""
-    problems, sorts = _walk(t, graph, nodes)
+def _gate(t: Term, graph: SortGraph | None) -> tuple[dict[str, str], dict]:
+    """:func:`assert_normal`'s check; on success, :func:`_walk`'s sorts and args."""
+    problems, sorts, structured = _walk(t, graph)
     if problems:
         unknown = [msg for signature, msg in problems if signature]
         if unknown:
             raise SignatureMismatch("; ".join(unknown))
         raise NotNormalTerm("; ".join(msg for _, msg in problems))
-    return sorts
+    return sorts, structured
 
 
 def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
@@ -240,9 +239,10 @@ def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
 
 # -- parsing -----------------------------------------------------------------
 
-# One token per match, classified by the group that matched (``lastindex``).
+# One token per match, classified by the group that matched (``lastindex``);
+# punctuation (group 3) is told apart by its text.
 _LEX = re.compile(r"\s*(?:([A-Z_][A-Za-z0-9_]*)|([a-z][A-Za-z0-9_]*)|(->|[():,.])|(\S))")
-_TAG, _NAME, _PUNCT, _OTHER = 1, 2, 3, 4
+_TAG, _NAME, _OTHER = 1, 2, 4
 
 
 def _tokenize(text: str) -> tuple[list[int], list[str]]:

@@ -60,20 +60,21 @@ def _disjoint_rename(tags1: dict[str, str], tags2: dict[str, str]) -> dict[str, 
 
 
 def _feed(
-    solver: _Solver, nodes: list[Term], sorts: dict[str, str], rename: dict[str, str],
-    order: dict[str, None],
+    solver: _Solver, root: str, sorts: dict[str, str], structured: dict,
+    rename: dict[str, str], order: dict[str, None],
 ) -> None:
     """Hand a term's constraints to the solver in :func:`term_to_clause`
-    order (per node in preorder its sort unless top, then its features; last
-    ``X:top`` for every tag never sorted), noting tags in the order that
-    clause first mentions them."""
+    order (per structured occurrence its sort unless top, then its features;
+    last ``X:top`` for every tag never sorted), noting tags in the order that
+    clause first mentions them: the root, then each feature's target."""
     find = solver.find
-    for node in nodes:
-        tag = rename.get(node.tag, node.tag)
-        order[tag] = None
-        if node.sort != TOP:
-            solver.add_sort(find(tag), node.sort)
-        for f, child in node.args:
+    order[rename.get(root, root)] = None
+    for tag, args in structured.items():
+        sort = sorts[tag]
+        tag = rename.get(tag, tag)
+        if sort != TOP:
+            solver.add_sort(find(tag), sort)
+        for f, child in args:
             target = rename.get(child.tag, child.tag)
             order[target] = None
             solver.add_feat(find(tag), f, target)
@@ -86,17 +87,15 @@ def _feed(
 
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
-    nodes1: list[Term] = []
-    nodes2: list[Term] = []
-    sorts1 = _gate(t1, lattice.graph, nodes1)
-    sorts2 = _gate(t2, lattice.graph, nodes2)
+    sorts1, structured1 = _gate(t1, lattice.graph)
+    sorts2, structured2 = _gate(t2, lattice.graph)
     renamed = _disjoint_rename(sorts1, sorts2)
 
     solver = _Solver(lattice)
     order: dict[str, None] = {}  # tags of the combined clause, first mention first
     try:
-        _feed(solver, nodes1, sorts1, {}, order)
-        _feed(solver, nodes2, sorts2, renamed, order)
+        _feed(solver, t1.tag, sorts1, structured1, {}, order)
+        _feed(solver, t2.tag, sorts2, structured2, renamed, order)
         solver.pending.append((t1.tag, renamed.get(t2.tag, t2.tag)))
         solver.drain()
     except _Collapse:
@@ -106,16 +105,8 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
 
     # Fresh class names in first-mention order of the classes' tags.
     find = solver.find
-    fresh = fresh_tags(order.keys(), prefix="_Z")
-    class_name: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    for tag in order:
-        rep = find(tag)
-        name = class_name.get(rep)
-        if name is None:
-            name = class_name[rep] = next(fresh)
-            members[name] = []
-        members[name].append(tag)
+    classes = solver.classes(order)
+    class_name = dict(zip(classes, fresh_tags(order.keys(), prefix="_Z")))
     class_sort = {class_name[rep]: sort for rep, sort in solver.sorts.items()}
     out = {
         class_name[rep]: [(f, class_name[find(target)]) for f, target in feats.items()]
@@ -138,6 +129,6 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
         beta1=beta1,
         beta2=beta2,
         beta=min(beta1, beta2),
-        tag_classes={name: tuple(group) for name, group in members.items()},
+        tag_classes={class_name[rep]: tuple(tags) for rep, tags in classes.items()},
         renamed=renamed,
     )

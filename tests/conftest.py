@@ -28,6 +28,20 @@ def chain_lattice() -> SortLattice:
 
 
 @pytest.fixture(scope="session")
+def chain_k_lattice() -> SortLattice:
+    """The chain ontology with a fourth feature, ``k``."""
+    graph = build_sort_graph(CHAIN_SORTS, CHAIN_FEATURES + ["k"], CHAIN_EDGES)
+    return SortLattice(graph).validate()
+
+
+@pytest.fixture(scope="session")
+def backref_first(chain_k_lattice):
+    """A normal term whose bare ``Y`` comes before Y's structured occurrence:
+    the preorder walk meets its tags as X Y Z W, depth-first keying as X Y W Z."""
+    return parse_term("X: s(f -> Y, g -> Z: t(h -> Y: u(k -> W: v)))", chain_k_lattice.graph)
+
+
+@pytest.fixture(scope="session")
 def movies() -> SortLattice:
     return movie_lattice()
 

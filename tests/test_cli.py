@@ -314,6 +314,24 @@ def test_unify_batch_json(capsys, chain_file, tmp_path):
     assert len(records) == 1 and records[0]["beta"] == 0.4
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("X: nosuch\tY: u", "unknown sort: nosuch"),
+        ("X: s(f -> Y: u, f -> Z: v)\tY: u", "tag X repeats feature(s): f"),
+        ("X: u)\tY: v", "trailing input after term: ')'"),
+    ],
+    ids=["unknown-sort", "not-normal", "syntax"],
+)
+def test_unify_batch_errors_name_their_line(capsys, chain_file, tmp_path, pair, message):
+    batch = tmp_path / "pairs.txt"
+    batch.write_text(f"X: u\tY: v\n# comment\n{pair}\nX: p\tY: q\n", encoding="utf-8")
+    code, out, err = run(capsys, "--ontology", chain_file, "unify", "--batch", str(batch))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {batch}:3: {message}\n"
+
+
 # -- subsumes --------------------------------------------------------------------------
 
 

@@ -34,6 +34,34 @@ def test_term_to_graph_basics(sig):
     assert g.out == {"X": (("f", "Y"),), "Y": (("g", "X"),)}
 
 
+def test_term_to_graph_keys_depth_first_when_a_back_reference_comes_first(backref_first):
+    g = term_to_graph(backref_first)
+    assert list(g.sorts) == ["X", "Y", "W", "Z"]
+    assert g.sorts == {"X": "s", "Y": "u", "W": "v", "Z": "t"}
+    assert list(g.out) == ["X", "Y", "W", "Z"]
+    assert g.out == {
+        "X": (("f", "Y"), ("g", "Z")),
+        "Y": (("k", "W"),),
+        "W": (),
+        "Z": (("h", "Y"),),
+    }
+    assert graph_to_dot(g) == "\n".join(
+        [
+            "digraph term {",
+            "  rankdir=LR;",
+            '  "X" [label="X: s", peripheries=2];',
+            '  "Y" [label="Y: u"];',
+            '  "W" [label="W: v"];',
+            '  "Z" [label="Z: t"];',
+            '  "X" -> "Y" [label="f"];',
+            '  "X" -> "Z" [label="g"];',
+            '  "Y" -> "W" [label="k"];',
+            '  "Z" -> "Y" [label="h"];',
+            "}",
+        ]
+    )
+
+
 def test_graph_roundtrip_is_identity(sig):
     text = "X: s(f -> Y: u(g -> X), h -> Z: v)"
     t = parse_term(text, sig)

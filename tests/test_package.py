@@ -128,3 +128,34 @@ def test_no_unused_imports():
                 if name not in read and name not in exported:
                     unused.append(f"{path.name}:{stmt.lineno}: {name}")
     assert unused == []
+
+
+def test_no_unused_private_names():
+    # A module-level private function, class or constant that no module of the
+    # package reads is dead code (a leftover after a refactor).
+    defined = []
+    used: set[str] = set()
+    for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert len(defined) > 0
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")

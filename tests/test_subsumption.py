@@ -97,6 +97,28 @@ def test_cyclic_terms_subsume(chain_lattice, cyclic_pair):
     assert fuzzy_subsumption_degree(psi1, renamed, chain_lattice) == 1.0
 
 
+def test_witness_order_when_a_back_reference_comes_first(chain_k_lattice, backref_first):
+    other = parse_term("A: s(f -> B, g -> C: t(h -> B: u(k -> D)))", chain_k_lattice.graph)
+    down = subsumption_witness(backref_first, other, chain_k_lattice)
+    assert list(down.mapping.items()) == [("A", "X"), ("B", "Y"), ("C", "Z"), ("D", "W")]
+    assert list(down.per_tag.items()) == [
+        ("A", ("s", "s", 1.0)),
+        ("B", ("u", "u", 1.0)),
+        ("D", ("v", "top", 1.0)),
+        ("C", ("t", "t", 1.0)),
+    ]
+    assert down.degree == 1.0
+    up = subsumption_witness(other, backref_first, chain_k_lattice)
+    assert list(up.mapping.items()) == [("X", "A"), ("Y", "B"), ("Z", "C"), ("W", "D")]
+    assert list(up.per_tag.items()) == [
+        ("X", ("s", "s", 1.0)),
+        ("Y", ("u", "u", 1.0)),
+        ("W", ("top", "v", 0.0)),
+        ("Z", ("t", "t", 1.0)),
+    ]
+    assert up.degree == 0.0
+
+
 def test_non_normal_input_rejected(chain_lattice):
     g = chain_lattice.graph
     bad = parse_term("X: s(f -> Y: u, f -> Z: u)", g)

@@ -182,6 +182,35 @@ def test_bottom_keeps_renames(movies):
     assert result.renamed == {"X": "X_", "Y": "Y_"}
 
 
+@pytest.mark.parametrize(
+    "swap, unifier, classes",
+    [
+        (
+            False,
+            "_Z0: s(f -> _Z1: u(k -> _Z3: v), g -> _Z2: t(h -> _Z1))",
+            {"_Z0": ("X", "X_"), "_Z1": ("Y", "R"), "_Z2": ("Z", "Q"), "_Z3": ("W",)},
+        ),
+        (
+            True,
+            "_Z0: s(g -> _Z1: t(h -> _Z2: u(k -> _Z3: v)), f -> _Z2)",
+            {"_Z0": ("X", "X_"), "_Z1": ("Q", "Z"), "_Z2": ("R", "Y"), "_Z3": ("W",)},
+        ),
+    ],
+)
+def test_unify_frozen_when_a_back_reference_comes_first(
+    chain_k_lattice, backref_first, swap, unifier, classes
+):
+    # backref_first names Y bare before its structured occurrence; classes
+    # still follow the combined clause's first mentions.
+    other = parse_term("X: s(g -> Q: t(h -> R: u), f -> R)", chain_k_lattice.graph)
+    pair = (other, backref_first) if swap else (backref_first, other)
+    result = unify(*pair, chain_k_lattice)
+    assert format_term(result.unifier) == unifier
+    assert (result.beta1, result.beta2, result.beta) == (1.0, 1.0, 1.0)
+    assert list(result.tag_classes.items()) == list(classes.items())
+    assert result.renamed == {"X": "X_"}
+
+
 class _RecordingLattice(SortLattice):
     """Records every glb and degree call made through the lattice object."""
 
