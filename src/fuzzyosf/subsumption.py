@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import SortLattice, TOP
-from .terms import Term, fresh_tags
+from .terms import Term, _gate, fresh_tags
 from .graphs import OsfGraph, _graph
 
 
@@ -36,53 +36,53 @@ class SubsumptionWitness:
     per_tag: dict[str, tuple[str, str, float]]
 
 
-def _find_witness(g0: OsfGraph, g1: OsfGraph) -> tuple[dict[str, str], dict[str, str]] | None:
-    """Map g1's nodes into g0, completed with fresh top nodes where g1
-    demands an edge g0 lacks; None on a coreference conflict.
+def _find_witness(
+    root0: str, sorts0: dict[str, str], args0: dict, g1: OsfGraph
+) -> dict[str, str] | None:
+    """Map g1's nodes into t0, completed with fresh top nodes where g1
+    demands an edge t0 lacks; None on a coreference conflict.
 
-    Returns (mapping, completed sorts): g0's sorts plus the fresh nodes.
+    t0 is read as :func:`_gate` returns it (``sorts0``, ``args0``).  The
+    completion edges live in their own dict, so the fresh nodes are the
+    mapped tags that ``sorts0`` does not hold.
     """
-    sorts0 = dict(g0.sorts)
-    out0 = {n: list(e) for n, e in g0.out.items()}
-    fresh = fresh_tags(set(sorts0), prefix="_T")
+    added: dict[tuple[str, str], str] = {}
+    fresh = fresh_tags(sorts0, prefix="_T")
 
-    mapping: dict[str, str] = {g1.root: g0.root}
+    mapping: dict[str, str] = {g1.root: root0}
     queue = [g1.root]
     while queue:
         n1 = queue.pop()
         n0 = mapping[n1]
         for f, m1 in g1.out.get(n1, ()):
-            m0 = None
-            for g, target in out0.get(n0, ()):
+            for g, child in args0.get(n0, ()):
                 if g == f:
-                    m0 = target
+                    m0 = child.tag
                     break
-            if m0 is None:
-                m0 = next(fresh)
-                sorts0[m0] = TOP
-                out0[m0] = []
-                out0.setdefault(n0, []).append((f, m0))
+            else:
+                m0 = added.get((n0, f))
+                if m0 is None:
+                    m0 = added[n0, f] = next(fresh)
             known = mapping.get(m1)
             if known is None:
                 mapping[m1] = m0
                 queue.append(m1)
             elif known != m0:
                 return None
-    return mapping, sorts0
+    return mapping
 
 
 def subsumption_witness(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
     """Witness after top-completion of t0; None only on a coreference conflict."""
-    g0 = _graph(t0, lattice.graph)
+    sorts0, args0 = _gate(t0, lattice.graph)
     g1 = _graph(t1, lattice.graph)
-    found = _find_witness(g0, g1)
-    if found is None:
+    mapping = _find_witness(t0.tag, sorts0, args0, g1)
+    if mapping is None:
         return None
-    mapping, sorts0 = found
     per_tag: dict[str, tuple[str, str, float]] = {}
     degree = 1.0
     for n1 in g1.sorts:
-        s0 = sorts0[mapping[n1]]
+        s0 = sorts0.get(mapping[n1], TOP)
         s1 = g1.sorts[n1]
         d = lattice.degree(s0, s1)
         per_tag[n1] = (s0, s1, d)

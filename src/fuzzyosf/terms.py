@@ -14,6 +14,7 @@ levels) never hit the recursion limit.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -40,13 +41,30 @@ class NotRooted(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True, repr=False)
 class Term:
     """An immutable feature term: tag, sort, and ordered feature arguments."""
 
+    __slots__ = ("tag", "sort", "args")
+    __match_args__ = ("tag", "sort", "args")
+
     tag: str
     sort: str
-    args: tuple[tuple[str, "Term"], ...] = ()
+    args: tuple[tuple[str, Term], ...]
+
+    def __init__(self, tag: str, sort: str, args: tuple[tuple[str, Term], ...] = ()):
+        # The slot descriptors' setters bypass the __setattr__ guard below.
+        _set_tag(self, tag)
+        _set_sort(self, sort)
+        _set_args(self, args)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Term, (self.tag, self.sort, self.args)
 
     def __str__(self) -> str:
         return format_term(self, style="explicit")
@@ -73,6 +91,11 @@ class Term:
     def __hash__(self) -> int:
         # Equal terms have equal preorder node sequences.
         return hash(tuple((n.tag, n.sort, tuple(f for f, _ in n.args)) for n in term_nodes(self)))
+
+
+_set_tag = Term.tag.__set__
+_set_sort = Term.sort.__set__
+_set_args = Term.args.__set__
 
 
 @dataclass(frozen=True)
@@ -239,23 +262,26 @@ def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
 
 # -- parsing -----------------------------------------------------------------
 
-# One token per match, classified by the group that matched (``lastindex``);
-# punctuation (group 3) is told apart by its text.
-_LEX = re.compile(r"\s*(?:([A-Z_][A-Za-z0-9_]*)|([a-z][A-Za-z0-9_]*)|(->|[():,.])|(\S))")
-_TAG, _NAME, _OTHER = 1, 2, 4
+# One match per grammar unit, without the whitespace after it: a node head
+# (``Tag``, ``Tag:`` or ``Tag: sort``), a bare sort, a feature with its arrow
+# (``f ->``), a punctuation mark, or a stray character.  A stray character
+# swallows the rest of the text, so it can only be the last token.  The
+# whitespace is skipped after a token, not before: skipping it before would
+# retry a whitespace tail from each of its positions, quadratic in its length.
+_TOKEN = re.compile(
+    r"([A-Z_][A-Za-z0-9_]*(?:\s*:\s*(?:[a-z][A-Za-z0-9_]*)?)?"
+    r"|[a-z][A-Za-z0-9_]*(?:\s*->)?"
+    r"|->|[():,.]"
+    r"|\S[\s\S]*)\s*"
+)
+# Every first character of a token that is not stray; '-' starts only '->'.
+_STARTS = frozenset(string.ascii_letters + "_():,.")
+# The word or mark a token starts with, as error messages quote it.
+_LEAD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|.")
 
 
-def _tokenize(text: str) -> tuple[list[int], list[str]]:
-    """Token kinds and texts of the whole input; rejects stray characters."""
-    kinds: list[int] = []
-    toks: list[str] = []
-    for m in _LEX.finditer(text):
-        kind = m.lastindex
-        if kind == _OTHER:
-            raise TermSyntaxError(f"unexpected character {m[kind]!r} at position {m.start(kind)}")
-        kinds.append(kind)
-        toks.append(m[kind])
-    return kinds, toks
+def _lead(tok: str) -> str:
+    return _LEAD.match(tok).group()
 
 
 def parse_term(text: str, graph: SortGraph | None) -> Term:
@@ -266,89 +292,103 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     sort nor args is a back-reference.  With ``graph=None``, any sort and
     feature names are accepted.
     """
-    kinds, toks = _tokenize(text)
-    n = len(toks)
-    fresh = fresh_tags({tok for kind, tok in zip(kinds, toks) if kind == _TAG})
+    toks = _TOKEN.findall(text)
+    if toks and toks[-1][0] not in _STARTS and toks[-1] != "->":
+        rest = toks[-1]
+        raise TermSyntaxError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
+    toks.append("")  # end of input
+    has_sort = graph.has_sort if graph is not None else None
+    has_feature = graph.has_feature if graph is not None else None
+    fresh = None
 
-    # frames: [tag, sort, args_list, pending_feature]
-    frames: list[list] = []
-    cur: Term | None = None
+    # With no stray token left, a token's first character tells its kind:
+    # names sort from 'a' up, tags ('A'-'Z', '_') from 'A' up, punctuation
+    # below 'A', and the empty end marker below everything.  The innermost
+    # open term collects ``args`` and waits for ``feature``'s value; ``stack``
+    # holds each open term's tag and sort with its parent's args and feature
+    # (None at the top level).
+    stack: list[tuple] = []
+    args: list | None = None
+    feature = None
     i = 0
-    state = "term"
     while True:
-        if state == "term":
-            if i >= n:
-                raise TermSyntaxError("unexpected end of input; expected a term")
-            kind, tok = kinds[i], toks[i]
-            i += 1
-            if kind == _TAG:
-                tag = tok
-                if i < n and toks[i] == ":":
-                    i += 1
-                    if i >= n:
+        # A term: its head, then '(' or the end of the term.
+        tok = toks[i]
+        i += 1
+        if tok >= "a":
+            if tok[-1] == ">":
+                # A sort leaf followed by '->', which no rule accepts next.
+                name = tok[:-2].rstrip()
+                if has_sort is not None and not has_sort(name):
+                    raise UnknownSort(name)
+                if args is not None:
+                    raise TermSyntaxError("expected ',' or ')', found '->'")
+                raise TermSyntaxError("trailing input after term: '->'")
+            if toks[i] == ":":
+                raise TermSyntaxError(f"tags start with an uppercase letter or '_': {tok!r}")
+            if has_sort is not None and not has_sort(tok):
+                raise UnknownSort(tok)
+            if fresh is None:
+                fresh = fresh_tags({_lead(t) for t in toks if "A" <= t < "a"})
+            tag = next(fresh)
+            sort = tok
+        elif tok >= "A":
+            if ":" in tok:
+                tag, _, sort = tok.partition(":")
+                tag = tag.rstrip()
+                sort = sort.lstrip()
+                if not sort:
+                    if not toks[i]:
                         raise TermSyntaxError("unexpected end of input; expected a sort name")
-                    sort = toks[i]
-                    if kinds[i] != _NAME:
-                        raise TermSyntaxError(f"expected a sort name after ':', found {sort!r}")
-                    i += 1
-                    if graph is not None and not graph.has_sort(sort):
-                        raise UnknownSort(sort)
-                else:
-                    sort = TOP
-            elif kind == _NAME:
-                if i < n and toks[i] == ":":
-                    raise TermSyntaxError(
-                        f"tags start with an uppercase letter or '_': {tok!r}"
-                    )
-                if graph is not None and not graph.has_sort(tok):
-                    raise UnknownSort(tok)
-                tag = next(fresh)
-                sort = tok
+                    raise TermSyntaxError(f"expected a sort name after ':', found {_lead(toks[i])!r}")
+                if has_sort is not None and not has_sort(sort):
+                    raise UnknownSort(sort)
             else:
-                raise TermSyntaxError(f"expected a term, found {tok!r}")
-            if i < n and toks[i] == "(":
-                i += 1
-                frames.append([tag, sort, [], None])
-                state = "feature"
-            else:
-                cur = Term(tag, sort, ())
-                state = "after"
-        elif state == "feature":
-            if i >= n:
-                raise TermSyntaxError("unexpected end of input; expected a feature name")
-            tok = toks[i]
-            if kinds[i] != _NAME:
-                raise TermSyntaxError(f"expected a feature name, found {tok!r}")
-            if graph is not None and not graph.has_feature(tok):
-                raise UnknownFeature(tok)
-            if i + 1 >= n:
-                raise TermSyntaxError("unexpected end of input; expected '->'")
-            if toks[i + 1] != "->":
-                raise TermSyntaxError(f"expected '->', found {toks[i + 1]!r}")
-            i += 2
-            frames[-1][3] = tok
-            state = "term"
-        else:  # "after"
-            if not frames:
-                break
-            frame = frames[-1]
-            frame[2].append((frame[3], cur))
-            if i >= n:
-                raise TermSyntaxError("unexpected end of input; expected ',' or ')'")
-            tok = toks[i]
+                tag = tok
+                sort = TOP
+        elif tok:
+            raise TermSyntaxError(f"expected a term, found {tok!r}")
+        else:
+            raise TermSyntaxError("unexpected end of input; expected a term")
+        if toks[i] == "(":
             i += 1
-            if tok == ",":
-                state = "feature"
-            elif tok == ")":
-                frames.pop()
-                cur = Term(frame[0], frame[1], tuple(frame[2]))
-                state = "after"
-            else:
-                raise TermSyntaxError(f"expected ',' or ')', found {tok!r}")
-    if i < n:
-        raise TermSyntaxError(f"trailing input after term: {toks[i]!r}")
-    assert cur is not None
-    return cur
+            stack.append((tag, sort, args, feature))
+            args = []
+        else:
+            # A finished term closes every open term whose ')' follows it.
+            node = Term(tag, sort)
+            while True:
+                if args is None:
+                    if toks[i]:
+                        raise TermSyntaxError(f"trailing input after term: {_lead(toks[i])!r}")
+                    return node
+                args.append((feature, node))
+                tok = toks[i]
+                i += 1
+                if tok == ",":
+                    break
+                if tok != ")":
+                    if not tok:
+                        raise TermSyntaxError("unexpected end of input; expected ',' or ')'")
+                    raise TermSyntaxError(f"expected ',' or ')', found {_lead(tok)!r}")
+                tag, sort, parent, feature = stack.pop()
+                node = Term(tag, sort, tuple(args))
+                args = parent
+        # A feature and its arrow.
+        tok = toks[i]
+        i += 1
+        if tok < "a":
+            if not tok:
+                raise TermSyntaxError("unexpected end of input; expected a feature name")
+            raise TermSyntaxError(f"expected a feature name, found {_lead(tok)!r}")
+        arrow = tok[-1] == ">"
+        feature = tok[:-2].rstrip() if arrow else tok
+        if has_feature is not None and not has_feature(feature):
+            raise UnknownFeature(feature)
+        if not arrow:
+            if not toks[i]:
+                raise TermSyntaxError("unexpected end of input; expected '->'")
+            raise TermSyntaxError(f"expected '->', found {_lead(toks[i])!r}")
 
 
 _ATOM_SORT_RE = re.compile(r"\s*([A-Z_]\w*)\s*:\s*([a-z]\w*)\s*\Z")

@@ -385,3 +385,144 @@ def canonical_normal_form(nf) -> tuple:
             constraints.add(("feat", canon(c.tag), c.feature, canon(c.target)))
     partition = frozenset(group for group in classes.values() if len(group) > 1)
     return ("normalized", frozenset(constraints), partition)
+
+
+# -- term reading -------------------------------------------------------------------
+#
+# A character-level recursive-descent reader of the term grammar
+#
+#     term ::= Tag [':' sort] [args] | sort [args]
+#     args ::= '(' f '->' term {',' f '->' term} ')'
+#
+# with tags starting uppercase or '_', sorts and features lowercase, and
+# whitespace allowed between any two units.  It shares no code with the
+# library's tokenizer.
+
+_WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+class _Reject(Exception):
+    def __init__(self, kind: str):
+        self.kind = kind
+
+
+class _Reader:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> tuple[str, str]:
+        """The next unit as (kind, text) without consuming it; kind is
+        "tag", "name", "end", "stray", or the mark itself."""
+        self._skip()
+        text, start = self.text, self.pos
+        if start == len(text):
+            return "end", ""
+        c = text[start]
+        if c.isascii() and (c.isalpha() or c == "_"):
+            end = start
+            while end < len(text) and text[end] in _WORD:
+                end += 1
+            return ("name" if c.islower() else "tag"), text[start:end]
+        if text.startswith("->", start):
+            return "->", "->"
+        if c in "():,.":
+            return c, c
+        return "stray", c
+
+    def take(self) -> tuple[str, str]:
+        kind, word = self.peek()
+        self.pos += len(word)
+        return kind, word
+
+
+def parse_term_shape(text: str, sorts=None, features=None):
+    """The term ``text`` reads as, as nested ``(tag, sort, args)`` tuples with
+    ``args`` a tuple of ``(feature, term)`` pairs; or, when it does not read,
+    the name of the error class: ``"TermSyntaxError"``, ``"UnknownSort"`` or
+    ``"UnknownFeature"``.
+
+    ``sorts`` and ``features`` are the signature (None accepts every name).
+    A stray character anywhere outranks every other error; otherwise the
+    first error in reading order wins.  A bare tag is a top-sorted
+    back-reference, and untagged nodes are named ``_Z0``, ``_Z1``, ... in
+    reading order, skipping every tag the text writes.
+    """
+    scan = _Reader(text)
+    while True:
+        kind, _ = scan.take()
+        if kind == "stray":
+            return "TermSyntaxError"
+        if kind == "end":
+            break
+    reader = _Reader(text)
+    try:
+        tree = _read_term(reader, sorts, features)
+        if reader.take()[0] != "end":
+            raise _Reject("TermSyntaxError")
+    except _Reject as e:
+        return e.kind
+    written: set[str] = set()
+    _collect_tags(tree, written)
+    names = (f"_Z{n}" for n in itertools.count() if f"_Z{n}" not in written)
+    return _name_untagged(tree, names)
+
+
+def _read_term(reader: _Reader, sorts, features) -> list:
+    kind, word = reader.take()
+    if kind == "tag":
+        tag = word
+        if reader.peek()[0] == ":":
+            reader.take()
+            kind, sort = reader.take()
+            if kind != "name":
+                raise _Reject("TermSyntaxError")
+            _check_sort(sort, sorts)
+        else:
+            sort = TOP
+    elif kind == "name":
+        if reader.peek()[0] == ":":
+            raise _Reject("TermSyntaxError")
+        tag, sort = None, word
+        _check_sort(sort, sorts)
+    else:
+        raise _Reject("TermSyntaxError")
+    args = []
+    if reader.peek()[0] == "(":
+        reader.take()
+        while True:
+            kind, feature = reader.take()
+            if kind != "name":
+                raise _Reject("TermSyntaxError")
+            if features is not None and feature not in features:
+                raise _Reject("UnknownFeature")
+            if reader.take()[0] != "->":
+                raise _Reject("TermSyntaxError")
+            args.append((feature, _read_term(reader, sorts, features)))
+            kind, _ = reader.take()
+            if kind == ")":
+                break
+            if kind != ",":
+                raise _Reject("TermSyntaxError")
+    return [tag, sort, args]
+
+
+def _check_sort(sort: str, sorts) -> None:
+    if sorts is not None and sort not in sorts:
+        raise _Reject("UnknownSort")
+
+
+def _collect_tags(node: list, into: set) -> None:
+    if node[0] is not None:
+        into.add(node[0])
+    for _, child in node[2]:
+        _collect_tags(child, into)
+
+
+def _name_untagged(node: list, names) -> tuple:
+    tag = node[0] if node[0] is not None else next(names)
+    return (tag, node[1], tuple((f, _name_untagged(child, names)) for f, child in node[2]))

@@ -39,6 +39,10 @@ texts = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=25).map(" ".join),
 )
 
+# The same pieces with nothing between them, so that glued forms such as
+# ``f->`` and ``X:s(`` reach the term tokenizer.
+glued = st.lists(st.sampled_from(TOKENS), max_size=25).map("".join)
+
 ONTOLOGY = """\
 sort p q s
 feature f g
@@ -65,6 +69,13 @@ def ontology_file(tmp_path_factory):
 @fuzz
 @given(text=texts, with_graph=st.booleans())
 def test_parse_term_raises_only_documented_errors(lattice, text, with_graph):
+    with contextlib.suppress(*DOCUMENTED):
+        parse_term(text, lattice.graph if with_graph else None)
+
+
+@fuzz
+@given(text=glued, with_graph=st.booleans())
+def test_parse_term_on_glued_tokens_raises_only_documented_errors(lattice, text, with_graph):
     with contextlib.suppress(*DOCUMENTED):
         parse_term(text, lattice.graph if with_graph else None)
 

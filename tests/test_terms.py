@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import strategies
 from fuzzyosf import (
     CanonicalAlgebra,
@@ -116,6 +121,17 @@ def test_parse_rejects_malformed_terms(sig, text):
         # the whole text is tokenized first: a bad character outranks
         # every grammar and signature error before it
         ("X: nosuch(f -> Y: u) é", TermSyntaxError, "unexpected character 'é' at position 21"),
+        # a node head, a feature with its arrow and a mark each end where
+        # the grammar expects them to
+        ("X: s(f)", TermSyntaxError, "expected '->', found ')'"),
+        ("X: s(f -> Y: u,, g -> Z)", TermSyntaxError, "expected a feature name, found ','"),
+        ("(", TermSyntaxError, "expected a term, found '('"),
+        ("X: 9", TermSyntaxError, "unexpected character '9' at position 3"),
+        ("X: s(f -> Y: u) ,", TermSyntaxError, "trailing input after term: ','"),
+        ("X: s(f->)", TermSyntaxError, "expected a term, found ')'"),
+        # signature checks run as each name is read
+        ("X: s(nosuch Y)", UnknownFeature, "unknown feature: nosuch"),
+        ("X: s(f -> nosuch -> Y)", UnknownSort, "unknown sort: nosuch"),
     ],
 )
 def test_parse_error_messages(sig, text, error, message):
@@ -123,6 +139,91 @@ def test_parse_error_messages(sig, text, error, message):
         parse_term(text, sig)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, explicit",
+    [
+        ("X:s(f->Y:u)", "X: s(f -> Y: u)"),
+        ("X : s", "X: s"),
+        ("X: s (f -> Y)", "X: s(f -> Y)"),
+    ],
+)
+def test_parse_glued_and_spaced_units(sig, text, explicit):
+    assert format_term(parse_term(text, sig)) == explicit
+
+
+def _shape(t: Term) -> tuple:
+    return (t.tag, t.sort, tuple((f, _shape(child)) for f, child in t.args))
+
+
+SEPARATORS = st.sampled_from(["", " ", "  ", "\t", "\n", " \n\t"])
+
+
+@st.composite
+def term_texts(draw) -> str:
+    """Term text with any whitespace, or none, between its units.
+
+    Nodes are tagged, untagged or back-references, and some names lie
+    outside the ``sig`` signature.  Two texts in three lose one unit or get
+    one character inserted, deleted or replaced.
+    """
+    units: list[str] = []
+
+    def node(depth: int) -> None:
+        kind = draw(st.sampled_from(["tagged", "untagged", "backref"]))
+        tag = draw(st.sampled_from(["X", "Y", "_Z0", "Z1"]))
+        sort = draw(st.sampled_from(["s", "u", "top", "zork"]))
+        if kind == "backref":
+            units.append(tag)
+            return
+        units.extend([tag, ":", sort] if kind == "tagged" else [sort])
+        if depth < 3 and draw(st.booleans()):
+            units.append("(")
+            for k in range(draw(st.integers(1, 3))):
+                if k:
+                    units.append(",")
+                units.extend([draw(st.sampled_from(["f", "g", "h"])), "->"])
+                node(depth + 1)
+            units.append(")")
+
+    node(0)
+    mutation = draw(st.sampled_from(["none", "drop a unit", "change a character"]))
+    if mutation == "drop a unit":
+        del units[draw(st.integers(0, len(units) - 1))]
+    text = "".join(draw(SEPARATORS) + unit for unit in units) + draw(SEPARATORS)
+    if mutation == "change a character":
+        k = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(list("Xsf():,->9é \t")))
+        head, tail = text[:k], text[k + 1 :]
+        text = draw(st.sampled_from([head + c + text[k:], head + tail, head + c + tail]))
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=term_texts(), with_signature=st.booleans())
+def test_parse_agrees_with_the_oracle(sig, text, with_signature):
+    graph = sig if with_signature else None
+    if with_signature:
+        want = oracles.parse_term_shape(text, set(sig.sorts), set(sig.features))
+    else:
+        want = oracles.parse_term_shape(text)
+    try:
+        got = _shape(parse_term(text, graph))
+    except (TermSyntaxError, UnknownSort, UnknownFeature) as e:
+        got = type(e).__name__
+    assert got == want
+
+
+def test_parse_time_is_linear_in_whitespace():
+    # 12,000 whitespace characters before, inside and after a term; a
+    # tokenizer that retries a whitespace tail from each of its positions
+    # takes seconds here.
+    pad = " \n\t" * 4_000
+    start = time.perf_counter()
+    t = parse_term(pad + "X: s(f ->" + pad + "Y)" + pad, None)
+    assert time.perf_counter() - start < 0.5
+    assert format_term(t) == "X: s(f -> Y)"
 
 
 def test_parse_rejects_unknown_names(sig):
@@ -172,6 +273,25 @@ def test_deep_terms_compare_and_hash_without_recursion():
     assert a != c and not a == c
     assert hash(a) == hash(b)
     assert len({a, b, c}) == 2
+
+
+def test_term_is_an_immutable_slot_record():
+    t = Term("X", "s", (("f", Term("Y", "u")),))
+    for field in ("tag", "sort", "args"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, "z")
+        assert getattr(t, field) != "z"
+    assert not hasattr(t, "__dict__")
+    assert Term(tag="X", sort="s", args=t.args) == t
+    assert Term("Y", "u").args == ()
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t and hash(clone) == hash(t)
+    assert repr(t) == "Term(X:s, 1 args)"
+    match t:
+        case Term(tag, sort, ((feature, _),)):
+            assert (tag, sort, feature) == ("X", "s", "f")
+        case _:
+            pytest.fail("Term did not match by position")
 
 
 # -- normality --------------------------------------------------------------------
