@@ -7,7 +7,9 @@ closure of those edges, extended with two implicit bounds: ``bot`` lies below
 every sort and ``top`` above every sort, both at degree 1, without any
 materialized edges.  Degrees only ever combine through ``min`` (along a path)
 and ``max`` (across paths), so every derived degree is one of the declared
-edge degrees or 0/1 — comparisons stay exact.
+edge degrees or 0/1 — comparisons stay exact.  A closure row holds only the
+positive degrees from its source, so it costs the sorts above the source and
+their out-edges, not the whole hierarchy.
 """
 
 from __future__ import annotations
@@ -210,9 +212,11 @@ def build_sort_graph(
 class SortLattice:
     """Query layer over a :class:`SortGraph`: closure degrees and GLBs.
 
-    Closure degrees are computed lazily, one source at a time, by a single
-    relaxation pass over the topological order — O(|sorts| + |edges|) per
-    distinct source, memoized.  ``densify()`` forces every row at once.
+    Closure degrees are computed lazily, one source at a time: a DFS finds the
+    sorts above the source, one relaxation pass over just those in
+    topological order fills a dict of the positive degrees — O(a log a + e)
+    per distinct source for a sorts above it with e out-edges among them,
+    memoized.  ``densify()`` forces every row at once.
     GLBs live on the crisp support, as bit vectors (Aït-Kaci, Boyer, Lincoln
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
@@ -222,7 +226,7 @@ class SortLattice:
 
     def __init__(self, graph: SortGraph):
         self.graph = graph
-        self._rows: dict[int, list[float]] = {}
+        self._rows: dict[int, dict[int, float]] = {}
         # Pin bot and top to the ends: graph._topo may put leaves before bot.
         bot, top = graph._index[BOT], graph._index[TOP]
         order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
@@ -239,22 +243,26 @@ class SortLattice:
 
     # -- closure ---------------------------------------------------------
 
-    def _row(self, src: int) -> list[float]:
+    def _row(self, src: int) -> dict[int, float]:
         row = self._rows.get(src)
         if row is not None:
             return row
         g = self.graph
-        row = [0.0] * len(g.sorts)
-        row[src] = 1.0
-        topo = g._topo
-        for pos in range(g._topo_pos[src], len(topo)):
-            u = topo[pos]
+        succ = g._succ
+        reach, stack = {src}, [src]
+        while stack:
+            for v, _ in succ[stack.pop()]:
+                if v not in reach:
+                    reach.add(v)
+                    stack.append(v)
+        # Relax the reachable sorts only, in topological order; every one of
+        # them has a positive degree by the time it is reached.
+        row = {src: 1.0}
+        for u in sorted(reach, key=g._topo_pos.__getitem__):
             du = row[u]
-            if du <= 0.0:
-                continue
-            for v, w in g._succ[u]:
+            for v, w in succ[u]:
                 d = du if du < w else w
-                if d > row[v]:
+                if d > row.get(v, 0.0):
                     row[v] = d
         self._rows[src] = row
         return row
@@ -272,7 +280,18 @@ class SortLattice:
             return 1.0
         if s == TOP or t == BOT:
             return 0.0
-        return self._row(idx[s])[idx[t]]
+        i, j = idx[s], idx[t]
+        row = self._rows.get(i) or self._row(i)
+        return row[j] if j in row else 0.0
+
+    def _above(self, s: str) -> list[tuple[str, float]]:
+        """Every ``(t, degree(s, t))`` with a positive degree, in sort order."""
+        g = self.graph
+        if s == BOT:
+            return [(t, 1.0) for t in g.sorts]
+        top = g._index[TOP]
+        row = self._row(g._index[s])
+        return [(g.sorts[j], 1.0 if j == top else row[j]) for j in sorted({*row, top})]
 
     def densify(self) -> None:
         """Materialize the full closure table (every per-source row)."""
@@ -281,14 +300,7 @@ class SortLattice:
 
     def closure_pairs(self) -> list[tuple[str, str, float]]:
         """All positive closure entries, including implicit bounds and reflexivity."""
-        names = self.graph.sorts
-        out = []
-        for s in names:
-            for t in names:
-                d = self.degree(s, t)
-                if d > 0.0:
-                    out.append((s, t, d))
-        return out
+        return [(s, t, d) for s in self.graph.sorts for t, d in self._above(s)]
 
     # -- crisp support and GLBs ------------------------------------------
 

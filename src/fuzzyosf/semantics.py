@@ -127,7 +127,7 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
             if d0 <= 0.0:
                 continue
             if s0 not in above:
-                above[s0] = [(s1, d) for s1 in sorts if (d := lattice.degree(s0, s1)) > 0.0]
+                above[s0] = lattice._above(s0)
             for s1, d in above[s0]:
                 bound = min(d0, d)
                 if bound > model.sort_degree(s1, e):
@@ -364,8 +364,7 @@ def generated_subalgebra(model: Interpretation, seeds: list[str]) -> Interpretat
     """The least feature-closed submodel containing the seeds."""
     kept: dict[str, None] = {}
     queue = list(seeds)
-    while queue:
-        e = queue.pop(0)
+    for e in queue:  # breadth first: the loop also visits what it appends
         if e in kept:
             continue
         kept[e] = None

@@ -42,12 +42,13 @@ def _find_witness(
     """Map g1's nodes into t0, completed with fresh top nodes where g1
     demands an edge t0 lacks; None on a coreference conflict.
 
-    t0 is read as :func:`_gate` returns it (``sorts0``, ``args0``).  The
-    completion edges live in their own dict, so the fresh nodes are the
-    mapped tags that ``sorts0`` does not hold.
+    t0 is read as :func:`_gate` returns it (``sorts0``, ``args0``).  Each
+    node's arguments are indexed by feature on its first visit (a normal t0
+    has each feature at most once per node), and a completion edge joins the
+    index, so the fresh nodes are the mapped tags that ``sorts0`` does not hold.
     """
-    added: dict[tuple[str, str], str] = {}
     fresh = fresh_tags(sorts0, prefix="_T")
+    index: dict[str, dict[str, str]] = {}
 
     mapping: dict[str, str] = {g1.root: root0}
     queue = [g1.root]
@@ -55,14 +56,12 @@ def _find_witness(
         n1 = queue.pop()
         n0 = mapping[n1]
         for f, m1 in g1.out.get(n1, ()):
-            for g, child in args0.get(n0, ()):
-                if g == f:
-                    m0 = child.tag
-                    break
-            else:
-                m0 = added.get((n0, f))
-                if m0 is None:
-                    m0 = added[n0, f] = next(fresh)
+            edges0 = index.get(n0)
+            if edges0 is None:
+                edges0 = index[n0] = {g: child.tag for g, child in args0.get(n0, ())}
+            m0 = edges0.get(f)
+            if m0 is None:
+                m0 = edges0[f] = next(fresh)
             known = mapping.get(m1)
             if known is None:
                 mapping[m1] = m0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -219,7 +220,7 @@ def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], dic
                     if not has_feature(f):
                         problems.append((True, f"unknown feature: {f}"))
             if len(set(feats)) != len(feats):
-                dup = sorted({f for f in feats if feats.count(f) > 1})
+                dup = sorted(f for f, k in Counter(feats).items() if k > 1)
                 problems.append((False, f"tag {tag} repeats feature(s): {', '.join(dup)}"))
             stack.extend([child for _, child in reversed(args)])
         if sort != TOP or args:

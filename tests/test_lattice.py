@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,59 @@ def test_closure_matches_oracle(dag):
     for s in [BOT, *sorts, TOP]:
         for t in [BOT, *sorts, TOP]:
             assert lattice.degree(s, t) == table[(s, t)], (s, t)
+
+
+@st.composite
+def bounded_dags(draw, max_sorts: int = 8):
+    """Random DAGs plus the shapes a sparse closure row must get right: edges
+    into top below 1, edges out of bot, an isolated sort, a diamond whose two
+    paths carry unequal degrees, and bot and top declared anywhere."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sorts, edges = strategies.random_dag(rng, max_sorts=max_sorts)
+    for s in sorts:
+        if rng.random() < 0.25:
+            edges.append((s, TOP, rng.choice(strategies.DEGREES)))
+        if rng.random() < 0.25:
+            edges.append((BOT, s, rng.choice(strategies.DEGREES)))
+    d1, d2 = rng.sample(strategies.DEGREES, 2)
+    edges += [("da", "db", 1.0), ("da", "dc", 1.0), ("db", "dd", d1), ("dc", "dd", d2)]
+    edges.append(("dd", rng.choice(sorts), rng.choice(strategies.DEGREES)))
+    names = [*sorts, "da", "db", "dc", "dd", "iso", BOT, TOP]
+    rng.shuffle(names)
+    return names, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_dags())
+def test_sparse_rows_match_the_oracle(dag):
+    sorts, edges = dag
+    table = oracles.closure_table(sorts, edges)
+    graph = build_sort_graph(sorts, [], edges)
+    names = graph.sorts
+    lattice = SortLattice(graph)
+    assert [lattice.degree(s, t) for s in names for t in names] == [
+        table[(s, t)] for s in names for t in names
+    ]
+    # closure_pairs lists sources, then targets, in declaration order.
+    expected = [(s, t, table[(s, t)]) for s in names for t in names if table[(s, t)] > 0.0]
+    assert SortLattice(graph).closure_pairs() == expected
+    dense = SortLattice(graph)
+    dense.densify()
+    assert dense.closure_pairs() == expected
+
+
+def test_closure_pairs_time_is_linear_in_the_rows():
+    # A 3,000-sort binary tree: each row holds about a dozen sorts, so a
+    # closure that scans the whole hierarchy for every source takes seconds.
+    names = [f"n{i}" for i in range(3_000)]
+    edges = [(names[i], names[(i - 1) // 2], 1.0) for i in range(1, len(names))]
+    lattice = SortLattice(build_sort_graph(names, [], edges))
+    start = time.perf_counter()
+    pairs = lattice.closure_pairs()
+    assert time.perf_counter() - start < 0.5
+    assert pairs[:3] == [("n0", "n0", 1.0), ("n0", TOP, 1.0), ("n1", "n0", 1.0)]
+    # Each sort lists itself, its ancestors and top; bot lists all; top itself.
+    assert len(pairs) == sum((i + 1).bit_length() + 1 for i in range(3_000)) + 3_002 + 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -157,5 +157,23 @@ def test_no_unused_private_names():
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
 
 
+def test_no_pop_from_the_front_of_a_list():
+    # list.pop(0) shifts every remaining element, so a queue drained with it
+    # is quadratic; walk it with an index or use a deque.
+    found = []
+    for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pop"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 0
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")

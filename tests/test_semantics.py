@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,23 @@ def test_membership_gap_is_flagged(movies, movie_model):
     )
     problems = validate_interpretation(broken, movies)
     assert any("thriller" in p and "halloween" in p for p in problems)
+
+
+def test_membership_gaps_are_listed_in_order(movies, movie_model):
+    table = dict(movie_model.sort_table)
+    del table[("movie", "halloween")]
+    table[("horror", "psycho")] = 0.4
+    del table[("person", "carpenter")]
+    broken = Interpretation(
+        movie_model.elements, table, movie_model.features, movie_model.feature_names
+    )
+    assert validate_interpretation(broken, movies) == [
+        "membership gap: slasher(psycho)=0.7 and degree(slasher,horror)=1 force horror(psycho) >= 0.7, found 0.4",
+        "membership gap: thriller(halloween)=0.5 and degree(thriller,movie)=1 force movie(halloween) >= 0.5, found 0",
+        "membership gap: horror(halloween)=1 and degree(horror,movie)=1 force movie(halloween) >= 1, found 0",
+        "membership gap: slasher(halloween)=1 and degree(slasher,movie)=1 force movie(halloween) >= 1, found 0",
+        "membership gap: director(carpenter)=1 and degree(director,person)=1 force person(carpenter) >= 1, found 0",
+    ]
 
 
 def test_meet_gap_is_flagged(movies, movie_model):
@@ -260,6 +278,17 @@ def test_generated_subalgebra_contents(movies, movie_model):
     assert sub.elements == ["halloween", "carpenter", "halloween_title", "null"]
     assert validate_interpretation(sub, movies) == []
     assert generated_subalgebra(movie_model, ["null"]).elements == ["null"]
+
+
+def test_generated_subalgebra_time_is_linear_in_the_queue():
+    # 100,000 seeds queued at once; taking each from the front of a list
+    # shifts the rest and takes seconds here.
+    elements = [f"e{i}" for i in range(100_000)]
+    model = Interpretation(elements, {}, {("f", e): e for e in elements}, ["f"])
+    start = time.perf_counter()
+    sub = generated_subalgebra(model, elements[::-1])
+    assert time.perf_counter() - start < 1.0
+    assert sub.elements == elements
 
 
 # -- the interpretation file format --------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ import strategies
 from fuzzyosf import (
     NotNormalTerm,
     SignatureMismatch,
+    SortLattice,
     Term,
     build_sort_graph,
     crisp_subsumes,
@@ -117,6 +119,46 @@ def test_witness_order_when_a_back_reference_comes_first(chain_k_lattice, backre
         ("Z", ("t", "t", 1.0)),
     ]
     assert up.degree == 0.0
+
+
+def test_witness_reuses_completions_and_skips_taken_fresh_names(chain_k_lattice):
+    # B and D land on the same node Y, so they share its completion under h;
+    # t0 already holds the tag _T0, so the first fresh name is _T1.
+    g = chain_k_lattice.graph
+    specific = parse_term("X: p(f -> Y: r(g -> Z: u), g -> Y, k -> _T0: q)", g)
+    general = parse_term(
+        "A: s(k -> G: s, g -> D: top(h -> E, k -> F: top), f -> B: u(h -> C: top, g -> H: u))", g
+    )
+    w = subsumption_witness(specific, general, chain_k_lattice)
+    assert list(w.mapping.items()) == [
+        ("A", "X"), ("G", "_T0"), ("D", "Y"), ("B", "Y"),
+        ("C", "_T1"), ("H", "Z"), ("E", "_T1"), ("F", "_T2"),
+    ]
+    assert list(w.per_tag.items()) == [
+        ("A", ("p", "s", 1.0)),
+        ("G", ("q", "s", 0.9)),
+        ("D", ("r", "top", 1.0)),
+        ("E", ("top", "top", 1.0)),
+        ("F", ("top", "top", 1.0)),
+        ("B", ("r", "u", 1.0)),
+        ("C", ("top", "top", 1.0)),
+        ("H", ("u", "u", 1.0)),
+    ]
+    assert w.degree == 0.9
+
+
+def test_witness_time_is_linear_in_shared_features():
+    # One node with 16,000 features in both terms, listed in opposite
+    # orders; scanning the specific node's arguments per feature takes seconds.
+    feats = [f"f{i}" for i in range(16_000)]
+    lattice = SortLattice(build_sort_graph(["s"], feats, []))
+    specific = Term("X", "s", tuple((f, Term(f"A{i}", "s", ())) for i, f in enumerate(feats)))
+    general = Term("Y", "s", tuple((f, Term(f"B{i}", "top", ())) for i, f in enumerate(reversed(feats))))
+    start = time.perf_counter()
+    w = subsumption_witness(specific, general, lattice)
+    assert time.perf_counter() - start < 0.5
+    assert w.degree == 1.0
+    assert w.mapping["B0"] == f"A{len(feats) - 1}"
 
 
 def test_non_normal_input_rejected(chain_lattice):

@@ -226,6 +226,16 @@ def test_parse_time_is_linear_in_whitespace():
     assert format_term(t) == "X: s(f -> Y)"
 
 
+def test_check_normal_time_is_linear_in_repeated_features():
+    # 80,000 arguments under one feature; counting each feature's
+    # occurrences once per argument takes seconds here.
+    t = parse_term("X: s(" + ", ".join(f"f -> A{i}" for i in range(80_000)) + ")", None)
+    start = time.perf_counter()
+    problems = check_normal(t)
+    assert time.perf_counter() - start < 0.5
+    assert problems == ["tag X repeats feature(s): f"]
+
+
 def test_parse_rejects_unknown_names(sig):
     with pytest.raises(UnknownSort):
         parse_term("X: nosuch", sig)
