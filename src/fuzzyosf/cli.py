@@ -79,10 +79,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_session(args) -> SortLattice:
+def _ontology(args):
+    """The ``--ontology`` file as :func:`load_ontology` reads it: ``(graph, sims)``."""
     if not args.ontology:
         raise _InputFailure("this command needs --ontology <file>")
-    graph, _ = load_ontology(_read_text(args.ontology))
+    return load_ontology(_read_text(args.ontology))
+
+
+def _load_session(args) -> SortLattice:
+    graph, _ = _ontology(args)
     lattice = SortLattice(graph).validate()
     if args.dense:
         lattice.densify()
@@ -104,9 +109,7 @@ def _fmt(degree: float) -> str:
 
 
 def cmd_check(args) -> int:
-    if not args.ontology:
-        raise _InputFailure("this command needs --ontology <file>")
-    graph, sim = load_ontology(_read_text(args.ontology))
+    graph, sim = _ontology(args)
     SortLattice(graph).validate()
     n_sorts = len(graph.sorts)
     payload = {
@@ -260,9 +263,7 @@ def cmd_subsumes(args) -> int:
 
 
 def cmd_enrich(args) -> int:
-    if not args.ontology:
-        raise _InputFailure("this command needs --ontology <file>")
-    graph, sim = load_ontology(_read_text(args.ontology))
+    graph, sim = _ontology(args)
     enriched, dropped = enrich_from_similarity(graph, sim)
     SortLattice(enriched).validate()
     if args.json:

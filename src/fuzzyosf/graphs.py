@@ -71,30 +71,29 @@ def canonical_form(g: OsfGraph) -> OsfGraph:
     """Strip redundant top leaves: non-root, top-labeled, no out-edges, one in-edge.
 
     Removing one such node can expose another (its parent may become a
-    leaf), so stripping iterates to a fixpoint; the result is independent of
-    removal order because removability only grows as the fringe peels.
+    leaf), so stripping runs to a fixpoint; the result is independent of
+    removal order because removability only grows as the fringe peels.  A
+    removed leaf has no out-edges, so no in-degree ever changes: one pass
+    counts them, and a worklist peels each parent whose out-degree drops to 0.
     """
-    sorts = dict(g.sorts)
-    out = {n: list(edges) for n, edges in g.out.items()}
-    while True:
-        indeg: dict[str, int] = {n: 0 for n in sorts}
-        for n, edges in out.items():
-            for _, target in edges:
-                indeg[target] += 1
-        victims = [
-            n
-            for n in sorts
-            if n != g.root and sorts[n] == TOP and not out.get(n) and indeg[n] == 1
-        ]
-        if not victims:
-            break
-        doomed = set(victims)
-        for n in doomed:
-            del sorts[n]
-            out.pop(n, None)
-        for n in out:
-            out[n] = [(f, t) for f, t in out[n] if t not in doomed]
-    return OsfGraph(root=g.root, sorts=sorts, out={n: tuple(e) for n, e in out.items()})
+    sorts = g.sorts
+    indeg = dict.fromkeys(sorts, 0)
+    parent: dict[str, str] = {}
+    for n, edges in g.out.items():
+        for _, target in edges:
+            indeg[target] += 1
+            parent[target] = n
+    outdeg = {n: len(edges) for n, edges in g.out.items()}
+    peelable = {n for n in sorts if n != g.root and sorts[n] == TOP and indeg[n] == 1}
+    doomed = [n for n in peelable if not outdeg.get(n)]
+    for n in doomed:  # the loop also visits what it appends
+        up = parent[n]
+        outdeg[up] -= 1
+        if outdeg[up] == 0 and up in peelable:
+            doomed.append(up)
+    gone = set(doomed)
+    out = {n: tuple((f, t) for f, t in e if t not in gone) for n, e in g.out.items() if n not in gone}
+    return OsfGraph(g.root, {n: s for n, s in sorts.items() if n not in gone}, out)
 
 
 def graph_isomorphic(g0: OsfGraph, g1: OsfGraph) -> bool:

@@ -55,45 +55,6 @@ class Normalized:
 NormalForm = Union[Inconsistent, Normalized]
 
 
-class UnionFind:
-    """Dict-based disjoint sets: path compression, union by rank.
-
-    On equal rank the first argument's root wins, which keeps representative
-    choice deterministic under insertion order.
-    """
-
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-        self.rank: dict[str, int] = {}
-
-    def add(self, x: str) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.rank[x] = 0
-
-    def find(self, x: str) -> str:
-        parent = self.parent
-        if x not in parent:
-            self.add(x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: str, y: str) -> str:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return rx
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return rx
-
-
 class _Collapse(Exception):
     def __init__(self, tag: str):
         self.tag = tag
@@ -102,23 +63,36 @@ class _Collapse(Exception):
 class _Solver:
     """The union-find engine behind :func:`normalize` and ``unify``.
 
-    Classes of tags carry at most one sort (``sorts``) and one value per
-    feature (``feats``), both keyed by the class's root.  Constraints land
-    through :meth:`add_sort` and :meth:`add_feat`; equalities queue on
-    ``pending`` and :meth:`drain` merges them, queueing the feature merges
-    they force.  A bot sort raises ``_Collapse``.  With ``trace`` set, every
-    rule firing is logged.
+    Tags join classes through ``parent``, which :meth:`find` walks with path
+    halving, and ``rank``, which :meth:`drain` unions by (a missing rank is
+    0; on equal ranks the first root wins, so representatives follow
+    insertion order).  Classes carry at most one sort (``sorts``) and one
+    value per feature (``feats``), both keyed by the class's root.
+    Constraints land through :meth:`add_sort` and :meth:`add_feat`;
+    equalities queue on ``pending`` and :meth:`drain` merges them, queueing
+    the feature merges they force.  A bot sort raises ``_Collapse``.  With
+    ``trace`` set, every rule firing is logged.
     """
 
     def __init__(self, lattice: SortLattice, trace: bool = False):
         self.lattice = lattice
         self.trace = trace
-        self.uf = UnionFind()
-        self.find = self.uf.find
+        self.parent: dict[str, str] = {}
+        self.rank: dict[str, int] = {}
         self.sorts: dict[str, str] = {}
         self.feats: dict[str, dict[str, str]] = {}
         self.pending: deque[tuple[str, str]] = deque()
         self.log: list[str] = []
+
+    def find(self, x: str) -> str:
+        """The root of ``x``'s class; an unseen tag becomes its own class."""
+        parent = self.parent
+        up = parent.setdefault(x, x)
+        while up != x:
+            grand = parent[up]
+            parent[x] = grand
+            x, up = grand, parent[grand]
+        return x
 
     def add_sort(self, rep: str, sort: str) -> None:
         cur = self.sorts.get(rep)
@@ -149,14 +123,18 @@ class _Solver:
 
     def drain(self) -> None:
         """Merge queued equalities until none is left."""
-        pending, find = self.pending, self.find
+        pending, find, parent, rank = self.pending, self.find, self.parent, self.rank
         while pending:
             x, y = pending.popleft()
-            rx, ry = find(x), find(y)
-            if rx == ry:
+            winner, loser = find(x), find(y)
+            if winner == loser:
                 continue
-            winner = self.uf.union(rx, ry)
-            loser = ry if winner == rx else rx
+            rank_w, rank_l = rank.get(winner, 0), rank.get(loser, 0)
+            if rank_w < rank_l:
+                winner, loser = loser, winner
+            elif rank_w == rank_l:
+                rank[winner] = rank_w + 1
+            parent[loser] = winner
             if self.trace:
                 self.log.append(f"tag-elimination: {loser} -> {winner}")
             lost_sort = self.sorts.pop(loser, None)

@@ -109,8 +109,9 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
                 problems.append(f"feature {f} is undefined at {e}")
             elif img not in domain:
                 problems.append(f"feature {f} maps {e} outside the domain: {img}")
+    declared = set(model.feature_names)
     for (f, e) in model.features:
-        if f not in model.feature_names:
+        if f not in declared:
             problems.append(f"feature value given for undeclared feature: {f}")
         elif e not in domain:
             problems.append(f"feature {f} defined at unknown element: {e}")
@@ -223,8 +224,6 @@ def load_interpretation(text: str, graph: SortGraph) -> Interpretation:
             img = explicit.get((f, e), defaults.get(f))
             if img is not None:
                 features[(f, e)] = img
-    for key, img in explicit.items():
-        features[key] = img
     return Interpretation(
         elements=list(elements),
         sort_table=sort_table,
@@ -251,7 +250,7 @@ class CanonicalAlgebra:
 
     def __init__(self, sorts: dict[str, str], out: dict[str, tuple], lattice: SortLattice):
         self.node_sorts = dict(sorts)
-        self.node_out = {n: tuple(e) for n, e in out.items()}
+        self.node_out = {n: dict(e) for n, e in out.items()}  # feature -> target
         self.lattice = lattice
         self.elements: list[str] = list(self.node_sorts)
         self.feature_names: list[str] = list(lattice.graph.features)
@@ -274,12 +273,9 @@ class CanonicalAlgebra:
         return self.lattice.degree(self.node_sorts[element], sort)
 
     def feature_image(self, feature: str, element):
-        if isinstance(element, tuple):
-            return _trivial_key(feature, element)
-        for f, target in self.node_out.get(element, ()):
-            if f == feature:
-                return target
-        return _trivial_key(feature, element)
+        edges = {} if isinstance(element, tuple) else self.node_out.get(element, {})
+        target = edges.get(feature)
+        return _trivial_key(feature, element) if target is None else target
 
     def is_trivial(self, element) -> bool:
         return isinstance(element, tuple)
@@ -290,23 +286,7 @@ class CanonicalAlgebra:
 
 def denote(t: Term, model, alpha: dict[str, object]) -> float:
     """Degree of the root's image under a total assignment."""
-    value = 1.0
-    stack = [(t, alpha.get(t.tag))]  # an unassigned root fails below
-    while stack:
-        node, d = stack.pop()
-        bound = alpha.get(node.tag)
-        if bound is None:
-            raise ValueError(f"assignment missing tag {node.tag}")
-        if bound != d:
-            return 0.0
-        sd = model.sort_degree(node.sort, d)
-        if sd < value:
-            value = sd
-        if value == 0.0:
-            return 0.0
-        for f, child in node.args:
-            stack.append((child, model.feature_image(f, d)))
-    return value
+    return _denotation(t, model, alpha.get(t.tag), alpha)  # an unassigned root fails
 
 
 def best_denotation(t: Term, model, element) -> float:
@@ -315,15 +295,28 @@ def best_denotation(t: Term, model, element) -> float:
     Feature images force every tag's assignment; a tag demanded at two
     different elements admits no assignment, so the degree is 0.
     """
-    forced: dict[str, object] = {}
+    return _denotation(t, model, element, None)
+
+
+def _denotation(t: Term, model, element, alpha: dict[str, object] | None) -> float:
+    """The min of sort degrees along ``t``'s feature images from ``element``.
+
+    With ``alpha``, every tag must be bound, and to the image it meets;
+    without, the first image a tag meets binds it.  A tag met at an element
+    other than its binding makes the degree 0.
+    """
+    binding: dict[str, object] = {} if alpha is None else alpha
     value = 1.0
     stack = [(t, element)]
     while stack:
         node, d = stack.pop()
-        prev = forced.get(node.tag)
-        if prev is not None and prev != d:
+        bound = binding.get(node.tag)
+        if bound is None:
+            if alpha is not None:
+                raise ValueError(f"assignment missing tag {node.tag}")
+            binding[node.tag] = bound = d
+        if bound != d:
             return 0.0
-        forced[node.tag] = d
         sd = model.sort_degree(node.sort, d)
         if sd < value:
             value = sd

@@ -245,7 +245,9 @@ def is_normal(t: Term, graph: SortGraph | None = None) -> bool:
 
 
 def _gate(t: Term, graph: SortGraph | None) -> tuple[dict[str, str], dict]:
-    """:func:`assert_normal`'s check; on success, :func:`_walk`'s sorts and args."""
+    """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
+    signature, else NotNormalTerm if it breaks another normal-form condition;
+    on success, return :func:`_walk`'s sorts and args."""
     problems, sorts, structured = _walk(t, graph)
     if problems:
         unknown = [msg for signature, msg in problems if signature]
@@ -253,12 +255,6 @@ def _gate(t: Term, graph: SortGraph | None) -> tuple[dict[str, str], dict]:
             raise SignatureMismatch("; ".join(unknown))
         raise NotNormalTerm("; ".join(msg for _, msg in problems))
     return sorts, structured
-
-
-def assert_normal(t: Term, graph: SortGraph | None = None) -> None:
-    """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
-    signature, else NotNormalTerm if it breaks another normal-form condition."""
-    _gate(t, graph)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -517,6 +513,7 @@ def _solved_structure(
     """
     sort_of: dict[str, str] = {}
     feats: dict[str, list[tuple[str, str]]] = {}
+    valued: set[tuple[str, str]] = set()
     for c in clause.constraints:
         if isinstance(c, EqualityConstraint):
             raise NotSolved(f"clause still has an equality: {c}")
@@ -527,10 +524,10 @@ def _solved_structure(
                 raise NotSolved(f"tag {c.tag} is sorted {BOT}")
             sort_of[c.tag] = c.sort
         else:
-            bucket = feats.setdefault(c.tag, [])
-            if any(f == c.feature for f, _ in bucket):
+            if (c.tag, c.feature) in valued:
                 raise NotSolved(f"tag {c.tag} has more than one value for feature {c.feature}")
-            bucket.append((c.feature, c.target))
+            valued.add((c.tag, c.feature))
+            feats.setdefault(c.tag, []).append((c.feature, c.target))
     return sort_of, feats
 
 

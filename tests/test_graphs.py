@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -95,6 +97,53 @@ def test_canonical_form_keeps_shared_top_leaves(sig):
 def test_canonical_form_keeps_the_root(sig):
     g = term_to_graph(parse_term("X: top", sig))
     assert "X" in canonical_form(g).sorts
+
+
+def test_canonical_form_frozen_where_peel_order_could_matter():
+    # A top leaf under a top parent (A, B; P, L1, L2) peels away; a shared top
+    # leaf (S), a top cycle (C1, C2) and a top self-loop (Q) stay, and the
+    # cycle's own top leaf (L) goes.  Order of nodes and edges is kept.
+    g = OsfGraph(
+        root="R",
+        sorts={"R": "s", "A": "top", "B": "top", "S": "top", "Y": "u", "C1": "top",
+               "C2": "top", "L": "top", "P": "top", "L1": "top", "L2": "top", "Q": "top"},
+        out={
+            "R": (("a", "A"), ("c", "S"), ("d", "Y"), ("g", "C1"), ("k", "P"), ("l", "Q")),
+            "A": (("b", "B"),),
+            "Y": (("e", "S"),),
+            "C1": (("h", "C2"),),
+            "C2": (("i", "C1"), ("j", "L")),
+            "P": (("m", "L1"), ("n", "L2")),
+            "Q": (("q", "Q"),),
+        },
+    )
+    c = canonical_form(g)
+    assert list(c.sorts.items()) == [
+        ("R", "s"), ("S", "top"), ("Y", "u"), ("C1", "top"), ("C2", "top"), ("Q", "top"),
+    ]
+    assert list(c.out.items()) == [
+        ("R", (("c", "S"), ("d", "Y"), ("g", "C1"), ("l", "Q"))),
+        ("Y", (("e", "S"),)),
+        ("C1", (("h", "C2"),)),
+        ("C2", (("i", "C1"),)),
+        ("Q", (("q", "Q"),)),
+    ]
+    assert len(g.sorts) == 12 and g.out["C2"] == (("i", "C1"), ("j", "L"))
+
+
+def test_canonical_form_time_is_linear_in_a_top_chain():
+    # 4,000 top nodes in a chain peel from the far end, one per round; a
+    # fixpoint that recounts every in-degree each round takes seconds here.
+    names = [f"X{i}" for i in range(4_000)]
+    g = OsfGraph(
+        root=names[0],
+        sorts=dict.fromkeys(names, "top"),
+        out={a: (("f", b),) for a, b in zip(names, names[1:])},
+    )
+    start = time.perf_counter()
+    c = canonical_form(g)
+    assert time.perf_counter() - start < 0.5
+    assert c == OsfGraph(root="X0", sorts={"X0": "top"}, out={"X0": ()})
 
 
 def test_equivalence_modulo_trivial_leaf(sig):

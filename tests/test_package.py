@@ -157,6 +157,34 @@ def test_no_unused_private_names():
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
 
 
+def test_no_unused_public_names():
+    # A module-level public function, class or constant that is neither
+    # exported nor read by any module of the package is dead code.
+    defined = []
+    used: set[str] = set()
+    for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, stmt.name))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [
+                    (path.name, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    public = [(module, name) for module, name in defined if not name.startswith("_")]
+    assert len(public) > len(fuzzyosf.__all__)
+    exported = set(fuzzyosf.__all__)
+    assert [f"{m}: {name}" for m, name in public if name not in exported and name not in used] == []
+
+
 def test_no_pop_from_the_front_of_a_list():
     # list.pop(0) shifts every remaining element, so a queue drained with it
     # is quadratic; walk it with an index or use a deque.

@@ -17,8 +17,10 @@ from fuzzyosf import (
     FeatureConstraint,
     Interpretation,
     SortConstraint,
+    SortLattice,
     approximation_degree,
     best_denotation,
+    build_sort_graph,
     check_theorems,
     denote,
     find_morphism,
@@ -109,6 +111,20 @@ def test_degree_out_of_range_is_flagged(movies, movie_model):
         movie_model.elements, table, movie_model.features, movie_model.feature_names
     )
     assert validate_interpretation(broken, movies)
+
+
+def test_validate_interpretation_time_is_linear_in_features(movies):
+    # 8,000 features at 5 elements; looking each feature value's feature up
+    # in the declared list takes seconds here.
+    elements = [f"e{i}" for i in range(5)]
+    names = [f"f{i}" for i in range(8_000)]
+    features = {(f, e): e for f in names for e in elements}
+    features[("g", "e0")] = "e0"
+    model = Interpretation(elements, {}, features, names)
+    start = time.perf_counter()
+    problems = validate_interpretation(model, movies)
+    assert time.perf_counter() - start < 0.5
+    assert problems == ["feature value given for undeclared feature: g"]
 
 
 # -- denotation -----------------------------------------------------------------------
@@ -226,6 +242,20 @@ def test_canonical_algebra_from_clause_matches_from_graph(movies, movie_terms):
                 assert by_clause.feature_image(feature, element) == by_graph.feature_image(
                     feature, element
                 )
+
+
+def test_canonical_denotation_time_is_linear_in_features():
+    # 16,000 features on the root; scanning the root's edges for every
+    # feature image takes seconds here.
+    n = 16_000
+    lattice = SortLattice(build_sort_graph(["s"], [f"f{i}" for i in range(n)], []))
+    t = parse_term("X: s(" + ", ".join(f"f{i} -> Y{i}: s" for i in range(n)) + ")", lattice.graph)
+    canon = CanonicalAlgebra.from_graph(term_to_graph(t), lattice)
+    start = time.perf_counter()
+    degree = best_denotation(t, canon, "X")
+    assert time.perf_counter() - start < 0.5
+    assert degree == 1.0
+    assert canon.feature_image(f"f{n - 1}", "X") == f"Y{n - 1}"
 
 
 # -- morphisms ---------------------------------------------------------------------------

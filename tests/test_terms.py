@@ -415,6 +415,21 @@ def test_unsolved_clauses_are_rejected(chain_lattice, constraints, message):
         assert str(exc.value) == message
 
 
+def test_clause_to_term_time_is_linear_in_features():
+    # 16,000 features on one tag; rescanning the tag's edges for every
+    # feature constraint takes seconds here.
+    n = 16_000
+    constraints = [SortConstraint("X", "s")]
+    constraints += [FeatureConstraint("X", f"f{i}", f"Y{i}") for i in range(n)]
+    constraints += [SortConstraint(f"Y{i}", "top") for i in range(n)]
+    clause = Clause(tuple(constraints), root="X")
+    start = time.perf_counter()
+    t = clause_to_term(clause)
+    assert time.perf_counter() - start < 0.5
+    assert len(t.args) == n
+    assert t.args[-1] == (f"f{n - 1}", Term(f"Y{n - 1}", "top", ()))
+
+
 def test_parse_clause_syntax(sig):
     clause = parse_clause("X: s & X.f = Y & X = X2", sig)
     kinds = [type(c).__name__ for c in clause.constraints]
