@@ -61,7 +61,7 @@ def _graph(t: Term, signature: SortGraph | None) -> OsfGraph:
 
 def graph_to_term(g: OsfGraph) -> Term:
     """Term of a graph: depth-first, each node expanded at first encounter."""
-    return _expand(g.root, g.sorts, g.out)
+    return _expand(g.root, {n: (n, s, g.out.get(n, ())) for n, s in g.sorts.items()})
 
 
 # -- canonical form and equivalence -------------------------------------------

@@ -354,12 +354,23 @@ class SortLattice:
     def validate(self) -> "SortLattice":
         """Check that every sort pair has a unique GLB; raises NotALattice.
 
-        Only pairs of sorts with two or more declared subsorts are tested; an
-        invalid hierarchy is rescanned in full to report its first failing pair.
+        Only pairs of sorts with two or more declared subsorts are tested, and
+        of those only sorts above a sort other than bot with two or more
+        declared supersorts; an invalid hierarchy is rescanned in full to
+        report its first failing pair.
         """
         if not self._validated:
             g = self.graph
-            branching = [u for u, preds in enumerate(g._pred) if len(preds) >= 2]
+            # A maximal common lower bound m of a failing pair is not bot and has
+            # two declared supersorts: with one, that supersort would lie below
+            # both sorts and above m.
+            downs = list(self._below.values())
+            bot = g._index[BOT]
+            joins = 0
+            for u, ups in enumerate(g._succ):
+                if len(ups) >= 2 and u != bot:
+                    joins |= 1 << downs[u].bit_length() - 1
+            branching = [u for u, preds in enumerate(g._pred) if len(preds) >= 2 and downs[u] & joins]
             if self._first_failure(branching) is not None:
                 a, b = self._first_failure(range(len(g.sorts)))
                 self.glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair

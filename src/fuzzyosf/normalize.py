@@ -11,11 +11,12 @@ explicit inconsistency:
   else (applicable only when the tags differ).
 
 The production engine (:func:`normalize`, and ``unify`` on the same solver)
-is a deterministic union-find strategy: equalities merge eagerly, feature
-merges queue behind them, sort intersections fold as constraints land.  A
-small-step engine (:func:`normalize_small_step`) applies one rule instance at
-a time in a seedable random order; it exists so tests can check that every
-order reaches the same normal form, and it is not the production path.
+is a deterministic union-find strategy on tag-numbered tables (after Aït-Kaci
+and Di Cosmo, 1993): equalities merge eagerly, feature merges queue behind
+them, sort intersections fold as constraints land.  A small-step engine
+(:func:`normalize_small_step`) applies one rule instance at a time in a
+seedable random order; it exists so tests can check that every order
+reaches the same normal form, and it is not the production path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 from .lattice import BOT, SortLattice
 from .terms import (
@@ -56,106 +57,104 @@ NormalForm = Union[Inconsistent, Normalized]
 
 
 class _Collapse(Exception):
-    def __init__(self, tag: str):
+    def __init__(self, tag: int):
         self.tag = tag
 
 
 class _Solver:
     """The union-find engine behind :func:`normalize` and ``unify``.
 
-    Tags join classes through ``parent``, which :meth:`find` walks with path
-    halving, and ``rank``, which :meth:`drain` unions by (a missing rank is
-    0; on equal ranks the first root wins, so representatives follow
-    insertion order).  Classes carry at most one sort (``sorts``) and one
-    value per feature (``feats``), both keyed by the class's root.
-    Constraints land through :meth:`add_sort` and :meth:`add_feat`;
-    equalities queue on ``pending`` and :meth:`drain` merges them, queueing
-    the feature merges they force.  A bot sort raises ``_Collapse``.  With
-    ``trace`` set, every rule firing is logged.
+    Every table is a list indexed by tag number; ``names`` gives each
+    number's tag.  Tags join classes through ``parent``, which :meth:`find`
+    walks with path halving, and ``rank``, which :meth:`drain` unions by (on
+    equal ranks the first root wins, so representatives follow insertion
+    order).  A class carries at most one sort (``sort``) and one value per
+    feature (``feats``, feature to tag number), both at the class's root.
+    A caller may fill these tables up front; constraints land through
+    :meth:`add_sort` and :meth:`add_feat`; equalities queue on ``pending``
+    and :meth:`drain` merges them, queueing the feature merges they force.
+    A bot sort raises ``_Collapse``.  With ``trace`` set, every rule firing
+    is logged.
     """
 
-    def __init__(self, lattice: SortLattice, trace: bool = False):
+    def __init__(self, lattice: SortLattice, names: list[str], trace: bool = False):
         self.lattice = lattice
         self.trace = trace
-        self.parent: dict[str, str] = {}
-        self.rank: dict[str, int] = {}
-        self.sorts: dict[str, str] = {}
-        self.feats: dict[str, dict[str, str]] = {}
-        self.pending: deque[tuple[str, str]] = deque()
+        self.names = names
+        self.parent = list(range(len(names)))
+        self.rank = [0] * len(names)
+        self.sort: list[str | None] = [None] * len(names)
+        self.feats: list[dict[str, int] | None] = [None] * len(names)
+        self.pending: deque[tuple[int, int]] = deque()
         self.log: list[str] = []
 
-    def find(self, x: str) -> str:
-        """The root of ``x``'s class; an unseen tag becomes its own class."""
+    def find(self, x: int) -> int:
+        """The root of ``x``'s class."""
         parent = self.parent
-        up = parent.setdefault(x, x)
+        up = parent[x]
         while up != x:
             grand = parent[up]
             parent[x] = grand
             x, up = grand, parent[grand]
         return x
 
-    def add_sort(self, rep: str, sort: str) -> None:
-        cur = self.sorts.get(rep)
+    def roots(self) -> list[int]:
+        """Every tag's class root, by tag number (most parents are roots already)."""
+        parent, find = self.parent, self.find
+        return [up if parent[up] == up else find(up) for up in parent]
+
+    def add_sort(self, rep: int, sort: str) -> None:
+        cur = self.sort[rep]
         if cur is not None:
             meet = self.lattice.glb(cur, sort)
             if self.trace:
-                self.log.append(f"sort-intersection: {rep} : glb({cur}, {sort}) = {meet}")
+                self.log.append(f"sort-intersection: {self.names[rep]} : glb({cur}, {sort}) = {meet}")
             sort = meet
         if sort == BOT:
             if self.trace:
-                self.log.append(f"inconsistent-sort: {rep} is {BOT}")
+                self.log.append(f"inconsistent-sort: {self.names[rep]} is {BOT}")
             raise _Collapse(rep)
-        self.sorts[rep] = sort
+        self.sort[rep] = sort
 
-    def add_feat(self, rep: str, feature: str, target: str) -> None:
-        bucket = self.feats.get(rep)
+    def add_feat(self, rep: int, feature: str, target: int) -> None:
+        bucket = self.feats[rep]
         if bucket is None:
-            self.feats[rep] = {feature: target}
-            return
-        existing = bucket.get(feature)
-        if existing is None:
-            bucket[feature] = target
-            return
-        if self.find(existing) != self.find(target):
+            bucket = self.feats[rep] = {}
+        existing = bucket.setdefault(feature, target)
+        if existing != target and self.find(existing) != self.find(target):
             if self.trace:
-                self.log.append(f"feature-functionality: {rep}.{feature} forces {existing} = {target}")
+                names = self.names
+                forced = f"{names[existing]} = {names[target]}"
+                self.log.append(f"feature-functionality: {names[rep]}.{feature} forces {forced}")
             self.pending.append((existing, target))
 
     def drain(self) -> None:
         """Merge queued equalities until none is left."""
         pending, find, parent, rank = self.pending, self.find, self.parent, self.rank
+        sort, feats = self.sort, self.feats
         while pending:
             x, y = pending.popleft()
-            winner, loser = find(x), find(y)
+            winner = x if parent[x] == x else find(x)
+            loser = y if parent[y] == y else find(y)
             if winner == loser:
                 continue
-            rank_w, rank_l = rank.get(winner, 0), rank.get(loser, 0)
+            rank_w, rank_l = rank[winner], rank[loser]
             if rank_w < rank_l:
                 winner, loser = loser, winner
             elif rank_w == rank_l:
                 rank[winner] = rank_w + 1
             parent[loser] = winner
             if self.trace:
-                self.log.append(f"tag-elimination: {loser} -> {winner}")
-            lost_sort = self.sorts.pop(loser, None)
+                self.log.append(f"tag-elimination: {self.names[loser]} -> {self.names[winner]}")
+            lost_sort = sort[loser]
             if lost_sort is not None:
+                sort[loser] = None
                 self.add_sort(winner, lost_sort)
-            lost_feats = self.feats.pop(loser, None)
+            lost_feats = feats[loser]
             if lost_feats is not None:
+                feats[loser] = None
                 for feature, target in lost_feats.items():
                     self.add_feat(winner, feature, target)
-
-    def classes(self, tags: Iterable[str]) -> dict[str, list[str]]:
-        """``tags`` grouped by class root; classes and members in ``tags`` order."""
-        find = self.find
-        groups: dict[str, list[str]] = {}
-        for tag in tags:
-            rep = find(tag)
-            members = groups.get(rep)
-            if members is None:
-                members = groups[rep] = []
-            members.append(tag)
-        return groups
 
 
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
@@ -166,31 +165,34 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
     order of the input; equalities reproduce the union-find partition as
     (representative, member) pairs.
     """
-    solver = _Solver(lattice, trace)
+    names = clause.tags()
+    number = {tag: x for x, tag in enumerate(names)}
+    solver = _Solver(lattice, names, trace)
     find = solver.find
     try:
         for c in clause.constraints:
             if isinstance(c, SortConstraint):
-                solver.add_sort(find(c.tag), c.sort)
+                solver.add_sort(find(number[c.tag]), c.sort)
             elif isinstance(c, FeatureConstraint):
-                solver.add_feat(find(c.tag), c.feature, c.target)
+                solver.add_feat(find(number[c.tag]), c.feature, number[c.target])
             else:
-                solver.pending.append((c.left, c.right))
+                solver.pending.append((number[c.left], number[c.right]))
             solver.drain()
     except _Collapse as stop:
-        return Inconsistent(tag=stop.tag, trace=solver.log)
+        return Inconsistent(tag=names[stop.tag], trace=solver.log)
 
-    classes = solver.classes(clause.tags())
-    constraints: list[Constraint] = []
-    for rep in classes:
-        if rep in solver.sorts:
-            constraints.append(SortConstraint(rep, solver.sorts[rep]))
-    for rep in classes:
-        for feature, target in solver.feats.get(rep, {}).items():
-            constraints.append(FeatureConstraint(rep, feature, find(target)))
-    equalities = [(rep, tag) for rep, members in classes.items() for tag in members if tag != rep]
-
-    root = find(clause.root) if clause.root is not None else None
+    roots = solver.roots()
+    classes: dict[int, list[int]] = {}
+    for x, rep in enumerate(roots):
+        classes.setdefault(rep, []).append(x)
+    sort, feats = solver.sort, solver.feats
+    constraints: list[Constraint] = [
+        SortConstraint(names[r], sort[r]) for r in classes if sort[r] is not None
+    ]
+    constraints += [FeatureConstraint(names[r], f, names[roots[t]])
+                    for r in classes if feats[r] for f, t in feats[r].items()]
+    equalities = [(names[r], names[x]) for r, members in classes.items() for x in members if x != r]
+    root = names[roots[number[clause.root]]] if clause.root in number else clause.root
     return Normalized(
         solved=Clause(tuple(constraints), root=root),
         equalities=tuple(equalities),

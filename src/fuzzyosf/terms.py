@@ -202,36 +202,35 @@ def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], dic
     problems: list[tuple[bool, str]] = []
     sorts: dict[str, str] = {}
     structured: dict[str, tuple[tuple[str, Term], ...]] = {}
-    counts: dict[str, int] = {}
-    has_sort = graph.has_sort if graph is not None else None
-    has_feature = graph.has_feature if graph is not None else None
+    repeats: dict[str, int] = {}  # structured occurrences of a tag that has several
+    known_sorts = graph._index if graph is not None else None
+    known_features = graph._feature_set if graph is not None else None
     stack = [t]
     while stack:
         node = stack.pop()
         tag, sort, args = node.tag, node.sort, node.args
         if sort == BOT:
             problems.append((False, f"tag {tag} is sorted {BOT}"))
-        if has_sort is not None and not has_sort(sort):
+        if known_sorts is not None and sort not in known_sorts:
             problems.append((True, f"unknown sort: {sort}"))
         if args:
-            feats = [f for f, _ in args]
-            if has_feature is not None:
-                for f in feats:
-                    if not has_feature(f):
-                        problems.append((True, f"unknown feature: {f}"))
+            feats, children = zip(*args)
+            if known_features is not None and not known_features.issuperset(feats):
+                problems += [(True, f"unknown feature: {f}") for f in feats if f not in known_features]
             if len(set(feats)) != len(feats):
                 dup = sorted(f for f, k in Counter(feats).items() if k > 1)
                 problems.append((False, f"tag {tag} repeats feature(s): {', '.join(dup)}"))
-            stack.extend([child for _, child in reversed(args)])
-        if sort != TOP or args:
-            counts[tag] = counts.get(tag, 0) + 1
-            structured[tag] = args
-            sorts[tag] = sort
-        elif tag not in sorts:
-            sorts[tag] = TOP
-    for tag, k in counts.items():
-        if k > 1:
-            problems.append((False, f"tag {tag} has {k} structured occurrences"))
+            stack += children[::-1]
+        elif sort == TOP:
+            sorts.setdefault(tag, TOP)
+            continue
+        if tag in structured:
+            repeats[tag] = repeats.get(tag, 1) + 1
+        structured[tag] = args
+        sorts[tag] = sort
+    if repeats:  # reported in first-occurrence order
+        problems += [(False, f"tag {tag} has {repeats[tag]} structured occurrences")
+                     for tag in structured if tag in repeats]
     return problems, sorts, structured
 
 
@@ -565,34 +564,34 @@ def clause_to_term(clause: Clause) -> Term:
         if unsorted:
             parts.append("unsorted: " + ", ".join(unsorted))
         raise NotRooted("; ".join(parts), stray + unsorted)
-    return _expand(clause.root, sort_of, feats)
+    return _expand(clause.root, {tag: (tag, sort_of[tag], feats.get(tag, ())) for tag in all_tags})
 
 
-def _expand(root: str, sort_of: dict[str, str], out: dict) -> Term:
-    """The term of a rooted structure, given each reachable tag's sort and
-    ordered ``(feature, target)`` edges.
+def _expand(root, nodes) -> Term:
+    """The term of a rooted structure: ``nodes[key]`` is ``(tag, sort, edges)``
+    for the ``root`` key and every key its ordered ``(feature, key)`` edges
+    reach, with keys of any hashable kind.
 
-    Depth-first from ``root``, each tag expands at its first encounter;
+    Depth-first from ``root``, each node expands at its first encounter;
     revisits become bare top leaves (back-references).
     """
     expanded = {root}
-    # Frames: [tag, edges, index of the next edge, args built so far].
-    stack = [[root, out.get(root, ()), 0, []]]
+    tag, sort, edges = nodes[root]
+    edges, args = iter(edges), []
+    stack = []  # open ancestors: tag, sort, edge iterator, args so far, feature to the child
     while True:
-        frame = stack[-1]
-        tag, edges, i, args = frame
-        if i < len(edges):
-            frame[2] = i + 1
-            target = edges[i][1]
-            if target in expanded:
-                args.append((edges[i][0], Term(target, TOP, ())))
+        for f, key in edges:
+            if key in expanded:
+                args.append((f, Term(nodes[key][0], TOP, ())))
             else:
-                expanded.add(target)
-                stack.append([target, out.get(target, ()), 0, []])
-            continue
-        stack.pop()
-        node = Term(tag, sort_of[tag], tuple(args))
-        if not stack:
-            return node
-        parent = stack[-1]
-        parent[3].append((parent[1][parent[2] - 1][0], node))
+                expanded.add(key)
+                stack.append((tag, sort, edges, args, f))
+                tag, sort, edges = nodes[key]
+                edges, args = iter(edges), []
+                break
+        else:
+            node = Term(tag, sort, tuple(args))
+            if not stack:
+                return node
+            tag, sort, edges, args, f = stack.pop()
+            args.append((f, node))

@@ -2,10 +2,12 @@
 
 Unification conjoins the constraint forms of the two terms with an equality
 between their roots and solves them with :func:`normalize`'s union-find
-engine, fed straight from one walk of each term.  An inconsistent result is
-the bottom term at degree 1 (failure is certain).  Otherwise each class of
-tags gets a fresh name and the solved classes rebuild the unifier term; the
-degree to which each input subsumes the unifier is
+engine.  The two gated walks number the tags and fill the solver's tables:
+a normal term on its own fires no rule, so one root equality and one drain
+do all the solving.  An inconsistent result is the bottom term at degree 1
+(failure is certain).  Otherwise each class of tags gets a fresh name and
+the solved classes rebuild the unifier term; the degree to which each input
+subsumes the unifier is
 
     beta_i = min over tags X of term_i of degree(class sort of X, sort of X in term_i)
 
@@ -16,8 +18,9 @@ are all top-sorted contribute nothing (degree 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .lattice import SortLattice, TOP
+from .lattice import SortLattice
 from .normalize import _Collapse, _Solver
 from .terms import Term, _expand, _gate, fresh_tags
 
@@ -59,76 +62,72 @@ def _disjoint_rename(tags1: dict[str, str], tags2: dict[str, str]) -> dict[str, 
     return mapping
 
 
-def _feed(
-    solver: _Solver, root: str, sorts: dict[str, str], structured: dict,
-    rename: dict[str, str], order: dict[str, None],
-) -> None:
-    """Hand a term's constraints to the solver in :func:`term_to_clause`
-    order (per structured occurrence its sort unless top, then its features;
-    last ``X:top`` for every tag never sorted), noting tags in the order that
-    clause first mentions them: the root, then each feature's target."""
-    find = solver.find
-    order[rename.get(root, root)] = None
-    for tag, args in structured.items():
-        sort = sorts[tag]
-        tag = rename.get(tag, tag)
-        if sort != TOP:
-            solver.add_sort(find(tag), sort)
-        for f, child in args:
-            target = rename.get(child.tag, child.tag)
-            order[target] = None
-            solver.add_feat(find(tag), f, target)
-            if solver.pending:
-                solver.drain()
-    for tag, sort in sorts.items():
-        if sort == TOP:
-            solver.add_sort(find(rename.get(tag, tag)), TOP)
-
-
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
     sorts1, structured1 = _gate(t1, lattice.graph)
     sorts2, structured2 = _gate(t2, lattice.graph)
     renamed = _disjoint_rename(sorts1, sorts2)
 
-    solver = _Solver(lattice)
-    order: dict[str, None] = {}  # tags of the combined clause, first mention first
+    # Tags are numbered term 1 first, then term 2, each in walk order.  A normal
+    # term has one structured occurrence per tag, distinct features per node and
+    # no bot, so on its own it fires no rule: it goes straight into the tables.
+    n1 = len(sorts1)
+    number1 = dict(zip(sorts1, range(n1)))
+    number2 = dict(zip(sorts2, range(n1, n1 + len(sorts2))))
+    names = [*sorts1, *(renamed.get(tag, tag) for tag in sorts2)]
+    own = [*sorts1.values(), *sorts2.values()]  # each tag's sort in its own term
+    solver = _Solver(lattice, names)
+    solver.sort[:] = own
+    # Class names follow the combined clause's first mentions of the tags:
+    # each root, then each feature's target, structured tag by structured tag.
+    mention = []
+    for number, structured, root in ((number1, structured1, 0), (number2, structured2, n1)):
+        mention.append(root)
+        for tag, args in structured.items():
+            edges = solver.feats[number[tag]] = {}
+            for f, child in args:
+                edges[f] = target = number[child.tag]
+                mention.append(target)
+
+    solver.pending.append((0, n1))
     try:
-        _feed(solver, t1.tag, sorts1, structured1, {}, order)
-        _feed(solver, t2.tag, sorts2, structured2, renamed, order)
-        solver.pending.append((t1.tag, renamed.get(t2.tag, t2.tag)))
         solver.drain()
     except _Collapse:
         return UnifyResult(
             unifier=None, beta1=1.0, beta2=1.0, beta=1.0, tag_classes={}, renamed=renamed
         )
 
-    # Fresh class names in first-mention order of the classes' tags.
-    find = solver.find
-    classes = solver.classes(order)
-    class_name = dict(zip(classes, fresh_tags(order.keys(), prefix="_Z")))
-    class_sort = {class_name[rep]: sort for rep, sort in solver.sorts.items()}
-    out = {
-        class_name[rep]: [(f, class_name[find(target)]) for f, target in feats.items()]
-        for rep, feats in solver.feats.items()
-    }
-    unifier = _expand(class_name[find(t1.tag)], class_sort, out)
+    # Classes are numbered, and get fresh names, in first-mention order.
+    roots = solver.roots()
+    sort, feats = solver.sort, solver.feats
+    cls: dict[int, int] = {}
+    reps: list[int] = []
+    members: list[list[str]] = []
+    for x in dict.fromkeys(mention):
+        rep = roots[x]
+        k = cls.get(rep)
+        if k is None:
+            cls[rep] = len(reps)
+            reps.append(rep)
+            members.append([names[x]])
+        else:
+            members[k].append(names[x])
+    class_names = list(islice(fresh_tags(set(names), prefix="_Z"), len(reps)))
+    class_of = [cls[rep] for rep in roots]
+    nodes = []
+    for name, rep in zip(class_names, reps):
+        out = feats[rep]
+        nodes.append((name, sort[rep], [(f, class_of[x]) for f, x in out.items()] if out else ()))
+    unifier = _expand(0, nodes)
 
-    def beta_against(sorts: dict[str, str], rename: dict[str, str]) -> float:
-        beta = 1.0
-        for tag, sort in sorts.items():
-            d = lattice.degree(class_sort[class_name[find(rename.get(tag, tag))]], sort)
-            if d < beta:
-                beta = d
-        return beta
-
-    beta1 = beta_against(sorts1, {})
-    beta2 = beta_against(sorts2, renamed)
+    # Each tag's degree, term 1's tags first, each term's in walk order.
+    degrees = list(map(lattice.degree, map(sort.__getitem__, roots), own))
+    beta1, beta2 = min(degrees[:n1]), min(degrees[n1:])
     return UnifyResult(
         unifier=unifier,
         beta1=beta1,
         beta2=beta2,
         beta=min(beta1, beta2),
-        tag_classes={class_name[rep]: tuple(tags) for rep, tags in classes.items()},
+        tag_classes=dict(zip(class_names, map(tuple, members))),
         renamed=renamed,
     )

@@ -363,6 +363,26 @@ def test_validate_matches_the_oracle_on_dense_shuffled_dags(seed, edge_prob):
     _assert_validate_matches_the_oracle(sorts, edges)
 
 
+@settings(max_examples=200, deadline=None)
+@given(bounded_dags(max_sorts=10))
+def test_validate_matches_the_oracle_with_edges_at_the_bounds(dag):
+    # Edges out of bot give bot two declared supersorts and edges into top
+    # give a sort an extra one; neither may hide or invent a failing pair.
+    _assert_validate_matches_the_oracle(*dag)
+
+
+def test_validate_time_on_a_tree_is_not_quadratic():
+    # An 8,000-sort binary tree: about 4,000 sorts branch, but no sort has two
+    # declared supersorts, so no pair can fail; a scan of every branching
+    # pair takes seconds.
+    names = [f"n{i}" for i in range(8_000)]
+    edges = [(names[i], names[(i - 1) // 2], 1.0) for i in range(1, len(names))]
+    lattice = SortLattice(build_sort_graph(names, [], edges))
+    start = time.perf_counter()
+    assert lattice.validate() is lattice
+    assert time.perf_counter() - start < 0.25
+
+
 @settings(max_examples=100, deadline=None)
 @given(strategies.forest_lattices(max_sorts=10))
 def test_forest_lattices_validate(lattice):

@@ -90,6 +90,45 @@ def test_inconsistency_trace_ends_with_the_clash(movies):
     assert "inconsistent-sort" in nf.trace[-1]
 
 
+def test_trace_and_equalities_frozen(chain_lattice):
+    # Ranks decide two merges: Y (rank 1 after absorbing Z) takes V, then
+    # wins the rank-1 tie against W because Y is the first root of its pair.
+    clause = parse_clause(
+        "X: u & X.f = Y & X.f = Z & Y: r & Z: s & X: v & W = X & W.g = Y & Z = V & V = W",
+        chain_lattice.graph,
+    )
+    nf = normalize(Clause(clause.constraints, root="X"), chain_lattice, trace=True)
+    assert isinstance(nf, Normalized)
+    assert nf.trace == [
+        "feature-functionality: X.f forces Y = Z",
+        "tag-elimination: Z -> Y",
+        "sort-intersection: Y : glb(r, s) = p",
+        "sort-intersection: X : glb(u, v) = s",
+        "tag-elimination: X -> W",
+        "tag-elimination: V -> Y",
+        "tag-elimination: W -> Y",
+        "sort-intersection: Y : glb(p, s) = p",
+    ]
+    assert nf.equalities == (("Y", "X"), ("Y", "Z"), ("Y", "W"), ("Y", "V"))
+    assert format_clause(nf.solved) == "Y:p & Y.f ≐ Y & Y.g ≐ Y"
+    assert nf.solved.root == "Y"
+
+
+def test_inconsistent_trace_and_tag_frozen(chain_lattice):
+    # All four rules fire before the collapse.
+    clause = parse_clause("X: u & X: v & X.f = Y & X.f = Z & Y: p & Z: q", chain_lattice.graph)
+    nf = normalize(clause, chain_lattice, trace=True)
+    assert isinstance(nf, Inconsistent)
+    assert nf.tag == "Y"
+    assert nf.trace == [
+        "sort-intersection: X : glb(u, v) = s",
+        "feature-functionality: X.f forces Y = Z",
+        "tag-elimination: Z -> Y",
+        "sort-intersection: Y : glb(p, q) = bot",
+        "inconsistent-sort: Y is bot",
+    ]
+
+
 def test_normalize_keeps_the_root(chain_lattice):
     clause = parse_clause("X = Y & Y: s", chain_lattice.graph)
     clause = Clause(clause.constraints, root="Y")

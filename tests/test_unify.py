@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
+from oracles import naive_meet, shapes_match, term_constraints
 from fuzzyosf import (
     NotNormalTerm,
     SignatureMismatch,
@@ -252,6 +253,20 @@ def test_unify_lattice_calls_on_the_movie_pair(movies, movie_terms):
     ]
 
 
+def test_unify_lattice_calls_on_a_bottom_pair(chain_lattice):
+    # glb(r, q) is bot: the calls stop there, and no degree is asked.
+    g = chain_lattice.graph
+    lattice = _recording(chain_lattice)
+    a = parse_term("Y0: u(f -> Y1: v(g -> Y0, h -> Y2: r))", g)
+    b = parse_term("Y0: v(f -> Y1: u(g -> Y3: t, h -> Y2: q))", g)
+    result = unify(a, b, lattice)
+    assert result.is_bottom
+    assert result.renamed == {"Y0": "Y0_", "Y1": "Y1_", "Y2": "Y2_"}
+    assert lattice.calls == [
+        ("glb", "u", "v"), ("glb", "v", "u"), ("glb", "s", "t"), ("glb", "r", "q"),
+    ]
+
+
 # -- laws ------------------------------------------------------------------------------
 
 
@@ -296,6 +311,35 @@ def test_unifier_is_the_greatest_lower_bound(bundle):
     below_b = fuzzy_subsumption_degree(probe.unifier, b, lattice)
     assert below_a > 0.0 and below_b > 0.0
     assert fuzzy_subsumption_degree(probe.unifier, result.unifier, lattice) > 0.0
+
+
+def _shape(constraints: set, root: str) -> tuple[dict, dict, str]:
+    sort_of = {c[1]: c[2] for c in constraints if c[0] == "sort"}
+    out = {(c[1], c[2]): c[3] for c in constraints if c[0] == "feat"}
+    return sort_of, out, root
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.lattice_and_terms(count=2, max_tags=5))
+def test_unify_agrees_with_the_naive_meet(bundle):
+    # The oracle solves both terms' constraint readings, the second renamed
+    # apart, plus a root equality (two values of one feature of a fresh tag).
+    lattice, (a, b) = bundle
+    graph = lattice.graph
+    ca, ra = term_constraints(a)
+    cb, rb = term_constraints(b)
+    cb = {
+        ("sort", "b_" + c[1], c[2]) if c[0] == "sort" else ("feat", "b_" + c[1], c[2], "b_" + c[3])
+        for c in cb
+    }
+    joint = ca | cb | {("feat", "o_root", "_r", ra), ("feat", "o_root", "_r", "b_" + rb)}
+    meet = naive_meet(joint, ra, graph.sorts, graph.edges)
+    result = unify(a, b, lattice)
+    assert result.is_bottom == (meet is None)
+    if meet is not None:
+        sort_of, out, root = meet
+        out = {k: v for k, v in out.items() if k[0] != "o_root"}
+        assert shapes_match((sort_of, out, root), _shape(*term_constraints(result.unifier)))
 
 
 @settings(max_examples=100, deadline=None)
