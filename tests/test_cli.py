@@ -235,6 +235,43 @@ def test_normalize_json(capsys, chain_file):
     assert record["equalities"] == [["X", "Y"]]
 
 
+SOLVED_TRACE = ["sort-intersection: X : glb(u, v) = s", "tag-elimination: Y -> X"]
+BOTTOM_TRACE = [
+    "sort-intersection: X : glb(director, string) = bot",
+    "inconsistent-sort: X is bot",
+]
+
+
+@pytest.mark.parametrize(
+    "ontology,clause,text,record",
+    [
+        (
+            "chain",
+            "X: u & X: v & X = Y",
+            "X:s\nEQ X Y\n" + "".join(f"trace: {line}\n" for line in SOLVED_TRACE),
+            {
+                "inconsistent": False,
+                "solved": "X:s",
+                "equalities": [["X", "Y"]],
+                "trace": SOLVED_TRACE,
+            },
+        ),
+        (
+            "movies",
+            "X: director & X: string",
+            "INCONSISTENT (X)\n" + "".join(f"trace: {line}\n" for line in BOTTOM_TRACE),
+            {"inconsistent": True, "witness": "X", "trace": BOTTOM_TRACE},
+        ),
+    ],
+)
+def test_normalize_trace_full_output(capsys, tmp_ontology, ontology, clause, text, record):
+    path = tmp_ontology(CHAIN if ontology == "chain" else MOVIES)
+    code, out, err = run(capsys, "--ontology", path, "--trace", "normalize", clause)
+    assert (code, out, err) == (0, text, "")
+    code, out, err = run(capsys, "--ontology", path, "--trace", "--json", "normalize", clause)
+    assert (code, out, err) == (0, json.dumps(record) + "\n", "")
+
+
 # -- unify -----------------------------------------------------------------------------
 
 
@@ -429,6 +466,26 @@ def test_eval_table_and_at(capsys, movies_file, tmp_path):
     assert out.strip() == "0.5"
 
 
+def test_eval_table_full_output(capsys, movies_file, tmp_path):
+    interp = tmp_path / "m.interp"
+    interp.write_text(MOVIE_MODEL, encoding="utf-8")
+    query = "X: thriller(directed_by -> Y: director)"
+    argv = ["--ontology", movies_file, "eval", "--interp", str(interp), query]
+    table = {
+        "psycho": 1.0,
+        "halloween": 0.5,
+        "hitchcock": 0.0,
+        "carpenter": 0.0,
+        "psycho_title": 0.0,
+        "halloween_title": 0.0,
+        "null": 0.0,
+    }
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "".join(f"{e}\t{d:g}\n" for e, d in table.items()))
+    code, out, _ = run(capsys, "--json", *argv)
+    assert (code, out) == (0, json.dumps(table) + "\n")
+
+
 def test_eval_invalid_model_is_semantic_failure(capsys, movies_file, tmp_path):
     interp = tmp_path / "bad.interp"
     # thriller at 0.3 contradicts slasher=1 with slasher->thriller at 0.5
@@ -465,6 +522,37 @@ def test_theorems_json(capsys):
     assert record["passed"] is True
     assert record["seed"] == 5
     assert any(c["name"] == "sample denotation degrees" for c in record["checks"])
+
+
+THEOREM_CASES = [
+    ("sample interpretation is valid", 1),
+    ("sample denotation degrees", 19),
+    ("sample satisfaction thresholds", 3),
+    ("sample morphism degree", 1),
+    ("sample generated subalgebra", 2),
+    ("negative control: corrupted model is flagged", 1),
+    ("random interpretations validate", 80),
+    ("denotation matches satisfaction threshold", 378),
+    ("normalization preserves solutions on the support", 410),
+    ("solved clauses hold in their own shape at degree 1", 40),
+    ("morphisms extend solutions", 6),
+    ("solutions extract to morphisms", 46),
+    ("denotation equals the anchored morphism degree", 80),
+    ("morphism composition keeps the min degree", 11),
+    ("generated subalgebras are transparent", 66),
+    ("principal-sort targets absorb every model", 40),
+    ("approximation degree agrees across both routes", 40),
+]
+
+
+def test_theorems_full_output(capsys):
+    argv = ["--seed", "5", "theorems", "--max-domain", "3", "--max-sorts", "4"]
+    code, out, _ = run(capsys, *argv)
+    lines = [f"[ok]   {name} ({cases} cases)" for name, cases in THEOREM_CASES]
+    assert (code, out) == (0, "\n".join(lines + ["all checks passed (seed 5)"]) + "\n")
+    code, out, _ = run(capsys, "--json", *argv)
+    checks = [{"name": name, "cases": cases, "failures": []} for name, cases in THEOREM_CASES]
+    assert (code, out) == (0, json.dumps({"passed": True, "seed": 5, "checks": checks}) + "\n")
 
 
 # -- global behavior ---------------------------------------------------------------------

@@ -425,6 +425,49 @@ def test_enrichment_max_combines_candidates():
     assert table[("a", "c")] == 0.9
 
 
+def test_enrichment_edges_and_drops_in_order():
+    # sim(car, vehicle) re-derives the declared car -> vehicle edge, which keeps
+    # degree 1 and its place; (bike, car) and (sedan, bike) are each hit twice.
+    graph = build_sort_graph(
+        ["sedan", "car", "bike", "truck", "vehicle"],
+        [],
+        [
+            ("sedan", "car", 1.0),
+            ("car", "vehicle", 1.0),
+            ("bike", "vehicle", 1.0),
+            ("truck", "vehicle", 1.0),
+        ],
+    )
+    sim = build_similarity(
+        [
+            ("car", "vehicle", 0.6),
+            ("car", "truck", 0.8),
+            ("car", "bike", 0.4),
+            ("sedan", "bike", 0.7),
+        ]
+    )
+    enriched, dropped = enrich_from_similarity(graph, sim)
+    assert enriched.sorts == ["sedan", "car", "bike", "truck", "vehicle", BOT, TOP]
+    assert enriched.edges == [
+        ("sedan", "car", 1.0),
+        ("car", "vehicle", 1.0),
+        ("bike", "vehicle", 1.0),
+        ("truck", "vehicle", 1.0),
+        ("bike", "car", 0.6),
+        ("bike", "sedan", 0.7),
+        ("car", "truck", 0.8),
+        ("sedan", "truck", 0.8),
+        ("sedan", "vehicle", 0.6),
+    ]
+    assert [(e.sub, e.sup, e.degree, e.reason) for e in dropped] == [
+        ("car", "bike", 0.4, "cycle"),
+        ("car", "car", 0.6, "self"),
+        ("sedan", "bike", 0.7, "cycle"),
+        ("truck", "car", 0.8, "cycle"),
+        ("vehicle", "car", 0.6, "cycle"),
+    ]
+
+
 def test_enrichment_requires_crisp_hierarchy():
     graph = build_sort_graph(["a", "b"], [], [("a", "b", 0.7)])
     with pytest.raises(ValueError):

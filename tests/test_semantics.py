@@ -374,6 +374,38 @@ def test_random_models_are_valid(seed):
     assert validate_interpretation(repaired, lattice) == []
 
 
+def test_random_models_are_seed_frozen():
+    lattice = random_lattice(random.Random(0), max_sorts=4, max_features=2)
+    rng = random.Random(0)
+    plain = random_interpretation(rng, lattice, max_domain=3)
+    repaired = random_repaired_interpretation(rng, lattice, max_domain=3)
+    assert list(plain.sort_table.items()) == [
+        (("s3", "d0"), 0.2),
+        (("s0", "d1"), 0.2),
+        (("s1", "d1"), 1.0),
+        (("s2", "d1"), 1.0),
+    ]
+    assert list(plain.features.items()) == [
+        (("f0", "d0"), "d1"),
+        (("f0", "d1"), "d1"),
+        (("f1", "d0"), "d1"),
+        (("f1", "d1"), "d1"),
+    ]
+    assert list(repaired.sort_table.items()) == [
+        (("s1", "d0"), 1.0),
+        (("s0", "d0"), 0.4),
+        (("s0", "d1"), 0.6),
+    ]
+    assert list(repaired.features.items()) == [
+        (("f0", "d0"), "d0"),
+        (("f0", "d1"), "d1"),
+        (("f1", "d0"), "d0"),
+        (("f1", "d1"), "d0"),
+    ]
+    assert plain.feature_names == repaired.feature_names == ["f0", "f1"]
+    assert rng.random() == 0.8988382879679935
+
+
 def test_theorem_harness_passes_and_reports():
     report = check_theorems(seed=7, max_domain=3, max_sorts=4, rounds=8)
     assert report.passed

@@ -266,6 +266,18 @@ def test_format_compact_drops_noise(sig):
     assert again.args[0][1].sort == "top"
 
 
+def test_format_both_styles_on_three_arguments_nesting_and_back_references():
+    t = parse_term(
+        "X: s(f -> Y: u(g -> X, h -> Z: p), g -> t(f -> Y, k -> v, h -> Q), h -> Z)", None
+    )
+    assert format_term(t) == (
+        "X: s(f -> Y: u(g -> X, h -> Z: p), g -> _Z0: t(f -> Y, k -> _Z1: v, h -> Q), h -> Z)"
+    )
+    assert format_term(t, style="compact") == (
+        "X: s(f -> Y: u(g -> X, h -> Z: p), g -> t(f -> Y, k -> v, h -> top), h -> Z)"
+    )
+
+
 def test_term_str_matches_explicit_format(sig):
     t = parse_term("X: s(f -> Y: u)", sig)
     assert str(t) == format_term(t)
