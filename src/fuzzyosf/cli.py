@@ -59,6 +59,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as err:
         raise _InputFailure(f"cannot read {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise _InputFailure(f"cannot read {path}: {err}") from err
 
 
 def _maybe_file(arg: str) -> str:
@@ -167,20 +169,17 @@ def cmd_normalize(args) -> int:
     nf = normalize(clause, lattice, trace=args.trace)
     if isinstance(nf, Inconsistent):
         payload = {"inconsistent": True, "witness": nf.tag, "trace": nf.trace}
-        _emit(args, payload, f"INCONSISTENT ({nf.tag})")
-        if args.trace and not args.json:
-            for line in nf.trace:
-                print(f"trace: {line}")
-        return 0
-    payload = {
-        "inconsistent": False,
-        "solved": format_clause(nf.solved),
-        "equalities": [[a, b] for a, b in nf.equalities],
-        "trace": nf.trace,
-    }
-    lines = [format_clause(nf.solved) if nf.solved.constraints else "(empty)"]
-    for a, b in nf.equalities:
-        lines.append(f"EQ {a} {b}")
+        lines = [f"INCONSISTENT ({nf.tag})"]
+    else:
+        payload = {
+            "inconsistent": False,
+            "solved": format_clause(nf.solved),
+            "equalities": [[a, b] for a, b in nf.equalities],
+            "trace": nf.trace,
+        }
+        lines = [format_clause(nf.solved) if nf.solved.constraints else "(empty)"]
+        for a, b in nf.equalities:
+            lines.append(f"EQ {a} {b}")
     if args.trace:
         lines.extend(f"trace: {line}" for line in nf.trace)
     _emit(args, payload, "\n".join(lines))
@@ -322,11 +321,7 @@ def cmd_eval(args) -> int:
         _emit(args, {"element": args.at, "degree": degree}, _fmt(degree))
         return 0
     table = {e: best_denotation(term, model, e) for e in model.elements}
-    if args.json:
-        print(json.dumps(table))
-    else:
-        for e, degree in table.items():
-            print(f"{e}\t{_fmt(degree)}")
+    _emit(args, table, "\n".join(f"{e}\t{_fmt(degree)}" for e, degree in table.items()))
     return 0
 
 
@@ -337,18 +332,15 @@ def cmd_theorems(args) -> int:
         max_sorts=args.max_sorts,
         max_features=args.max_features,
     )
-    if args.json:
-        payload = {
-            "passed": report.passed,
-            "seed": report.seed,
-            "checks": [
-                {"name": c.name, "cases": c.cases, "failures": c.failures}
-                for c in report.checks
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print(report.summary())
+    payload = {
+        "passed": report.passed,
+        "seed": report.seed,
+        "checks": [
+            {"name": c.name, "cases": c.cases, "failures": c.failures}
+            for c in report.checks
+        ],
+    }
+    _emit(args, payload, report.summary())
     return 0 if report.passed else 2
 
 

@@ -473,9 +473,7 @@ def enrich_from_similarity(
                     stack.append(v)
         return False
 
-    combined: dict[tuple[int, int], float] = {
-        (idx[a], idx[b]): d for a, b, d in graph.edges
-    }
+    accepted: list[tuple[str, str, float]] = []
     dropped: list[DroppedEdge] = []
     ordered = sorted(candidates.items(), key=lambda kv: (graph.sorts[kv[0][0]], graph.sorts[kv[0][1]]))
     for (i, j), beta in ordered:
@@ -486,17 +484,14 @@ def enrich_from_similarity(
         if sup == BOT or sub == TOP or reaches(j, i):
             dropped.append(DroppedEdge(sub, sup, beta, "cycle"))
             continue
-        key = (i, j)
-        if key in combined:
-            if beta > combined[key]:
-                combined[key] = beta
-        else:
-            combined[key] = beta
-            succ[i].add(j)
+        accepted.append((sub, sup, beta))
+        succ[i].add(j)
 
-    edges = [(graph.sorts[i], graph.sorts[j], d) for (i, j), d in combined.items()]
+    # SortGraph keeps a repeated edge's larger degree at its first place.
     enriched = SortGraph(
-        [s for s in graph.sorts if s not in (BOT, TOP)], list(graph.features), edges
+        [s for s in graph.sorts if s not in (BOT, TOP)],
+        list(graph.features),
+        graph.edges + accepted,
     )
     return enriched, dropped
 

@@ -25,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .lattice import BOT, TOP, NotALattice, SortGraph, SortLattice
+from .lattice import BOT, TOP, NotALattice, OntologyError, SortGraph, SortLattice
 from .terms import (
     Clause,
     EqualityConstraint,
@@ -235,10 +235,6 @@ def load_interpretation(text: str, graph: SortGraph) -> Interpretation:
 # -- term-shaped models --------------------------------------------------------
 
 
-def _trivial_key(feature: str, parent) -> tuple:
-    return ("~", feature, parent)
-
-
 class CanonicalAlgebra:
     """The model a solved clause (or graph) freely generates.
 
@@ -264,7 +260,6 @@ class CanonicalAlgebra:
         sorts, out = _solved_structure(clause)
         for tag in clause.tags():
             sorts.setdefault(tag, TOP)
-            out.setdefault(tag, [])
         return cls(sorts, out, lattice)
 
     def sort_degree(self, sort: str, element) -> float:
@@ -275,7 +270,7 @@ class CanonicalAlgebra:
     def feature_image(self, feature: str, element):
         edges = {} if isinstance(element, tuple) else self.node_out.get(element, {})
         target = edges.get(feature)
-        return _trivial_key(feature, element) if target is None else target
+        return ("~", feature, element) if target is None else target
 
     def is_trivial(self, element) -> bool:
         return isinstance(element, tuple)
@@ -481,7 +476,7 @@ def random_lattice(rng: random.Random, max_sorts: int, max_features: int) -> Sor
         try:
             trial_graph = SortGraph(names, features, candidate)
             trial = SortLattice(trial_graph).validate()
-        except Exception:
+        except OntologyError:
             continue
         edges = candidate
         graph, lattice = trial_graph, trial
@@ -511,16 +506,7 @@ def random_interpretation(
             d = min(cap, lattice.degree(principal, s))
             if d > 0.0:
                 table[(s, e)] = d
-    features: dict[tuple[str, str], str] = {}
-    for f in lattice.graph.features:
-        for e in elements:
-            features[(f, e)] = rng.choice(elements)
-    return Interpretation(
-        elements=elements,
-        sort_table=table,
-        features=features,
-        feature_names=list(lattice.graph.features),
-    )
+    return _random_model(rng, lattice, elements, table)
 
 
 def random_repaired_interpretation(
@@ -563,7 +549,13 @@ def random_repaired_interpretation(
                     if bound > get(s1, e):
                         table[(s1, e)] = bound
                         changed = True
+    return _random_model(rng, lattice, elements, table)
 
+
+def _random_model(
+    rng: random.Random, lattice: SortLattice, elements: list[str], table: dict
+) -> Interpretation:
+    """The model with this sort table and a random total feature table."""
     features: dict[tuple[str, str], str] = {}
     for f in lattice.graph.features:
         for e in elements:

@@ -434,48 +434,37 @@ def format_term(t: Term, style: str = "explicit") -> str:
     """
     if style not in ("explicit", "compact"):
         raise ValueError(f"unknown style: {style!r}")
-    counts = term_tags(t) if style == "compact" else {}
+    counts = term_tags(t) if style == "compact" else None
     out: list[str] = []
-    # Stack items: ("term", node) or ("lit", text).
-    stack: list[tuple[str, object]] = [("term", t)]
+    # Stack items: a Term still to print, or literal text.
+    stack: list[Term | str] = [t]
     while stack:
-        kind, item = stack.pop()
-        if kind == "lit":
-            out.append(item)  # type: ignore[arg-type]
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
             continue
-        node: Term = item  # type: ignore[assignment]
-        bare = node.sort == TOP and not node.args
-        if style == "explicit":
-            head = f"{node.tag}: {node.sort}" if not bare else node.tag
+        if counts is not None and counts[node.tag] == 1:
+            out.append(node.sort)
+        elif node.sort == TOP and not node.args:
+            out.append(node.tag)
         else:
-            multi = counts[node.tag] > 1
-            if bare:
-                head = node.tag if multi else node.sort
-            elif multi:
-                head = f"{node.tag}: {node.sort}"
-            else:
-                head = node.sort
-        out.append(head)
+            out.append(f"{node.tag}: {node.sort}")
         if node.args:
-            # Push right-to-left so pops emit left-to-right; the ", " pushed
-            # before every arg except the rightmost lands after the preceding
-            # child's subtree.
-            stack.append(("lit", ")"))
-            last = True
-            for f, child in reversed(node.args):
-                if not last:
-                    stack.append(("lit", ", "))
-                last = False
-                stack.append(("term", child))
-                stack.append(("lit", f"{f} -> "))
-            stack.append(("lit", "("))
+            # Push right-to-left so pops emit left-to-right; every label after
+            # the first carries the ", " that follows its left sibling's subtree.
+            stack.append(")")
+            for k in range(len(node.args) - 1, -1, -1):
+                f, child = node.args[k]
+                stack.append(child)
+                stack.append(f", {f} -> " if k else f"{f} -> ")
+            stack.append("(")
     return "".join(out)
 
 
 # -- term <-> clause ---------------------------------------------------------
 
 
-def term_to_clause(t: Term, graph: SortGraph | None = None) -> Clause:
+def term_to_clause(t: Term) -> Clause:
     """Flatten a term into constraints, rooted at the term's tag.
 
     Emits a sort constraint for every non-top sort at its occurrence, a

@@ -155,6 +155,17 @@ def test_missing_file_is_an_input_failure(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_file_is_an_input_failure(capsys, tmp_path, chain_file):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xffsort a\n")
+    message = (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+    assert run(capsys, "--ontology", str(path), "check") == (1, "", message)
+    assert run(capsys, "--ontology", chain_file, "unify", f"@{path}", "X: a") == (1, "", message)
+
+
 # -- degree / closure / glb ----------------------------------------------------------
 
 

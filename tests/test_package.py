@@ -185,6 +185,26 @@ def test_no_unused_public_names():
     assert [f"{m}: {name}" for m, name in public if name not in exported and name not in used] == []
 
 
+def test_no_unread_function_parameters():
+    # A parameter that a module-level function never reads is an input callers
+    # must supply for nothing.  Methods are exempt: a model's sort_degree,
+    # feature_image and is_trivial take what the protocol passes, needed or not.
+    unread = []
+    for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            params = stmt.args.posonlyargs + stmt.args.args + stmt.args.kwonlyargs
+            params += [a for a in (stmt.args.vararg, stmt.args.kwarg) if a is not None]
+            read = {
+                node.id
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [f"{path.name}: {stmt.name}({a.arg})" for a in params if a.arg not in read]
+    assert unread == []
+
+
 def test_no_pop_from_the_front_of_a_list():
     # list.pop(0) shifts every remaining element, so a queue drained with it
     # is quadratic; walk it with an index or use a deque.

@@ -16,6 +16,7 @@ from fuzzyosf import (
     Clause,
     FeatureConstraint,
     Interpretation,
+    NotALattice,
     SortConstraint,
     SortLattice,
     approximation_degree,
@@ -35,6 +36,7 @@ from fuzzyosf import (
     term_to_graph,
     validate_interpretation,
 )
+from fuzzyosf import semantics
 from fuzzyosf.samples import movie_lattice
 from fuzzyosf.semantics import (
     random_interpretation,
@@ -372,6 +374,30 @@ def test_random_models_are_valid(seed):
     assert validate_interpretation(model, lattice) == []
     repaired = random_repaired_interpretation(rng, lattice, max_domain=4)
     assert validate_interpretation(repaired, lattice) == []
+
+
+@pytest.mark.parametrize(
+    "error", [NotALattice("s0", "s1", ["s2", "s3"]), RuntimeError("trial build broke")]
+)
+def test_random_lattice_skips_only_rejected_trial_edges(monkeypatch, error):
+    # Seed 0 builds its forest, then tries one extra edge.
+    builds = []
+
+    class FailingTrial(SortLattice):
+        def validate(self):
+            builds.append(self)
+            if len(builds) > 1:
+                raise error
+            return super().validate()
+
+    monkeypatch.setattr(semantics, "SortLattice", FailingTrial)
+    if isinstance(error, NotALattice):
+        lattice = random_lattice(random.Random(0), max_sorts=5, max_features=2)
+        assert lattice is builds[0]
+    else:
+        with pytest.raises(RuntimeError, match="trial build broke"):
+            random_lattice(random.Random(0), max_sorts=5, max_features=2)
+    assert len(builds) == 2
 
 
 def test_random_models_are_seed_frozen():
