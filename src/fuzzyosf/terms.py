@@ -436,7 +436,6 @@ def format_term(t: Term, style: str = "explicit") -> str:
         raise ValueError(f"unknown style: {style!r}")
     counts = term_tags(t) if style == "compact" else None
     out: list[str] = []
-    # Stack items: a Term still to print, or literal text.
     stack: list[Term | str] = [t]
     while stack:
         node = stack.pop()
