@@ -84,6 +84,33 @@ def test_membership_gaps_are_listed_in_order(movies, movie_model):
     ]
 
 
+def test_membership_and_meet_gaps_are_listed_in_order(movies, movie_model):
+    # Gaps of both kinds on several elements, next to a stated top row at 1
+    # and a stated zero degree, neither of which is a problem.
+    table = dict(movie_model.sort_table)
+    table[("top", "psycho")] = 1.0
+    table[("string", "hitchcock")] = 0.0
+    table[("horror", "psycho")] = 0.4
+    table[("string", "psycho")] = 0.2
+    del table[("movie", "halloween")]
+    del table[("slasher", "halloween")]
+    del table[("person", "carpenter")]
+    broken = Interpretation(
+        movie_model.elements, table, movie_model.features, movie_model.feature_names
+    )
+    assert validate_interpretation(broken, movies) == [
+        "membership gap: slasher(psycho)=0.7 and degree(slasher,horror)=1 force horror(psycho) >= 0.7, found 0.4",
+        "membership gap: thriller(halloween)=0.5 and degree(thriller,movie)=1 force movie(halloween) >= 0.5, found 0",
+        "membership gap: horror(halloween)=1 and degree(horror,movie)=1 force movie(halloween) >= 1, found 0",
+        "membership gap: director(carpenter)=1 and degree(director,person)=1 force person(carpenter) >= 1, found 0",
+        "meet gap: movie and string both hold of psycho but glb bot does not",
+        "meet gap: thriller and string both hold of psycho but glb bot does not",
+        "meet gap: horror and string both hold of psycho but glb bot does not",
+        "meet gap: slasher and string both hold of psycho but glb bot does not",
+        "meet gap: thriller and horror both hold of halloween but glb slasher does not",
+    ]
+
+
 def test_meet_gap_is_flagged(movies, movie_model):
     table = dict(movie_model.sort_table)
     table.pop(("slasher", "halloween"))  # jointly thriller+horror but no slasher
