@@ -30,6 +30,7 @@ from .terms import (
     format_term,
     parse_clause,
     parse_term,
+    term_tags,
     term_to_clause,
 )
 from .normalize import Inconsistent, normalize
@@ -294,6 +295,8 @@ def cmd_dot(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.at is not None and args.assign:
+        raise _InputFailure("--at cannot be combined with --assign: the assignment fixes the root's element")
     lattice = _load_session(args)
     model = load_interpretation(_read_text(args.interp), lattice.graph)
     problems = validate_interpretation(model, lattice)
@@ -304,10 +307,13 @@ def cmd_eval(args) -> int:
     term = parse_term(_maybe_file(args.term), lattice.graph)
     if args.assign:
         alpha: dict[str, str] = {}
+        tags = term_tags(term)
         for item in args.assign:
             if "=" not in item:
                 raise _InputFailure(f"bad --assign (want TAG=ELEMENT): {item!r}")
             tag, _, elem = item.partition("=")
+            if tag not in tags:
+                raise _InputFailure(f"--assign names a tag the term does not have: {tag}")
             if elem not in set(model.elements):
                 raise _InputFailure(f"unknown element in --assign: {elem}")
             alpha[tag] = elem

@@ -86,10 +86,10 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     if not model.elements:
         problems.append("domain is empty")
     domain = set(model.elements)
-    sorts = lattice.graph.sorts
+    index = lattice.graph._index
 
     for (s, e), d in model.sort_table.items():
-        if s not in lattice.graph._index:
+        if s not in index:
             problems.append(f"unknown sort in table: {s}")
             continue
         if e not in domain:
@@ -119,35 +119,46 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     if problems:
         return problems
 
+    # Both conditions below bind only where a sort holds positively, so each
+    # element's positive sorts come from its stated degrees plus top, in sort
+    # order.  The checks above leave every table sort known, every table
+    # element in the domain and every top/bot entry equal to its fixed degree.
+    stated: dict[str, list[tuple[int, str, float]]] = {}
+    for (s, e), d in model.sort_table.items():
+        if d > 0.0 and s != TOP:
+            stated.setdefault(e, []).append((index[s], s, d))
+    top = (index[TOP], TOP, 1.0)
+    positive_of = [
+        (e, {s: d for _, s, d in sorted([*stated.get(e, ()), top])})
+        for e in model.elements
+    ]
+
     # Graded-subsumption compatibility (condition on every sort pair).  All
     # degrees lie in [0, 1] here, so pairs with degree(s0, s1) = 0 hold.
     above: dict[str, list[tuple[str, float]]] = {}
-    for e in model.elements:
-        for s0 in sorts:
-            d0 = model.sort_degree(s0, e)
-            if d0 <= 0.0:
-                continue
+    for e, positive in positive_of:
+        for s0, d0 in positive.items():
             if s0 not in above:
                 above[s0] = lattice._above(s0)
             for s1, d in above[s0]:
                 bound = min(d0, d)
-                if bound > model.sort_degree(s1, e):
+                if bound > positive.get(s1, 0.0):
                     problems.append(
                         f"membership gap: {s0}({e})={d0:g} and "
                         f"degree({s0},{s1})={d:g} force "
                         f"{s1}({e}) >= {bound:g}, found {model.sort_degree(s1, e):g}"
                     )
     # Meet consistency: jointly positive sorts need a positive meet.
-    for e in model.elements:
-        positive = [s for s in sorts if model.sort_degree(s, e) > 0.0]
-        for i, s0 in enumerate(positive):
-            for s1 in positive[i + 1 :]:
+    for e, positive in positive_of:
+        names = list(positive)
+        for i, s0 in enumerate(names):
+            for s1 in names[i + 1 :]:
                 try:
                     meet = lattice.glb(s0, s1)
                 except NotALattice as err:
                     problems.append(str(err))
                     continue
-                if model.sort_degree(meet, e) <= 0.0:
+                if meet not in positive:
                     problems.append(
                         f"meet gap: {s0} and {s1} both hold of {e} but "
                         f"glb {meet} does not"

@@ -293,8 +293,8 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
         rest = toks[-1]
         raise TermSyntaxError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
     toks.append("")  # end of input
-    has_sort = graph.has_sort if graph is not None else None
-    has_feature = graph.has_feature if graph is not None else None
+    known_sorts = graph._index if graph is not None else None
+    known_features = graph._feature_set if graph is not None else None
     fresh = None
 
     # With no stray token left, a token's first character tells its kind:
@@ -315,14 +315,14 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
             if tok[-1] == ">":
                 # A sort leaf followed by '->', which no rule accepts next.
                 name = tok[:-2].rstrip()
-                if has_sort is not None and not has_sort(name):
+                if known_sorts is not None and name not in known_sorts:
                     raise UnknownSort(name)
                 if args is not None:
                     raise TermSyntaxError("expected ',' or ')', found '->'")
                 raise TermSyntaxError("trailing input after term: '->'")
             if toks[i] == ":":
                 raise TermSyntaxError(f"tags start with an uppercase letter or '_': {tok!r}")
-            if has_sort is not None and not has_sort(tok):
+            if known_sorts is not None and tok not in known_sorts:
                 raise UnknownSort(tok)
             if fresh is None:
                 fresh = fresh_tags({_lead(t) for t in toks if "A" <= t < "a"})
@@ -337,7 +337,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                     if not toks[i]:
                         raise TermSyntaxError("unexpected end of input; expected a sort name")
                     raise TermSyntaxError(f"expected a sort name after ':', found {_lead(toks[i])!r}")
-                if has_sort is not None and not has_sort(sort):
+                if known_sorts is not None and sort not in known_sorts:
                     raise UnknownSort(sort)
             else:
                 tag = tok
@@ -379,7 +379,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
             raise TermSyntaxError(f"expected a feature name, found {_lead(tok)!r}")
         arrow = tok[-1] == ">"
         feature = tok[:-2].rstrip() if arrow else tok
-        if has_feature is not None and not has_feature(feature):
+        if known_features is not None and feature not in known_features:
             raise UnknownFeature(feature)
         if not arrow:
             if not toks[i]:
@@ -398,19 +398,21 @@ def parse_clause(text: str, graph: SortGraph | None) -> Clause:
     ASCII ``=`` is accepted for ``≐``.  With ``graph=None``, any sort and
     feature names are accepted.
     """
+    known_sorts = graph._index if graph is not None else None
+    known_features = graph._feature_set if graph is not None else None
     constraints: list[Constraint] = []
     for atom in text.split("&"):
         if not atom.strip():
             raise TermSyntaxError("empty constraint in clause")
         m = _ATOM_SORT_RE.match(atom)
         if m:
-            if graph is not None and not graph.has_sort(m.group(2)):
+            if known_sorts is not None and m.group(2) not in known_sorts:
                 raise UnknownSort(m.group(2))
             constraints.append(SortConstraint(m.group(1), m.group(2)))
             continue
         m = _ATOM_FEAT_RE.match(atom)
         if m:
-            if graph is not None and not graph.has_feature(m.group(2)):
+            if known_features is not None and m.group(2) not in known_features:
                 raise UnknownFeature(m.group(2))
             constraints.append(FeatureConstraint(m.group(1), m.group(2), m.group(3)))
             continue

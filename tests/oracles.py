@@ -350,6 +350,51 @@ def best_denotation(term, model, element: str) -> float:
     return best
 
 
+# -- model validity ---------------------------------------------------------------
+
+
+def lattice_problems(model, sorts: list[str], edges: list[tuple[str, str, float]]) -> list[str]:
+    """Membership and meet gaps of a well-formed model, by a dense scan.
+
+    Visits every sort at every element (in ``sorts`` order), twice: once for
+    graded-subsumption gaps against the relaxed closure table, once for
+    pairs of positive sorts whose maximal common lower bounds are not one
+    positive sort.  The messages are those of ``validate_interpretation``.
+    """
+    table = closure_table(sorts, edges)
+    downs = down_sets(sorts, edges)
+    problems = []
+    for e in model.elements:
+        for s0 in sorts:
+            d0 = model.sort_degree(s0, e)
+            if d0 <= 0.0:
+                continue
+            for s1 in sorts:
+                d = table[(s0, s1)]
+                bound = min(d0, d)
+                if d > 0.0 and bound > model.sort_degree(s1, e):
+                    problems.append(
+                        f"membership gap: {s0}({e})={d0:g} and "
+                        f"degree({s0},{s1})={d:g} force "
+                        f"{s1}({e}) >= {bound:g}, found {model.sort_degree(s1, e):g}"
+                    )
+    for e in model.elements:
+        positive = [s for s in sorts if model.sort_degree(s, e) > 0.0]
+        for s0, s1 in itertools.combinations(positive, 2):
+            maximal = glb_candidates(sorts, edges, s0, s1, downs)
+            if len(maximal) != 1:
+                problems.append(
+                    f"no unique greatest lower bound for ({s0}, {s1}); "
+                    f"maximal common lower bounds: {', '.join(maximal)}"
+                )
+            elif model.sort_degree(maximal[0], e) <= 0.0:
+                problems.append(
+                    f"meet gap: {s0} and {s1} both hold of {e} but "
+                    f"glb {maximal[0]} does not"
+                )
+    return problems
+
+
 # -- normal-form fingerprints ---------------------------------------------------------
 #
 # Confluence checks compare normal forms up to tag renaming.  The classes of

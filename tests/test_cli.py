@@ -477,6 +477,23 @@ def test_eval_table_and_at(capsys, movies_file, tmp_path):
     assert out.strip() == "0.5"
 
 
+def test_eval_assign_checks_its_flags(capsys, movies_file, tmp_path):
+    interp = tmp_path / "m.interp"
+    interp.write_text(MOVIE_MODEL, encoding="utf-8")
+    argv = ["--ontology", movies_file, "eval", "--interp", str(interp)]
+    query = "X: thriller(directed_by -> Y: director)"
+    assign = ["--assign", "X=halloween", "--assign", "Y=carpenter"]
+    assert run(capsys, *argv, *assign, query) == (0, "0.5\n", "")
+    # --at would be ignored next to an assignment that places the root.
+    code, out, err = run(capsys, *argv, "--at", "psycho", *assign, query)
+    assert (code, out) == (1, "")
+    assert err == "error: --at cannot be combined with --assign: the assignment fixes the root's element\n"
+    # A tag the term lacks is most likely a misspelt one.
+    code, out, err = run(capsys, *argv, *assign, "--assign", "Z=null", query)
+    assert (code, out) == (1, "")
+    assert err == "error: --assign names a tag the term does not have: Z\n"
+
+
 def test_eval_table_full_output(capsys, movies_file, tmp_path):
     interp = tmp_path / "m.interp"
     interp.write_text(MOVIE_MODEL, encoding="utf-8")

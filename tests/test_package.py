@@ -223,5 +223,15 @@ def test_no_pop_from_the_front_of_a_list():
     assert found == []
 
 
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml promises Python 3.10.  Under ``feature_version`` the
+    # parser rejects most later syntax (``except*``, for one); the CI matrix
+    # runs the suite on 3.10 for the rest.
+    paths = sorted(Path(fuzzyosf.__file__).parent.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")

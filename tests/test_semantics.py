@@ -156,6 +156,91 @@ def test_validate_interpretation_time_is_linear_in_features(movies):
     assert problems == ["feature value given for undeclared feature: g"]
 
 
+def _lattice_and_model(seed: int, kind: str) -> tuple[SortLattice, Interpretation]:
+    """A random lattice and model: valid, or with random degrees restated.
+
+    ``non-lattice`` draws an unvalidated random DAG, so pairs of positive
+    sorts may have no unique GLB.
+    """
+    rng = random.Random(seed)
+    if kind == "non-lattice":
+        names, edges = strategies.random_dag(rng, max_sorts=6, edge_prob=0.5)
+        lattice = SortLattice(build_sort_graph(names, ["f"], edges))
+    else:
+        lattice = random_lattice(rng, 6, 2)
+    make = rng.choice([random_interpretation, random_repaired_interpretation])
+    model = make(rng, lattice, 4)
+    if kind == "valid":
+        return lattice, model
+    table = dict(model.sort_table)
+    plain = [s for s in lattice.graph.sorts if s not in ("top", "bot")]
+    for _ in range(rng.randint(1, 6)):
+        e = rng.choice(model.elements)
+        choice = rng.random()
+        if choice < 0.1:
+            table[("top", e)] = 1.0
+        elif choice < 0.2:
+            table[("bot", e)] = 0.0
+        elif plain:
+            key = (rng.choice(plain), e)
+            if choice < 0.4:
+                table.pop(key, None)
+            else:
+                table[key] = rng.choice([0.0, *semantics.DEGREE_PALETTE])
+    return lattice, Interpretation(model.elements, table, model.features, model.feature_names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["valid", "broken", "non-lattice"]),
+)
+def test_validation_matches_a_dense_scan(seed, kind):
+    lattice, model = _lattice_and_model(seed, kind)
+    problems = validate_interpretation(model, lattice)
+    assert problems == oracles.lattice_problems(
+        model, lattice.graph.sorts, lattice.graph.edges
+    )
+    if kind == "valid":
+        assert problems == []
+
+
+def test_dense_scan_differential_reaches_every_message():
+    kinds = set()
+    for seed in range(300):
+        for kind in ("broken", "non-lattice"):
+            lattice, model = _lattice_and_model(seed, kind)
+            for p in validate_interpretation(model, lattice):
+                kinds.add(p.split(":", 1)[0].split(" (")[0])
+    assert kinds == {
+        "membership gap",
+        "meet gap",
+        "no unique greatest lower bound for",
+    }
+
+
+def test_validate_interpretation_time_follows_the_stated_degrees():
+    # An 8,000-sort binary tree and 1,000 elements, each holding a leaf and
+    # every sort above it (13,000 stated degrees, a valid model): a scan of
+    # every sort at every element takes seconds.
+    names = [f"n{i}" for i in range(8_000)]
+    edges = [(names[i], names[(i - 1) // 2], 1.0) for i in range(1, len(names))]
+    lattice = SortLattice(build_sort_graph(names, [], edges))
+    table = {}
+    for k in range(1_000):
+        i = 7_000 + k
+        while True:
+            table[(names[i], f"e{k}")] = 1.0
+            if i == 0:
+                break
+            i = (i - 1) // 2
+    model = Interpretation([f"e{k}" for k in range(1_000)], table, {}, [])
+    start = time.perf_counter()
+    problems = validate_interpretation(model, lattice)
+    assert time.perf_counter() - start < 1.5
+    assert problems == []
+
+
 # -- denotation -----------------------------------------------------------------------
 
 
