@@ -150,19 +150,17 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
                     )
     # Meet consistency: jointly positive sorts need a positive meet.
     for e, positive in positive_of:
-        names = list(positive)
-        for i, s0 in enumerate(names):
-            for s1 in names[i + 1 :]:
-                try:
-                    meet = lattice.glb(s0, s1)
-                except NotALattice as err:
-                    problems.append(str(err))
-                    continue
-                if meet not in positive:
-                    problems.append(
-                        f"meet gap: {s0} and {s1} both hold of {e} but "
-                        f"glb {meet} does not"
-                    )
+        for s0, s1 in itertools.combinations(positive, 2):
+            try:
+                meet = lattice.glb(s0, s1)
+            except NotALattice as err:
+                problems.append(str(err))
+                continue
+            if meet not in positive:
+                problems.append(
+                    f"meet gap: {s0} and {s1} both hold of {e} but "
+                    f"glb {meet} does not"
+                )
     return problems
 
 
