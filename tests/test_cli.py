@@ -492,6 +492,10 @@ def test_eval_assign_checks_its_flags(capsys, movies_file, tmp_path):
     code, out, err = run(capsys, *argv, *assign, "--assign", "Z=null", query)
     assert (code, out) == (1, "")
     assert err == "error: --assign names a tag the term does not have: Z\n"
+    # An assignment without Y: the walk reaches Y only when X's sort holds.
+    missing = "error: assignment missing tag Y\n"
+    assert run(capsys, *argv, "--assign", "X=hitchcock", query) == (0, "0\n", "")
+    assert run(capsys, *argv, "--assign", "X=psycho", query) == (1, "", missing)
 
 
 def test_eval_table_full_output(capsys, movies_file, tmp_path):
