@@ -2,12 +2,15 @@
 
 Subcommands: check, closure, degree, glb, normalize, unify, subsumes,
 enrich, dot, eval, theorems.  Global flags: --ontology FILE, --json,
---trace, --dense, --seed N.
+--trace, --seed N.
 
 Exit codes: 0 success (data-level outcomes like an inconsistent clause or a
 bottom unifier are still success), 1 input failure (unreadable or malformed
 files, bad terms, invalid ontologies), 2 semantic failure (invalid
-interpretation, failing self-checks).  stderr carries diagnostics only.
+interpretation, failing self-checks).  A usage error (a missing argument,
+an unknown command or flag, or a flag value argparse rejects, such as
+``theorems --max-domain 0``) also exits 2, with ``usage:`` on stderr.
+stderr carries diagnostics only.
 """
 
 from __future__ import annotations
@@ -91,10 +94,7 @@ def _ontology(args):
 
 def _load_session(args) -> SortLattice:
     graph, _ = _ontology(args)
-    lattice = SortLattice(graph).validate()
-    if args.dense:
-        lattice.densify()
-    return lattice
+    return SortLattice(graph).validate()
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -320,7 +320,7 @@ def cmd_eval(args) -> int:
         degree = denote(term, model, alpha)
         _emit(args, {"degree": degree}, _fmt(degree))
         return 0
-    if args.at:
+    if args.at is not None:
         if args.at not in set(model.elements):
             raise _InputFailure(f"unknown element: {args.at}")
         degree = best_denotation(term, model, args.at)
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ontology", metavar="FILE", help="ontology file for the session")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--trace", action="store_true", help="log rewrite rules (normalize)")
-    parser.add_argument("--dense", action="store_true", help="materialize the full closure table")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -200,15 +200,6 @@ class SortGraph:
         return "\n".join(lines)
 
 
-def build_sort_graph(
-    sorts: list[str],
-    features: list[str],
-    edges: list[tuple[str, str, float]],
-) -> SortGraph:
-    """Assemble and structurally check a declared sort hierarchy."""
-    return SortGraph(sorts, features, edges)
-
-
 class SortLattice:
     """Query layer over a :class:`SortGraph`: closure degrees and GLBs.
 
@@ -216,7 +207,7 @@ class SortLattice:
     sorts above the source, one relaxation pass over just those in
     topological order fills a dict of the positive degrees — O(a log a + e)
     per distinct source for a sorts above it with e out-edges among them,
-    memoized.  ``densify()`` forces every row at once.
+    memoized.
     GLBs live on the crisp support, as bit vectors (Aït-Kaci, Boyer, Lincoln
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
@@ -292,11 +283,6 @@ class SortLattice:
         top = g._index[TOP]
         row = self._row(g._index[s])
         return [(g.sorts[j], 1.0 if j == top else row[j]) for j in sorted({*row, top})]
-
-    def densify(self) -> None:
-        """Materialize the full closure table (every per-source row)."""
-        for i in range(len(self.graph.sorts)):
-            self._row(i)
 
     def closure_pairs(self) -> list[tuple[str, str, float]]:
         """All positive closure entries, including implicit bounds and reflexivity."""

@@ -10,30 +10,22 @@ explicit inconsistency:
 * tag elimination — an equality substitutes one tag for the other everywhere
   else (applicable only when the tags differ).
 
-The production engine (:func:`normalize`, and ``unify`` on the same solver)
-is a deterministic union-find strategy on tag-numbered tables (after Aït-Kaci
-and Di Cosmo, 1993): equalities merge eagerly, feature merges queue behind
-them, sort intersections fold as constraints land.  A small-step engine
-(:func:`normalize_small_step`) applies one rule instance at a time in a
-seedable random order; it exists so tests can check that every order
-reaches the same normal form, and it is not the production path.
+The engine (:func:`normalize`, and ``unify`` on the same solver) is a
+deterministic union-find strategy on tag-numbered tables (after Aït-Kaci and
+Di Cosmo, 1993): equalities merge eagerly, feature merges queue behind them,
+sort intersections fold as constraints land.  The tests check it against a
+small-step reference engine that fires one rule instance at a time, in a
+random order, and reaches the same normal form in every order.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
 from .lattice import BOT, SortLattice
-from .terms import (
-    Clause,
-    Constraint,
-    EqualityConstraint,
-    FeatureConstraint,
-    SortConstraint,
-)
+from .terms import Clause, Constraint, FeatureConstraint, SortConstraint
 
 
 @dataclass
@@ -199,127 +191,3 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
         trace=solver.log,
     )
 
-
-# -- small-step engine (test instrumentation) --------------------------------
-
-
-def step_bound(clause: Clause) -> int:
-    """Upper bound on small-step rule applications: |constraints| + |tags|^2."""
-    return len(clause.constraints) + len(clause.tags()) ** 2
-
-
-def normalize_small_step(
-    clause: Clause,
-    lattice: SortLattice,
-    rng: random.Random | None = None,
-    max_steps: int | None = None,
-) -> tuple[NormalForm, int]:
-    """Apply one applicable rule instance at a time until none remains.
-
-    ``rng`` picks the instance uniformly at random (first instance when
-    None).  Returns the normal form and the number of steps taken; raises
-    RuntimeError if ``max_steps`` (default: :func:`step_bound`) is exceeded,
-    which would falsify the termination bound.
-    """
-    state: list[Constraint] = list(clause.constraints)
-    limit = step_bound(clause) if max_steps is None else max_steps
-    steps = 0
-
-    def instances() -> list[tuple[str, tuple]]:
-        found: list[tuple[str, tuple]] = []
-        for i, c in enumerate(state):
-            if isinstance(c, SortConstraint) and c.sort == BOT and len(state) > 1:
-                found.append(("inconsistent-sort", (i,)))
-        for i, c in enumerate(state):
-            if isinstance(c, EqualityConstraint) and c.left != c.right:
-                occurs = any(
-                    _mentions(other, c.right) for k, other in enumerate(state) if k != i
-                )
-                if occurs:
-                    found.append(("tag-elimination", (i,)))
-        by_key: dict[tuple[str, str], list[int]] = {}
-        for i, c in enumerate(state):
-            if isinstance(c, FeatureConstraint):
-                by_key.setdefault((c.tag, c.feature), []).append(i)
-        for key, idxs in by_key.items():
-            if len(idxs) > 1:
-                found.append(("feature-functionality", (idxs[0], idxs[1])))
-        by_tag: dict[str, list[int]] = {}
-        for i, c in enumerate(state):
-            if isinstance(c, SortConstraint):
-                by_tag.setdefault(c.tag, []).append(i)
-        for tag, idxs in by_tag.items():
-            if len(idxs) > 1:
-                found.append(("sort-intersection", (idxs[0], idxs[1])))
-        return found
-
-    while True:
-        found = instances()
-        if not found:
-            break
-        rule, where = found[0] if rng is None else rng.choice(found)
-        steps += 1
-        if steps > limit:
-            raise RuntimeError(
-                f"normalization exceeded its step bound ({limit}) on: {clause}"
-            )
-        if rule == "inconsistent-sort":
-            (i,) = where
-            state = [state[i]]
-        elif rule == "tag-elimination":
-            (i,) = where
-            eq = state[i]
-            assert isinstance(eq, EqualityConstraint)
-            state = [
-                c if k == i else _substitute(c, eq.right, eq.left)
-                for k, c in enumerate(state)
-            ]
-        elif rule == "feature-functionality":
-            i, j = where
-            first, second = state[i], state[j]
-            assert isinstance(first, FeatureConstraint) and isinstance(second, FeatureConstraint)
-            state = [c for k, c in enumerate(state) if k != j]
-            state.append(EqualityConstraint(first.target, second.target))
-        else:  # sort-intersection
-            i, j = where
-            a, b = state[i], state[j]
-            assert isinstance(a, SortConstraint) and isinstance(b, SortConstraint)
-            meet = lattice.glb(a.sort, b.sort)
-            state = [c for k, c in enumerate(state) if k != j]
-            state[i] = SortConstraint(a.tag, meet)
-
-    bot_tags = [c.tag for c in state if isinstance(c, SortConstraint) and c.sort == BOT]
-    if bot_tags:
-        return Inconsistent(tag=bot_tags[0]), steps
-
-    solved = [c for c in state if not isinstance(c, EqualityConstraint)]
-    equalities = tuple(
-        (c.left, c.right) for c in state if isinstance(c, EqualityConstraint)
-    )
-    return (
-        Normalized(solved=Clause(tuple(solved), root=clause.root), equalities=equalities),
-        steps,
-    )
-
-
-def _mentions(c: Constraint, tag: str) -> bool:
-    if isinstance(c, SortConstraint):
-        return c.tag == tag
-    if isinstance(c, FeatureConstraint):
-        return c.tag == tag or c.target == tag
-    return c.left == tag or c.right == tag
-
-
-def _substitute(c: Constraint, old: str, new: str) -> Constraint:
-    if isinstance(c, SortConstraint):
-        return SortConstraint(new if c.tag == old else c.tag, c.sort)
-    if isinstance(c, FeatureConstraint):
-        return FeatureConstraint(
-            new if c.tag == old else c.tag,
-            c.feature,
-            new if c.target == old else c.target,
-        )
-    return EqualityConstraint(
-        new if c.left == old else c.left,
-        new if c.right == old else c.right,
-    )

@@ -33,6 +33,7 @@ from .terms import (
     SortConstraint,
     Term,
     _solved_structure,
+    term_tags,
     term_to_clause,
 )
 from .normalize import Inconsistent, normalize
@@ -289,8 +290,15 @@ class CanonicalAlgebra:
 
 
 def denote(t: Term, model, alpha: dict[str, object]) -> float:
-    """Degree of the root's image under a total assignment."""
-    return _denotation(t, model, alpha.get(t.tag), alpha)  # an unassigned root fails
+    """Degree of the root's image under a total assignment.
+
+    Raises ValueError naming the first tag, in first-occurrence order, that
+    ``alpha`` does not bind.
+    """
+    for tag in term_tags(t):
+        if tag not in alpha:
+            raise ValueError(f"assignment missing tag {tag}")
+    return _denotation(t, model, alpha[t.tag], alpha)
 
 
 def best_denotation(t: Term, model, element) -> float:
@@ -305,9 +313,9 @@ def best_denotation(t: Term, model, element) -> float:
 def _denotation(t: Term, model, element, alpha: dict[str, object] | None) -> float:
     """The min of sort degrees along ``t``'s feature images from ``element``.
 
-    With ``alpha``, every tag must be bound, and to the image it meets;
-    without, the first image a tag meets binds it.  A tag met at an element
-    other than its binding makes the degree 0.
+    ``alpha``, when given, binds every tag; without it, the first image a
+    tag meets binds it.  A tag met at an element other than its binding
+    makes the degree 0.
     """
     binding: dict[str, object] = {} if alpha is None else alpha
     value = 1.0
@@ -316,8 +324,6 @@ def _denotation(t: Term, model, element, alpha: dict[str, object] | None) -> flo
         node, d = stack.pop()
         bound = binding.get(node.tag)
         if bound is None:
-            if alpha is not None:
-                raise ValueError(f"assignment missing tag {node.tag}")
             binding[node.tag] = bound = d
         if bound != d:
             return 0.0

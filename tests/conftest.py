@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzyosf import SortLattice, build_sort_graph, parse_term
+from fuzzyosf import SortGraph, SortLattice, parse_term
 from fuzzyosf.samples import movie_interpretation, movie_lattice
 
 CHAIN_SORTS = ["p", "q", "r", "s", "t", "u", "v"]
@@ -23,14 +23,14 @@ CHAIN_EDGES = [
 
 @pytest.fixture(scope="session")
 def chain_lattice() -> SortLattice:
-    graph = build_sort_graph(CHAIN_SORTS, CHAIN_FEATURES, CHAIN_EDGES)
+    graph = SortGraph(CHAIN_SORTS, CHAIN_FEATURES, CHAIN_EDGES)
     return SortLattice(graph).validate()
 
 
 @pytest.fixture(scope="session")
 def chain_k_lattice() -> SortLattice:
     """The chain ontology with a fourth feature, ``k``."""
-    graph = build_sort_graph(CHAIN_SORTS, CHAIN_FEATURES + ["k"], CHAIN_EDGES)
+    graph = SortGraph(CHAIN_SORTS, CHAIN_FEATURES + ["k"], CHAIN_EDGES)
     return SortLattice(graph).validate()
 
 

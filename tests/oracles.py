@@ -4,9 +4,12 @@ Everything here recomputes results through a different route than the
 library: closure by Floyd–Warshall-style relaxation over a materialized
 node set, meets by explicit down-set intersection, crisp subsumption by a
 naive substitution-based solver plus a from-scratch rooted-graph matcher,
-and denotation by translating a term into its constraint reading and
-scoring each constraint directly.  Slow on purpose; used only on small
-instances to cross-check the fast paths.
+denotation by translating a term into its constraint reading and scoring
+each constraint directly, and normalization by a small-step engine that
+fires one rule instance at a time in a random order.  Slow on purpose;
+used only on small instances to cross-check the fast paths.  The module
+imports nothing from the library: it reads library objects through their
+fields, and the small-step engine takes its meets from a ``glb`` callable.
 """
 
 from __future__ import annotations
@@ -138,16 +141,25 @@ def term_constraints(term) -> tuple[set, str]:
     return out, term.tag
 
 
-def _substitute(constraints: set, old: str, new: str) -> set:
-    replaced = set()
-    for c in constraints:
-        if c[0] == "sort":
-            _, x, s = c
-            replaced.add(("sort", new if x == old else x, s))
-        else:
-            _, x, f, y = c
-            replaced.add(("feat", new if x == old else x, f, new if y == old else y))
-    return replaced
+def _tags(c: tuple) -> tuple[str, ...]:
+    """The tags a tuple constraint mentions."""
+    if c[0] == "sort":
+        return (c[1],)
+    if c[0] == "feat":
+        return (c[1], c[3])
+    return c[1:]
+
+
+def _substitute(c: tuple, old: str, new: str) -> tuple:
+    """``c`` with tag ``old`` renamed ``new``."""
+    if c[0] == "sort":
+        _, x, s = c
+        return ("sort", new if x == old else x, s)
+    if c[0] == "feat":
+        _, x, f, y = c
+        return ("feat", new if x == old else x, f, new if y == old else y)
+    _, x, y = c
+    return ("eq", new if x == old else x, new if y == old else y)
 
 
 def naive_meet(
@@ -168,7 +180,7 @@ def naive_meet(
                 by_slot[(x, f)] = y
         if merge is not None:
             keep, drop = merge
-            work = _substitute(work, drop, keep)
+            work = {_substitute(c, drop, keep) for c in work}
             if root_tag == drop:
                 root_tag = keep
             continue
@@ -395,6 +407,100 @@ def lattice_problems(model, sorts: list[str], edges: list[tuple[str, str, float]
     return problems
 
 
+# -- small-step normalization -------------------------------------------------------
+#
+# The reference engine for the four rewrite rules of the library's
+# ``normalize``: it applies one rule instance at a time, in a seedable random
+# order, to a list of tuple constraints, and rewrites by renaming tuples.
+# Meets come from a callable, so the engine imports nothing from the library.
+
+
+def clause_constraints(clause) -> list[tuple]:
+    """Tuple reading of a clause, in order: ("sort", X, s), ("feat", X, f, Y)
+    and ("eq", X, Y).  Touches only ``.constraints`` and their fields."""
+    out = []
+    for c in clause.constraints:
+        if hasattr(c, "sort"):
+            out.append(("sort", c.tag, c.sort))
+        elif hasattr(c, "feature"):
+            out.append(("feat", c.tag, c.feature, c.target))
+        else:
+            out.append(("eq", c.left, c.right))
+    return out
+
+
+def step_bound(constraints: list[tuple]) -> int:
+    """Upper bound on small-step rule applications: |constraints| + |tags|^2."""
+    tags = {tag for c in constraints for tag in _tags(c)}
+    return len(constraints) + len(tags) ** 2
+
+
+def normalize_small_step(
+    constraints: list[tuple], glb, rng=None, max_steps: int | None = None
+) -> tuple[tuple | None, int]:
+    """Apply one applicable rule instance at a time until none remains.
+
+    ``glb(s, t)`` is the meet of two sorts.  ``rng`` picks the instance
+    uniformly at random (the first instance when None).  Returns the normal
+    form and the number of steps taken: the form is None for a collapsed
+    clause, else the pair (solved constraints, equality pairs).  Raises
+    RuntimeError if ``max_steps`` (default: :func:`step_bound`) is exceeded,
+    which would falsify the termination bound.
+    """
+    state = list(constraints)
+    limit = step_bound(state) if max_steps is None else max_steps
+    steps = 0
+    while True:
+        found = _instances(state)
+        if not found:
+            break
+        rule, where = found[0] if rng is None else rng.choice(found)
+        steps += 1
+        if steps > limit:
+            raise RuntimeError(f"normalization exceeded its step bound ({limit}) on: {constraints}")
+        if rule == "inconsistent-sort":
+            state = [state[where[0]]]
+        elif rule == "tag-elimination":
+            (i,) = where
+            _, keep, drop = state[i]
+            state = [c if k == i else _substitute(c, drop, keep) for k, c in enumerate(state)]
+        elif rule == "feature-functionality":
+            i, j = where
+            first, second = state[i], state.pop(j)
+            state.append(("eq", first[3], second[3]))
+        else:  # sort-intersection
+            i, j = where
+            _, tag, s = state[i]
+            state[i] = ("sort", tag, glb(s, state.pop(j)[2]))
+
+    if any(c[0] == "sort" and c[2] == BOT for c in state):
+        return None, steps
+    solved = [c for c in state if c[0] != "eq"]
+    equalities = tuple(c[1:] for c in state if c[0] == "eq")
+    return (solved, equalities), steps
+
+
+def _instances(state: list[tuple]) -> list[tuple[str, tuple]]:
+    """Every applicable rule instance as (rule, positions in ``state``)."""
+    found: list[tuple[str, tuple]] = []
+    if len(state) > 1:
+        found += [("inconsistent-sort", (i,)) for i, c in enumerate(state) if c[0] == "sort" and c[2] == BOT]
+    for i, c in enumerate(state):
+        if c[0] == "eq" and c[1] != c[2]:
+            if any(c[2] in _tags(other) for k, other in enumerate(state) if k != i):
+                found.append(("tag-elimination", (i,)))
+    by_slot: dict[tuple, list[int]] = {}
+    by_tag: dict[str, list[int]] = {}
+    for i, c in enumerate(state):
+        if c[0] == "feat":
+            by_slot.setdefault(c[1:3], []).append(i)
+        elif c[0] == "sort":
+            by_tag.setdefault(c[1], []).append(i)
+    found += [("feature-functionality", (at[0], at[1])) for at in by_slot.values() if len(at) > 1]
+    found += [("sort-intersection", (at[0], at[1])) for at in by_tag.values() if len(at) > 1]
+    return found
+
+
 # -- normal-form fingerprints ---------------------------------------------------------
 #
 # Confluence checks compare normal forms up to tag renaming.  The classes of
@@ -405,16 +511,20 @@ def lattice_problems(model, sorts: list[str], edges: list[tuple[str, str, float]
 def canonical_normal_form(nf) -> tuple:
     """Rename-independent fingerprint of a normal form.
 
-    ``("inconsistent",)`` for a collapsed clause; otherwise
-    ``("normalized", constraints, partition)``: the solved constraints as a
-    set of tuples over canonical tags, and the equality classes with more
-    than one member.  Touches only ``.solved.constraints`` and
-    ``.equalities``.
+    ``nf`` is a form of :func:`normalize_small_step`, or the library's
+    ``Normalized`` or ``Inconsistent``, read through ``.solved.constraints``
+    and ``.equalities`` only.  The fingerprint is ``("inconsistent",)`` for
+    a collapsed clause; otherwise ``("normalized", constraints,
+    partition)``: the solved constraints as a set of tuples over canonical
+    tags, and the equality classes with more than one member.
     """
-    if not hasattr(nf, "solved"):
+    if hasattr(nf, "solved"):
+        nf = clause_constraints(nf.solved), nf.equalities
+    elif not isinstance(nf, tuple):
         return ("inconsistent",)
+    solved, equalities = nf
     classes: dict[str, frozenset] = {}
-    for a, b in nf.equalities:
+    for a, b in equalities:
         merged = classes.get(a, frozenset((a,))) | classes.get(b, frozenset((b,)))
         for tag in merged:
             classes[tag] = merged
@@ -423,11 +533,11 @@ def canonical_normal_form(nf) -> tuple:
         return min(classes.get(tag, (tag,)))
 
     constraints = set()
-    for c in nf.solved.constraints:
-        if hasattr(c, "sort"):
-            constraints.add(("sort", canon(c.tag), c.sort))
-        elif hasattr(c, "feature"):
-            constraints.add(("feat", canon(c.tag), c.feature, canon(c.target)))
+    for c in solved:
+        if c[0] == "sort":
+            constraints.add(("sort", canon(c[1]), c[2]))
+        elif c[0] == "feat":
+            constraints.add(("feat", canon(c[1]), c[2], canon(c[3])))
     partition = frozenset(group for group in classes.values() if len(group) > 1)
     return ("normalized", frozenset(constraints), partition)
 

@@ -1,4 +1,10 @@
-"""Hypothesis strategies and seeded random generators shared by the tests."""
+"""Hypothesis strategies shared by the tests.
+
+Lattices, normal terms and clauses come from the generators the ``theorems``
+harness uses (``fuzzyosf.semantics``), so the tests and the harness draw
+from one distribution.  ``random_dag`` is the one generator kept here: its
+DAGs need not be lattices.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
-from fuzzyosf import (
-    Clause,
-    EqualityConstraint,
-    FeatureConstraint,
-    SortConstraint,
-    SortGraph,
-    SortLattice,
-    Term,
-    build_sort_graph,
-)
+from fuzzyosf.semantics import random_clause, random_lattice, random_normal_term
 
 DEGREES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
@@ -34,81 +31,6 @@ def random_dag(
     return names, edges
 
 
-def random_forest_lattice(
-    rng: random.Random, max_sorts: int = 8, features: int = 2
-) -> SortLattice:
-    """A validated lattice: tree-shaped cores are always lattices."""
-    n = rng.randint(1, max_sorts)
-    names = [f"s{i}" for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        parent = rng.randrange(i)
-        edges.append((names[i], names[parent], rng.choice(DEGREES)))
-    graph = build_sort_graph(names, [f"f{k}" for k in range(features)], edges)
-    return SortLattice(graph).validate()
-
-
-def random_normal_term(
-    rng: random.Random, graph: SortGraph, max_tags: int = 6
-) -> Term:
-    """A random normal term over ``graph``; may share and cycle through tags.
-
-    Built so the first occurrence of every tag is the structured one, which
-    is what the printer emits and the parser reads back.
-    """
-    n = rng.randint(1, max_tags)
-    sorts = [s for s in graph.sorts if s != "bot"]
-    features = list(graph.features)
-    tags = [f"T{i}" for i in range(n)]
-    chosen = {t: rng.choice(sorts) for t in tags}
-    kids: dict[str, list[tuple[str, str]]] = {t: [] for t in tags}
-    for i, t in enumerate(tags):
-        picked = rng.sample(features, k=min(len(features), rng.randint(0, 2)))
-        for f in sorted(picked):
-            target = tags[rng.randrange(n)] if rng.random() < 0.4 else None
-            if target is None and i + 1 < n:
-                target = tags[rng.randrange(i + 1, n)]
-            if target is not None:
-                kids[t].append((f, target))
-
-    built: dict[str, Term] = {}
-
-    def build(tag: str, placed: set[str]) -> Term:
-        placed.add(tag)
-        args = []
-        for f, target in kids[tag]:
-            if target in placed:
-                args.append((f, Term(target, "top", ())))
-            else:
-                args.append((f, build(target, placed)))
-        node = Term(tag, chosen[tag], tuple(args))
-        built[tag] = node
-        return node
-
-    root = build(tags[0], set())
-    return root
-
-
-def random_clause(rng: random.Random, graph: SortGraph, max_tags: int = 8) -> Clause:
-    """A constraint soup: duplicate sorts, clashing features, equalities."""
-    n = rng.randint(1, max_tags)
-    tags = [f"X{i}" for i in range(n)]
-    sorts = [s for s in graph.sorts if s != "bot"]
-    features = list(graph.features)
-    constraints = []
-    for _ in range(rng.randint(1, 2 * n)):
-        kind = rng.random()
-        if kind < 0.45 or not features:
-            constraints.append(SortConstraint(rng.choice(tags), rng.choice(sorts)))
-        elif kind < 0.8:
-            constraints.append(
-                FeatureConstraint(rng.choice(tags), rng.choice(features), rng.choice(tags))
-            )
-        else:
-            constraints.append(EqualityConstraint(rng.choice(tags), rng.choice(tags)))
-    return Clause(tuple(constraints))
-
-
 @st.composite
 def dags(draw, max_sorts: int = 10):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -116,19 +38,17 @@ def dags(draw, max_sorts: int = 10):
 
 
 @st.composite
-def forest_lattices(draw, max_sorts: int = 8):
+def lattices(draw, max_sorts: int = 8):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_forest_lattice(random.Random(seed), max_sorts=max_sorts)
+    return random_lattice(random.Random(seed), max_sorts, 3)
 
 
 @st.composite
 def lattice_and_terms(draw, count: int = 2, max_tags: int = 5):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
-    lattice = random_forest_lattice(rng, max_sorts=6, features=3)
-    terms = tuple(
-        random_normal_term(rng, lattice.graph, max_tags=max_tags) for _ in range(count)
-    )
+    lattice = random_lattice(rng, 6, 3)
+    terms = tuple(random_normal_term(rng, lattice, max_tags) for _ in range(count))
     return lattice, terms
 
 
@@ -136,5 +56,5 @@ def lattice_and_terms(draw, count: int = 2, max_tags: int = 5):
 def lattice_and_clause(draw, max_tags: int = 8):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
-    lattice = random_forest_lattice(rng, max_sorts=6, features=3)
-    return lattice, random_clause(rng, lattice.graph, max_tags=max_tags)
+    lattice = random_lattice(rng, 6, 3)
+    return lattice, random_clause(rng, lattice, max_tags)

@@ -13,15 +13,15 @@ import time
 
 import oracles
 import strategies
-from oracles import canonical_normal_form
+from oracles import canonical_normal_form, clause_constraints, normalize_small_step, step_bound
 from fuzzyosf import (
     BOT,
     TOP,
     Inconsistent,
     NotALattice,
+    SortGraph,
     SortLattice,
     Term,
-    build_sort_graph,
     check_theorems,
     clause_to_term,
     crisp_subsumes,
@@ -30,14 +30,13 @@ from fuzzyosf import (
     graph_equivalent,
     graph_to_term,
     normalize,
-    normalize_small_step,
     parse_term,
-    step_bound,
     subsumption_witness,
     term_to_clause,
     term_to_graph,
     unify,
 )
+from fuzzyosf.semantics import random_clause, random_lattice, random_normal_term
 
 # Pinned budgets.  Degrees are exact; only wall-clock envelopes get numbers.
 SMALL_UNIFY_BUDGET = 0.010  # seconds, best of 5
@@ -148,7 +147,7 @@ def test_criterion_4_lattice_laws(capsys):
 
     for case in range(DAG_COUNT):
         sorts, edges = strategies.random_dag(rng, max_sorts=12)
-        graph = build_sort_graph(sorts, [], edges)
+        graph = SortGraph(sorts, [], edges)
         lat = SortLattice(graph)
         nodes = [BOT, *sorts, TOP]
 
@@ -208,14 +207,15 @@ def test_criterion_5_normalization_confluence(capsys):
     rng = random.Random(5150)
 
     for case in range(CLAUSE_COUNT):
-        lattice = strategies.random_forest_lattice(rng, max_sorts=6, features=3)
-        clause = strategies.random_clause(rng, lattice.graph, max_tags=10)
-        bound = step_bound(clause)
+        lattice = random_lattice(rng, 6, 3)
+        clause = random_clause(rng, lattice, 10)
+        constraints = clause_constraints(clause)
+        bound = step_bound(constraints)
 
         fingerprints = set()
         for order in range(ORDER_COUNT):
             nf, steps = normalize_small_step(
-                clause, lattice, rng=random.Random(case * ORDER_COUNT + order)
+                constraints, lattice.glb, rng=random.Random(case * ORDER_COUNT + order)
             )
             assert steps <= bound, (case, order, steps, bound)
             fingerprints.add(canonical_normal_form(nf))
@@ -238,8 +238,8 @@ def test_criterion_6_representation_roundtrips(capsys):
     rng = random.Random(61803)
 
     for case in range(ROUNDTRIP_COUNT):
-        lattice = strategies.random_forest_lattice(rng, max_sorts=8, features=3)
-        psi = strategies.random_normal_term(rng, lattice.graph, max_tags=8)
+        lattice = random_lattice(rng, 8, 3)
+        psi = random_normal_term(rng, lattice, 8)
         printed = format_term(psi)
 
         via_clause = clause_to_term(term_to_clause(psi))
@@ -286,12 +286,12 @@ def test_criterion_7_crisp_fuzzy_bridge(capsys):
     positives = 0
 
     for case in range(PAIR_COUNT):
-        lattice = strategies.random_forest_lattice(rng, max_sorts=6, features=3)
-        specific = strategies.random_normal_term(rng, lattice.graph, max_tags=5)
+        lattice = random_lattice(rng, 6, 3)
+        specific = random_normal_term(rng, lattice, 5)
         if rng.random() < 0.5:
             general = _generalized(rng, lattice, specific)
         else:
-            general = strategies.random_normal_term(rng, lattice.graph, max_tags=5)
+            general = random_normal_term(rng, lattice, 5)
 
         sorts = list(lattice.graph.sorts)
         edges = list(lattice.graph.edges)
@@ -348,7 +348,7 @@ def _chain_term(prefix: str, depth: int) -> Term:
 
 def test_criterion_9_performance_envelope(capsys):
     # Deep unification: two 10,000-tag chains.
-    graph = build_sort_graph(["s"], ["f"], [])
+    graph = SortGraph(["s"], ["f"], [])
     tiny = SortLattice(graph).validate()
     left = _chain_term("A", 10_000)
     right = _chain_term("B", 10_000)
@@ -372,7 +372,7 @@ def test_criterion_9_performance_envelope(capsys):
     edges = [
         (names[i], names[j], rng.choice(strategies.DEGREES)) for i, j in chosen
     ]
-    big = SortLattice(build_sort_graph(names, [], edges))
+    big = SortLattice(SortGraph(names, [], edges))
 
     assert big.degree(names[0], names[-1]) > 0.0  # warm up; ends are connected
     query_elapsed = max(

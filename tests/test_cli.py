@@ -83,6 +83,12 @@ fun title psycho psycho_title
 fun title halloween halloween_title
 """
 
+# thriller at 0.3 contradicts slasher=1 with slasher->thriller at 0.5
+INVALID_MODEL = (
+    "elem x\ndeg slasher x 1\ndeg horror x 1\ndeg movie x 1\ndeg thriller x 0.3\n"
+    "fun directed_by * x\nfun genre * x\nfun title * x\n"
+)
+
 PSI1 = "Y0: u(f -> Y1: v(g -> Y0, h -> Y2: r))"
 PSI2 = "X0: v(f -> X1: u(g -> X2: t))"
 
@@ -190,8 +196,6 @@ def test_degree_unknown_sort_is_input_failure(capsys, chain_file):
 
 def test_closure_lists_pairs(capsys, chain_file):
     code, out, _ = run(capsys, "--ontology", chain_file, "closure")
-    assert "degree q u 0.7" in out
-    code, out, _ = run(capsys, "--ontology", chain_file, "--dense", "closure")
     assert "degree q u 0.7" in out
 
 
@@ -475,6 +479,9 @@ def test_eval_table_and_at(capsys, movies_file, tmp_path):
         query,
     )
     assert out.strip() == "0.5"
+    # An empty --at names no element; it does not ask for the whole table.
+    argv = ["--ontology", movies_file, "eval", "--interp", str(interp), "--at", "", query]
+    assert run(capsys, *argv) == (1, "", "error: unknown element: \n")
 
 
 def test_eval_assign_checks_its_flags(capsys, movies_file, tmp_path):
@@ -492,9 +499,9 @@ def test_eval_assign_checks_its_flags(capsys, movies_file, tmp_path):
     code, out, err = run(capsys, *argv, *assign, "--assign", "Z=null", query)
     assert (code, out) == (1, "")
     assert err == "error: --assign names a tag the term does not have: Z\n"
-    # An assignment without Y: the walk reaches Y only when X's sort holds.
+    # An assignment without Y fails, whether or not X's sort holds of its element.
     missing = "error: assignment missing tag Y\n"
-    assert run(capsys, *argv, "--assign", "X=hitchcock", query) == (0, "0\n", "")
+    assert run(capsys, *argv, "--assign", "X=hitchcock", query) == (1, "", missing)
     assert run(capsys, *argv, "--assign", "X=psycho", query) == (1, "", missing)
 
 
@@ -520,12 +527,7 @@ def test_eval_table_full_output(capsys, movies_file, tmp_path):
 
 def test_eval_invalid_model_is_semantic_failure(capsys, movies_file, tmp_path):
     interp = tmp_path / "bad.interp"
-    # thriller at 0.3 contradicts slasher=1 with slasher->thriller at 0.5
-    interp.write_text(
-        "elem x\ndeg slasher x 1\ndeg horror x 1\ndeg movie x 1\ndeg thriller x 0.3\n"
-        "fun directed_by * x\nfun genre * x\nfun title * x\n",
-        encoding="utf-8",
-    )
+    interp.write_text(INVALID_MODEL, encoding="utf-8")
     code, out, err = run(
         capsys, "--ontology", movies_file, "eval", "--interp", str(interp), "X: movie"
     )
@@ -603,3 +605,32 @@ def test_theorems_rejects_sizes_below_one(capsys, flag, value):
         main(["theorems", flag, value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+# Each failure class, one row per way in: the exit code, an empty stdout, and
+# the first word on stderr.
+EXIT_CLASSES = [
+    # Usage errors: argparse rejects the command line before anything runs.
+    (["--ontology", "{movies}", "degree", "movie"], 2, "usage:"),
+    (["--ontology", "{movies}", "nosuch"], 2, "usage:"),
+    (["--ontology", "{movies}", "--dense", "closure"], 2, "usage:"),
+    (["theorems", "--max-domain", "0"], 2, "usage:"),
+    # Input failures: a file, term or name that does not read.
+    (["--ontology", "{movies}", "degree", "movie", "zonk"], 1, "error:"),
+    (["--ontology", "{movies}", "unify", "X: movie(", "Y: movie"], 1, "error:"),
+    # Semantic failures: the input reads, but the model breaks a validity law.
+    (["--ontology", "{movies}", "eval", "--interp", "{invalid}", "X: movie"], 2, "invalid"),
+]
+
+
+@pytest.mark.parametrize("argv,code,first_word", EXIT_CLASSES)
+def test_exit_code_classes(capsys, movies_file, tmp_path, argv, code, first_word):
+    invalid = tmp_path / "bad.interp"
+    invalid.write_text(INVALID_MODEL, encoding="utf-8")
+    argv = [arg.format(movies=movies_file, invalid=invalid) for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err.split()[0]) == (code, "", first_word)

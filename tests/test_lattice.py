@@ -20,10 +20,10 @@ from fuzzyosf import (
     DuplicateName,
     NotALattice,
     OntologyError,
+    SortGraph,
     SortLattice,
     UnknownSort,
     build_similarity,
-    build_sort_graph,
     enrich_from_similarity,
     format_ontology,
     load_ontology,
@@ -79,19 +79,6 @@ def test_unknown_sort_raises(chain_lattice):
         chain_lattice.glb("nosuch", "p")
 
 
-def test_densify_matches_lazy(chain_lattice):
-    graph = build_sort_graph(
-        list(chain_lattice.graph.sorts),
-        list(chain_lattice.graph.features),
-        list(chain_lattice.graph.edges),
-    )
-    dense = SortLattice(graph)
-    dense.densify()
-    for s in graph.sorts:
-        for t in graph.sorts:
-            assert dense.degree(s, t) == chain_lattice.degree(s, t)
-
-
 def test_closure_pairs_lists_every_positive_degree(chain_lattice):
     table = {(s, t): d for s, t, d in chain_lattice.closure_pairs()}
     assert table[("q", "u")] == 0.7
@@ -104,28 +91,28 @@ def test_closure_pairs_lists_every_positive_degree(chain_lattice):
 
 def test_duplicate_sort_rejected():
     with pytest.raises(DuplicateName):
-        build_sort_graph(["a", "a"], [], [])
+        SortGraph(["a", "a"], [], [])
 
 
 def test_sort_feature_collision_rejected():
     with pytest.raises(DuplicateName):
-        build_sort_graph(["a"], ["a"], [])
+        SortGraph(["a"], ["a"], [])
 
 
 def test_degree_zero_edge_rejected():
     with pytest.raises(DegreeOutOfRange):
-        build_sort_graph(["a", "b"], [], [("a", "b", 0.0)])
+        SortGraph(["a", "b"], [], [("a", "b", 0.0)])
 
 
 def test_degree_above_one_rejected():
     with pytest.raises(DegreeOutOfRange):
-        build_sort_graph(["a", "b"], [], [("a", "b", 1.5)])
+        SortGraph(["a", "b"], [], [("a", "b", 1.5)])
 
 
 @pytest.mark.parametrize("flag", [True, False])
 def test_bool_degrees_rejected(flag):
     with pytest.raises(DegreeOutOfRange):
-        build_sort_graph(["a", "b"], [], [("a", "b", flag)])
+        SortGraph(["a", "b"], [], [("a", "b", flag)])
     with pytest.raises(DegreeOutOfRange):
         build_similarity([("a", "b", flag)])
 
@@ -133,7 +120,7 @@ def test_bool_degrees_rejected(flag):
 def test_cycle_detected_with_witness():
     with pytest.raises(CycleDetected) as exc:
         lat = SortLattice(
-            build_sort_graph(
+            SortGraph(
                 ["a", "b", "c"], [], [("a", "b", 1.0), ("b", "c", 0.5), ("c", "a", 1.0)]
             )
         )
@@ -143,25 +130,25 @@ def test_cycle_detected_with_witness():
 
 def test_self_edge_rejected():
     with pytest.raises(CycleDetected):
-        build_sort_graph(["a"], [], [("a", "a", 1.0)])
+        SortGraph(["a"], [], [("a", "a", 1.0)])
 
 
 def test_edges_touching_bounds():
     with pytest.raises(CycleDetected):
-        build_sort_graph(["a"], [], [("a", BOT, 1.0)])
+        SortGraph(["a"], [], [("a", BOT, 1.0)])
     with pytest.raises(CycleDetected):
-        build_sort_graph(["a"], [], [(TOP, "a", 1.0)])
-    graph = build_sort_graph(["a"], [], [(BOT, "a", 1.0), ("a", TOP, 1.0)])
+        SortGraph(["a"], [], [(TOP, "a", 1.0)])
+    graph = SortGraph(["a"], [], [(BOT, "a", 1.0), ("a", TOP, 1.0)])
     assert SortLattice(graph).degree("a", TOP) == 1.0
 
 
 def test_duplicate_edges_keep_the_best():
-    graph = build_sort_graph(["a", "b"], [], [("a", "b", 0.3), ("a", "b", 0.8)])
+    graph = SortGraph(["a", "b"], [], [("a", "b", 0.3), ("a", "b", 0.8)])
     assert SortLattice(graph).degree("a", "b") == 0.8
 
 
 def test_diamond_is_not_a_lattice():
-    graph = build_sort_graph(
+    graph = SortGraph(
         ["a", "b", "c", "d"],
         [],
         [("a", "c", 1.0), ("a", "d", 1.0), ("b", "c", 1.0), ("b", "d", 1.0)],
@@ -174,7 +161,7 @@ def test_diamond_is_not_a_lattice():
 
 def test_validate_reports_the_first_pair_in_declaration_order():
     # (e, d), (e, c) and (d, c) all fail; the first in sort-index order is reported.
-    graph = build_sort_graph(
+    graph = SortGraph(
         ["e", "d", "c", "a", "b", "x"],
         [],
         [(a, b, 1.0) for a in "ab" for b in "cde"] + [("x", "e", 1.0), ("x", "c", 0.5)],
@@ -191,7 +178,7 @@ def test_validate_reports_the_first_pair_in_declaration_order():
 def test_validate_reports_the_first_pair_even_past_a_non_branching_sort():
     # e has a single declared subsort, so a scan of branching sorts alone
     # would meet (d, c) first; the reported pair is still (e, d).
-    graph = build_sort_graph(
+    graph = SortGraph(
         ["e", "d", "c", "a", "b"],
         [],
         [(a, b, 1.0) for a in "ab" for b in "cd"] + [("c", "e", 1.0)],
@@ -208,7 +195,7 @@ def test_validate_reports_the_first_pair_even_past_a_non_branching_sort():
 def test_glb_of_a_chain_declared_bottom_up():
     # Leaves declared before the implicit bot come first in the graph's
     # topological order; bot must still sit below them in the bit order.
-    lattice = SortLattice(build_sort_graph(["x", "z"], [], [("x", "z", 1.0)])).validate()
+    lattice = SortLattice(SortGraph(["x", "z"], [], [("x", "z", 1.0)])).validate()
     assert lattice.glb("x", "z") == lattice.glb("z", "x") == "x"
     assert lattice.glb("x", BOT) == lattice.glb(BOT, "z") == BOT
     assert lattice.glb("z", TOP) == "z"
@@ -226,7 +213,7 @@ def test_validate_is_idempotent(chain_lattice):
 def test_closure_matches_oracle(dag):
     sorts, edges = dag
     table = oracles.closure_table(sorts, edges)
-    lattice = SortLattice(build_sort_graph(sorts, [], edges))
+    lattice = SortLattice(SortGraph(sorts, [], edges))
     for s in [BOT, *sorts, TOP]:
         for t in [BOT, *sorts, TOP]:
             assert lattice.degree(s, t) == table[(s, t)], (s, t)
@@ -257,7 +244,7 @@ def bounded_dags(draw, max_sorts: int = 8):
 def test_sparse_rows_match_the_oracle(dag):
     sorts, edges = dag
     table = oracles.closure_table(sorts, edges)
-    graph = build_sort_graph(sorts, [], edges)
+    graph = SortGraph(sorts, [], edges)
     names = graph.sorts
     lattice = SortLattice(graph)
     assert [lattice.degree(s, t) for s in names for t in names] == [
@@ -266,9 +253,6 @@ def test_sparse_rows_match_the_oracle(dag):
     # closure_pairs lists sources, then targets, in declaration order.
     expected = [(s, t, table[(s, t)]) for s in names for t in names if table[(s, t)] > 0.0]
     assert SortLattice(graph).closure_pairs() == expected
-    dense = SortLattice(graph)
-    dense.densify()
-    assert dense.closure_pairs() == expected
 
 
 def test_closure_pairs_time_is_linear_in_the_rows():
@@ -276,7 +260,7 @@ def test_closure_pairs_time_is_linear_in_the_rows():
     # closure that scans the whole hierarchy for every source takes seconds.
     names = [f"n{i}" for i in range(3_000)]
     edges = [(names[i], names[(i - 1) // 2], 1.0) for i in range(1, len(names))]
-    lattice = SortLattice(build_sort_graph(names, [], edges))
+    lattice = SortLattice(SortGraph(names, [], edges))
     start = time.perf_counter()
     pairs = lattice.closure_pairs()
     assert time.perf_counter() - start < 0.5
@@ -289,7 +273,7 @@ def test_closure_pairs_time_is_linear_in_the_rows():
 @given(strategies.dags(max_sorts=8))
 def test_glb_agrees_with_support_oracle(dag):
     sorts, edges = dag
-    lattice = SortLattice(build_sort_graph(sorts, [], edges))
+    lattice = SortLattice(SortGraph(sorts, [], edges))
     try:
         lattice.validate()
     except NotALattice as exc:
@@ -306,7 +290,7 @@ def test_glb_agrees_with_support_oracle(dag):
 @given(strategies.dags(max_sorts=8))
 def test_every_glb_and_failure_matches_the_oracle(dag):
     sorts, edges = dag
-    lattice = SortLattice(build_sort_graph(sorts, [], edges))
+    lattice = SortLattice(SortGraph(sorts, [], edges))
     downs = oracles.down_sets(sorts, edges)
     nodes = [BOT, *sorts, TOP]
     for s in nodes:
@@ -330,7 +314,7 @@ def _assert_validate_matches_the_oracle(sorts, edges):
         if len(candidates) != 1:
             first = (s, t), candidates
             break
-    lattice = SortLattice(build_sort_graph(sorts, [], edges))
+    lattice = SortLattice(SortGraph(sorts, [], edges))
     if oracles.is_lattice(sorts, edges):
         assert first is None
         assert lattice.validate() is lattice
@@ -377,15 +361,15 @@ def test_validate_time_on_a_tree_is_not_quadratic():
     # pair takes seconds.
     names = [f"n{i}" for i in range(8_000)]
     edges = [(names[i], names[(i - 1) // 2], 1.0) for i in range(1, len(names))]
-    lattice = SortLattice(build_sort_graph(names, [], edges))
+    lattice = SortLattice(SortGraph(names, [], edges))
     start = time.perf_counter()
     assert lattice.validate() is lattice
     assert time.perf_counter() - start < 0.25
 
 
 @settings(max_examples=100, deadline=None)
-@given(strategies.forest_lattices(max_sorts=10))
-def test_forest_lattices_validate(lattice):
+@given(strategies.lattices(max_sorts=10))
+def test_random_lattices_validate(lattice):
     names = [s for s in lattice.graph.sorts if s not in (BOT, TOP)]
     for s in names:
         for t in names:
@@ -398,7 +382,7 @@ def test_forest_lattices_validate(lattice):
 
 
 def test_enrichment_grades_a_crisp_taxonomy():
-    graph = build_sort_graph(
+    graph = SortGraph(
         ["car", "bike", "truck", "vehicle"],
         [],
         [("car", "vehicle", 1.0), ("bike", "vehicle", 1.0), ("truck", "vehicle", 1.0)],
@@ -415,7 +399,7 @@ def test_enrichment_grades_a_crisp_taxonomy():
 
 
 def test_enrichment_max_combines_candidates():
-    graph = build_sort_graph(
+    graph = SortGraph(
         ["a", "b", "c"], [], [("a", "b", 1.0)]
     )
     sim = build_similarity([("b", "c", 0.6), ("a", "c", 0.9)])
@@ -428,7 +412,7 @@ def test_enrichment_max_combines_candidates():
 def test_enrichment_edges_and_drops_in_order():
     # sim(car, vehicle) re-derives the declared car -> vehicle edge, which keeps
     # degree 1 and its place; (bike, car) and (sedan, bike) are each hit twice.
-    graph = build_sort_graph(
+    graph = SortGraph(
         ["sedan", "car", "bike", "truck", "vehicle"],
         [],
         [
@@ -469,7 +453,7 @@ def test_enrichment_edges_and_drops_in_order():
 
 
 def test_enrichment_requires_crisp_hierarchy():
-    graph = build_sort_graph(["a", "b"], [], [("a", "b", 0.7)])
+    graph = SortGraph(["a", "b"], [], [("a", "b", 0.7)])
     with pytest.raises(ValueError):
         enrich_from_similarity(graph, build_similarity([("a", "b", 0.5)]))
 
@@ -540,7 +524,7 @@ def test_load_ontology_reports_line_numbers(text, fragment):
 @given(strategies.dags(max_sorts=8))
 def test_format_parse_roundtrip_random(dag):
     sorts, edges = dag
-    graph = build_sort_graph(sorts, ["f0"], edges)
+    graph = SortGraph(sorts, ["f0"], edges)
     again, _ = load_ontology(format_ontology(graph))
     assert sorted(again.edges) == sorted(graph.edges)
     assert list(again.sorts) == list(graph.sorts)

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 
 import strategies
-from oracles import canonical_normal_form
+from oracles import canonical_normal_form, clause_constraints, normalize_small_step, step_bound
 from fuzzyosf import (
     Clause,
     EqualityConstraint,
@@ -17,10 +17,8 @@ from fuzzyosf import (
     SortConstraint,
     format_clause,
     normalize,
-    normalize_small_step,
     parse_clause,
     parse_term,
-    step_bound,
     term_to_clause,
 )
 
@@ -196,22 +194,22 @@ def test_normalize_is_idempotent(bundle):
 def test_small_step_agrees_with_production(bundle):
     lattice, clause = bundle
     expected = canonical_normal_form(normalize(clause, lattice))
+    constraints = clause_constraints(clause)
     for seed in range(3):
-        nf, steps = normalize_small_step(
-            clause, lattice, rng=random.Random(seed)
-        )
+        nf, steps = normalize_small_step(constraints, lattice.glb, rng=random.Random(seed))
         assert canonical_normal_form(nf) == expected
-        assert steps <= step_bound(clause)
+        assert steps <= step_bound(constraints)
 
 
 def test_small_step_deterministic_without_rng(chain_lattice):
     clause = parse_clause("X: u & X: v & X.f = Y", chain_lattice.graph)
-    nf1, s1 = normalize_small_step(clause, chain_lattice)
-    nf2, s2 = normalize_small_step(clause, chain_lattice)
+    constraints = clause_constraints(clause)
+    nf1, s1 = normalize_small_step(constraints, chain_lattice.glb)
+    nf2, s2 = normalize_small_step(constraints, chain_lattice.glb)
     assert canonical_normal_form(nf1) == canonical_normal_form(nf2)
     assert s1 == s2
 
 
 def test_step_bound_formula():
     clause = parse_clause("X: top & X.f = Y & X = Y", None)
-    assert step_bound(clause) == 3 + 2 * 2
+    assert step_bound(clause_constraints(clause)) == 3 + 2 * 2

@@ -18,10 +18,10 @@ from fuzzyosf import (
     Interpretation,
     NotALattice,
     SortConstraint,
+    SortGraph,
     SortLattice,
     approximation_degree,
     best_denotation,
-    build_sort_graph,
     check_theorems,
     denote,
     find_morphism,
@@ -165,7 +165,7 @@ def _lattice_and_model(seed: int, kind: str) -> tuple[SortLattice, Interpretatio
     rng = random.Random(seed)
     if kind == "non-lattice":
         names, edges = strategies.random_dag(rng, max_sorts=6, edge_prob=0.5)
-        lattice = SortLattice(build_sort_graph(names, ["f"], edges))
+        lattice = SortLattice(SortGraph(names, ["f"], edges))
     else:
         lattice = random_lattice(rng, 6, 2)
     make = rng.choice([random_interpretation, random_repaired_interpretation])
@@ -225,7 +225,7 @@ def test_validate_interpretation_time_follows_the_stated_degrees():
     # every sort at every element takes seconds.
     names = [f"n{i}" for i in range(8_000)]
     edges = [(names[i], names[(i - 1) // 2], 1.0) for i in range(1, len(names))]
-    lattice = SortLattice(build_sort_graph(names, [], edges))
+    lattice = SortLattice(SortGraph(names, [], edges))
     table = {}
     for k in range(1_000):
         i = 7_000 + k
@@ -263,6 +263,9 @@ def test_denote_with_explicit_assignment(movies, movie_model, query):
     assert denote(query, movie_model, alpha) == 0.5
     alpha = {"X": "halloween", "Y": "hitchcock"}
     assert denote(query, movie_model, alpha) == 0.0  # wrong director
+    # Checked before the walk, which would stop at X: thriller(hitchcock) is 0.
+    with pytest.raises(ValueError, match="^assignment missing tag Y$"):
+        denote(query, movie_model, {"X": "hitchcock"})
 
 
 def test_clashing_term_denotes_zero_everywhere(movies, movie_model):
@@ -362,7 +365,7 @@ def test_canonical_denotation_time_is_linear_in_features():
     # 16,000 features on the root; scanning the root's edges for every
     # feature image takes seconds here.
     n = 16_000
-    lattice = SortLattice(build_sort_graph(["s"], [f"f{i}" for i in range(n)], []))
+    lattice = SortLattice(SortGraph(["s"], [f"f{i}" for i in range(n)], []))
     t = parse_term("X: s(" + ", ".join(f"f{i} -> Y{i}: s" for i in range(n)) + ")", lattice.graph)
     canon = CanonicalAlgebra.from_graph(term_to_graph(t), lattice)
     start = time.perf_counter()

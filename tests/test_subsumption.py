@@ -13,9 +13,9 @@ import strategies
 from fuzzyosf import (
     NotNormalTerm,
     SignatureMismatch,
+    SortGraph,
     SortLattice,
     Term,
-    build_sort_graph,
     crisp_subsumes,
     fuzzy_subsumption_degree,
     graph_equivalent,
@@ -151,7 +151,7 @@ def test_witness_time_is_linear_in_shared_features():
     # One node with 16,000 features in both terms, listed in opposite
     # orders; scanning the specific node's arguments per feature takes seconds.
     feats = [f"f{i}" for i in range(16_000)]
-    lattice = SortLattice(build_sort_graph(["s"], feats, []))
+    lattice = SortLattice(SortGraph(["s"], feats, []))
     specific = Term("X", "s", tuple((f, Term(f"A{i}", "s", ())) for i, f in enumerate(feats)))
     general = Term("Y", "s", tuple((f, Term(f"B{i}", "top", ())) for i, f in enumerate(reversed(feats))))
     start = time.perf_counter()
@@ -170,7 +170,7 @@ def test_non_normal_input_rejected(chain_lattice):
 
 
 def test_foreign_signature_rejected(chain_lattice):
-    other = build_sort_graph(["zork"], ["blip"], [])
+    other = SortGraph(["zork"], ["blip"], [])
     alien = parse_term("X: zork(blip -> Y: zork)", other)
     local = parse_term("X: s", chain_lattice.graph)
     with pytest.raises(SignatureMismatch):

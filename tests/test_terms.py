@@ -22,11 +22,11 @@ from fuzzyosf import (
     NotRooted,
     NotSolved,
     SortConstraint,
+    SortGraph,
     Term,
     TermSyntaxError,
     UnknownFeature,
     UnknownSort,
-    build_sort_graph,
     check_normal,
     clause_to_term,
     format_clause,
@@ -40,7 +40,7 @@ from fuzzyosf import (
 
 @pytest.fixture(scope="module")
 def sig():
-    return build_sort_graph(["s", "u"], ["f", "g"], [])
+    return SortGraph(["s", "u"], ["f", "g"], [])
 
 
 # -- parsing ----------------------------------------------------------------------
