@@ -296,7 +296,7 @@ def denote(t: Term, model, alpha: dict[str, object]) -> float:
     ``alpha`` does not bind.
     """
     for tag in term_tags(t):
-        if tag not in alpha:
+        if alpha.get(tag) is None:
             raise ValueError(f"assignment missing tag {tag}")
     return _denotation(t, model, alpha[t.tag], alpha)
 

@@ -266,6 +266,8 @@ def test_denote_with_explicit_assignment(movies, movie_model, query):
     # Checked before the walk, which would stop at X: thriller(hitchcock) is 0.
     with pytest.raises(ValueError, match="^assignment missing tag Y$"):
         denote(query, movie_model, {"X": "hitchcock"})
+    with pytest.raises(ValueError, match="^assignment missing tag X$"):
+        denote(query, movie_model, {"X": None, "Y": "hitchcock"})
 
 
 def test_clashing_term_denotes_zero_everywhere(movies, movie_model):
