@@ -10,6 +10,9 @@ files, bad terms, invalid ontologies), 2 semantic failure (invalid
 interpretation, failing self-checks).  A usage error (a missing argument,
 an unknown command or flag, or a flag value argparse rejects, such as
 ``theorems --max-domain 0``) also exits 2, with ``usage:`` on stderr.
+Operands that a flag rules out (``eval --at`` with ``--assign``, terms next
+to ``unify --batch``) are an input failure, found before any file is read.
+An empty term is still a term: ``unify 'X: a' ''`` fails on its syntax.
 stderr carries diagnostics only.
 """
 
@@ -210,8 +213,10 @@ def _unify_text(result) -> str:
 
 
 def cmd_unify(args) -> int:
+    if args.batch is not None and args.term1 is not None:
+        raise _InputFailure("--batch cannot be combined with terms: the file holds the pairs")
     lattice = _load_session(args)
-    if args.batch:
+    if args.batch is not None:
         records = []
         for lineno, raw in enumerate(_read_text(args.batch).splitlines(), start=1):
             line = raw.strip()
@@ -237,7 +242,7 @@ def cmd_unify(args) -> int:
                 else:
                     print(f"beta={_fmt(r.beta)}\t{format_term(r.unifier)}")
         return 0
-    if not args.term1 or not args.term2:
+    if args.term2 is None:
         raise _InputFailure("unify needs two terms (or --batch <file>)")
     t1 = parse_term(_maybe_file(args.term1), lattice.graph)
     t2 = parse_term(_maybe_file(args.term2), lattice.graph)

@@ -152,9 +152,6 @@ class SortGraph:
             self._pred[j].append((i, d))
 
         self._topo: list[int] = self._toposort()
-        self._topo_pos: list[int] = [0] * n
-        for pos, node in enumerate(self._topo):
-            self._topo_pos[node] = pos
 
     def _toposort(self) -> list[int]:
         n = len(self.sorts)
@@ -227,6 +224,8 @@ class SortLattice:
             for v, _ in graph._pred[u]:
                 down[u] |= down[v]
         down[top] = (1 << len(order)) - 1
+        # As ints, down-sets grow strictly along every edge: a linear extension.
+        self._down: list[int] = down
         self._below: dict[str, int] = dict(zip(graph.sorts, down))
         self._bit_sort: list[str] = [graph.sorts[u] for u in order]
         self._bit_below: list[int] = [down[u] for u in order]
@@ -238,18 +237,17 @@ class SortLattice:
         row = self._rows.get(src)
         if row is not None:
             return row
-        g = self.graph
-        succ = g._succ
+        succ = self.graph._succ
         reach, stack = {src}, [src]
         while stack:
             for v, _ in succ[stack.pop()]:
                 if v not in reach:
                     reach.add(v)
                     stack.append(v)
-        # Relax the reachable sorts only, in topological order; every one of
-        # them has a positive degree by the time it is reached.
+        # Relax the reachable sorts only, by down-set (a topological order);
+        # every one of them has a positive degree by the time it is reached.
         row = {src: 1.0}
-        for u in sorted(reach, key=g._topo_pos.__getitem__):
+        for u in sorted(reach, key=self._down.__getitem__):
             du = row[u]
             for v, w in succ[u]:
                 d = du if du < w else w
@@ -327,7 +325,7 @@ class SortLattice:
         # If (a, b) has maximal common lower bounds m1 != m2, so has (a', b') for
         # a' <= a, b' <= b minimal above both: incomparable, and each has two
         # declared lower covers, one above m1 and one above m2, so both branch.
-        downs = list(self._below.values())
+        downs = self._down
         by_bit = self._bit_below
         for i, a in enumerate(indices):
             da = downs[a]
@@ -350,7 +348,7 @@ class SortLattice:
             # A maximal common lower bound m of a failing pair is not bot and has
             # two declared supersorts: with one, that supersort would lie below
             # both sorts and above m.
-            downs = list(self._below.values())
+            downs = self._down
             bot = g._index[BOT]
             joins = 0
             for u, ups in enumerate(g._succ):
@@ -445,8 +443,6 @@ def enrich_from_similarity(
     succ: list[set[int]] = [set(v for v, _ in graph._succ[i]) for i in range(n)]
 
     def reaches(a: int, b: int) -> bool:
-        if a == b:
-            return True
         seen = {a}
         stack = [a]
         while stack:

@@ -33,6 +33,8 @@ from .terms import (
     SortConstraint,
     Term,
     _solved_structure,
+    parse_clause,
+    parse_term,
     term_tags,
     term_to_clause,
 )
@@ -55,16 +57,11 @@ class Interpretation:
         elements: list[str],
         sort_table: dict[tuple[str, str], float],
         features: dict[tuple[str, str], str],
-        feature_names: list[str] | None = None,
+        feature_names: list[str],
     ):
         self.elements: list[str] = list(elements)
         self.sort_table: dict[tuple[str, str], float] = dict(sort_table)
         self.features: dict[tuple[str, str], str] = dict(features)
-        if feature_names is None:
-            seen: dict[str, None] = {}
-            for f, _ in self.features:
-                seen.setdefault(f, None)
-            feature_names = list(seen)
         self.feature_names: list[str] = list(feature_names)
 
     def sort_degree(self, sort: str, element) -> float:
@@ -670,9 +667,6 @@ class TheoremReport:
 
 def _all_assignments(tags: list[str], elements: list[str]):
     """Every total assignment of elements to tags (elements^tags of them)."""
-    if not tags:
-        yield {}
-        return
     for combo in itertools.product(elements, repeat=len(tags)):
         yield dict(zip(tags, combo))
 
@@ -707,9 +701,7 @@ def check_theorems(
         c.failures.append("; ".join(problems))
 
     c = check("sample denotation degrees")
-    t_thriller = Term(
-        "X", "thriller", (("directed_by", Term("Y", "director", ())),)
-    )
+    t_thriller = parse_term("X: thriller(directed_by -> Y: director)", movie.graph)
     for element, expected in [
         ("halloween", 0.5),
         ("psycho", 1.0),
@@ -724,32 +716,18 @@ def check_theorems(
     alpha = {"X": "halloween", "Y": "carpenter"}
     if denote(t_thriller, interp, alpha) != 0.5:
         c.failures.append("assignment-level degree at halloween is not 0.5")
-    # A term demanding the same feature lead to both a director and a string
-    # denotes 0 everywhere (the sorts share no positive member).
-    t_clash = Term(
-        "X",
-        "movie",
-        (
-            ("directed_by", Term("Y", "director", ())),
-            ("directed_by", Term("Y2", "string", ())),
-        ),
-    )
-    t_clash_shared = Term(
-        "X",
-        "movie",
-        (
-            ("directed_by", Term("Y", "director", ())),
-            ("directed_by", Term("Y", "string", ())),
-        ),
-    )
-    for t in (t_clash, t_clash_shared):
+    # A term demanding the same feature lead to both a director and a string,
+    # through a second tag or through Y again, denotes 0 everywhere (the
+    # sorts share no positive member).
+    for second in ("Y2", "Y"):
+        t = parse_term(f"X: movie(directed_by -> Y: director, directed_by -> {second}: string)", movie.graph)
         for element in interp.elements:
             c.cases += 1
             if best_denotation(t, interp, element) != 0.0:
                 c.failures.append(f"clashing term has positive degree at {element}")
 
     c = check("sample satisfaction thresholds")
-    clause = Clause((SortConstraint("X", "thriller"),))
+    clause = parse_clause("X: thriller", movie.graph)
     for beta, expected in [(0.5, True), (0.6, False), (0.0, True)]:
         c.cases += 1
         got = satisfies(clause, interp, {"X": "halloween"}, beta)

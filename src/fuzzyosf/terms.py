@@ -554,34 +554,32 @@ def clause_to_term(clause: Clause) -> Term:
         if unsorted:
             parts.append("unsorted: " + ", ".join(unsorted))
         raise NotRooted("; ".join(parts), stray + unsorted)
-    return _expand(clause.root, {tag: (tag, sort_of[tag], feats.get(tag, ())) for tag in all_tags})
+    return _expand(clause.root, sort_of, feats)
 
 
-def _expand(root, nodes) -> Term:
-    """The term of a rooted structure: ``nodes[key]`` is ``(tag, sort, edges)``
-    for the ``root`` key and every key its ordered ``(feature, key)`` edges
-    reach, with keys of any hashable kind.
+def _expand(root: str, sorts: dict[str, str], out: dict) -> Term:
+    """The term of a rooted structure: ``sorts[tag]`` is the sort and
+    ``out.get(tag, ())`` the ordered ``(feature, tag)`` edges of ``root`` and
+    of every tag those edges reach.
 
-    Depth-first from ``root``, each node expands at its first encounter;
+    Depth-first from ``root``, each tag expands at its first encounter;
     revisits become bare top leaves (back-references).
     """
     expanded = {root}
-    tag, sort, edges = nodes[root]
-    edges, args = iter(edges), []
-    stack = []  # open ancestors: tag, sort, edge iterator, args so far, feature to the child
+    tag, edges, args = root, iter(out.get(root, ())), []
+    stack = []  # open ancestors: tag, edge iterator, args so far, feature to the child
     while True:
-        for f, key in edges:
-            if key in expanded:
-                args.append((f, Term(nodes[key][0], TOP, ())))
+        for f, child in edges:
+            if child in expanded:
+                args.append((f, Term(child, TOP, ())))
             else:
-                expanded.add(key)
-                stack.append((tag, sort, edges, args, f))
-                tag, sort, edges = nodes[key]
-                edges, args = iter(edges), []
+                expanded.add(child)
+                stack.append((tag, edges, args, f))
+                tag, edges, args = child, iter(out.get(child, ())), []
                 break
         else:
-            node = Term(tag, sort, tuple(args))
+            node = Term(tag, sorts[tag], tuple(args))
             if not stack:
                 return node
-            tag, sort, edges, args, f = stack.pop()
+            tag, edges, args, f = stack.pop()
             args.append((f, node))

@@ -113,12 +113,12 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
         else:
             members[k].append(names[x])
     class_names = list(islice(fresh_tags(set(names), prefix="_Z"), len(reps)))
-    class_of = [cls[rep] for rep in roots]
-    nodes = []
-    for name, rep in zip(class_names, reps):
-        out = feats[rep]
-        nodes.append((name, sort[rep], [(f, class_of[x]) for f, x in out.items()] if out else ()))
-    unifier = _expand(0, nodes)
+    class_of = [class_names[cls[rep]] for rep in roots]
+    unifier = _expand(
+        class_names[0],
+        dict(zip(class_names, map(sort.__getitem__, reps))),
+        {class_of[rep]: [(f, class_of[x]) for f, x in feats[rep].items()] for rep in reps if feats[rep]},
+    )
 
     # Each tag's degree, term 1's tags first, each term's in walk order.
     degrees = list(map(lattice.degree, map(sort.__getitem__, roots), own))

@@ -620,6 +620,34 @@ EXIT_CLASSES = [
     (["--ontology", "{movies}", "unify", "X: movie(", "Y: movie"], 1, "error:"),
     # Semantic failures: the input reads, but the model breaks a validity law.
     (["--ontology", "{movies}", "eval", "--interp", "{invalid}", "X: movie"], 2, "invalid"),
+    # Terms next to --batch are refused before either file is read, and an
+    # empty term is a term that does not parse.
+    (["--ontology", "{movies}", "unify", "--batch", "{invalid}", "X: movie", "Y: zork"], 1, "error:"),
+    (["--ontology", "{movies}", "unify", "X: movie", ""], 1, "error:"),
+    # One row per subcommand and class not covered above.  theorems reads no
+    # input that argparse has not checked, and only eval and theorems can fail
+    # semantically; theorems only on a broken package.
+    (["--ontology", "{movies}", "check", "extra"], 2, "usage:"),
+    (["--ontology", "{movies}", "closure", "extra"], 2, "usage:"),
+    (["--ontology", "{movies}", "glb", "movie"], 2, "usage:"),
+    (["--ontology", "{movies}", "normalize"], 2, "usage:"),
+    (["--ontology", "{movies}", "unify", "--nosuch"], 2, "usage:"),
+    (["--ontology", "{movies}", "subsumes", "X: movie"], 2, "usage:"),
+    (["--ontology", "{movies}", "enrich", "extra"], 2, "usage:"),
+    (["--ontology", "{movies}", "dot", "--nosuch"], 2, "usage:"),
+    (["--ontology", "{movies}", "eval", "X: movie"], 2, "usage:"),
+    (["--ontology", "{invalid}", "check"], 1, "error:"),
+    (["closure"], 1, "error:"),
+    (["--ontology", "{movies}", "glb", "movie", "zonk"], 1, "error:"),
+    (["--ontology", "{movies}", "normalize", "X: zonk"], 1, "error:"),
+    (["--ontology", "{movies}", "subsumes", "X: movie", "Y: zonk"], 1, "error:"),
+    (["--ontology", "{movies}", "enrich"], 1, "error:"),
+    (["--ontology", "{movies}", "dot", "--term", "X: movie("], 1, "error:"),
+    (
+        ["--ontology", "{movies}", "eval", "--interp", "{invalid}", "--at", "x", "--assign", "X=x", "X: movie"],
+        1,
+        "error:",
+    ),
 ]
 
 
@@ -634,3 +662,61 @@ def test_exit_code_classes(capsys, movies_file, tmp_path, argv, code, first_word
         got = exc.code
     captured = capsys.readouterr()
     assert (got, captured.out, captured.err.split()[0]) == (code, "", first_word)
+
+
+def test_unify_batch_refuses_terms_before_reading_files(capsys, chain_file, tmp_path):
+    batch = tmp_path / "pairs.txt"
+    batch.write_text("X: u\tY: v\n", encoding="utf-8")
+    refused = "error: --batch cannot be combined with terms: the file holds the pairs\n"
+    for ontology, path in ((chain_file, batch), (tmp_path / "no.onto", tmp_path / "no.tsv")):
+        argv = ["--ontology", str(ontology), "unify", "--batch", str(path)]
+        assert run(capsys, *argv, "X: p", "Y: zork") == (1, "", refused)
+        assert run(capsys, *argv, "") == (1, "", refused)
+    # Without --batch, an empty term fails on its syntax, like any other term.
+    code, out, err = run(capsys, "--ontology", chain_file, "unify", "X: p", "")
+    assert (code, out, err) == (1, "", "error: unexpected end of input; expected a term\n")
+
+
+# -- input boundaries ------------------------------------------------------------------
+
+
+def test_closure_json_lists_every_positive_pair(capsys, tmp_ontology):
+    path = tmp_ontology("sort a b\nfeature f\nedge a b 0.5\n", "tiny.txt")
+    pairs = [
+        ("a", "a", 1.0), ("a", "b", 0.5), ("a", "top", 1.0), ("b", "b", 1.0), ("b", "top", 1.0),
+        ("bot", "a", 1.0), ("bot", "b", 1.0), ("bot", "bot", 1.0), ("bot", "top", 1.0),
+        ("top", "top", 1.0),
+    ]
+    expected = json.dumps([{"sub": s, "sup": t, "degree": d} for s, t, d in pairs]) + "\n"
+    assert run(capsys, "--ontology", path, "--json", "closure") == (0, expected, "")
+
+
+def test_enrich_json_lists_edges_and_dropped(capsys, tmp_ontology):
+    path = tmp_ontology(
+        "sort car bike vehicle\nedge car vehicle 1\nedge bike vehicle 1\nsim car bike 0.4\n", "sim.txt"
+    )
+    payload = {
+        "sorts": ["car", "bike", "vehicle", "bot", "top"],
+        "features": [],
+        "edges": [["car", "vehicle", 1.0], ["bike", "vehicle", 1.0], ["bike", "car", 0.4]],
+        "dropped": [{"sub": "car", "sup": "bike", "degree": 0.4, "reason": "cycle"}],
+    }
+    assert run(capsys, "--ontology", path, "--json", "enrich") == (0, json.dumps(payload) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["unify", "--batch", "{batch}"], "{batch}:2: expected two tab-separated terms"),
+        (["eval", "--interp", "{interp}", "--assign", "X", "X: movie"], "bad --assign (want TAG=ELEMENT): 'X'"),
+        (["eval", "--interp", "{interp}", "--assign", "X=zz", "X: movie"], "unknown element in --assign: zz"),
+    ],
+    ids=["batch-line-without-tab", "assign-without-equals", "assign-unknown-element"],
+)
+def test_cli_input_errors(capsys, movies_file, tmp_path, command, message):
+    paths = {"batch": tmp_path / "pairs.txt", "interp": tmp_path / "m.interp"}
+    paths["batch"].write_text("X: movie\tY: thriller\nX: movie Y: thriller\n", encoding="utf-8")
+    paths["interp"].write_text(MOVIE_MODEL, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in command]
+    expected = "error: " + message.format(**paths) + "\n"
+    assert run(capsys, "--ontology", movies_file, *argv) == (1, "", expected)

@@ -122,3 +122,71 @@ def test_cli_check_survives_arbitrary_ontologies(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzzed-onto.txt"
     path.write_text(text, encoding="utf-8")
     assert _exit_code(["--ontology", str(path), "check"]) in (0, 1, 2)
+
+
+# -- the model and batch boundaries of the CLI ------------------------------------------
+
+# A valid model over ONTOLOGY plus a few lines that may break it, so that many
+# drawn models load and validate and the term, --at and --assign checks run.
+MODEL = "elem a b c\ndeg p a 1\ndeg q a 0.5\ndeg s a 1\ndeg q b 1\ndeg s b 1\nfun f * a\nfun g * b\n"
+MODEL_LINES = ["elem d", "deg p b 0.5", "deg q c 1", "deg s c 0.5", "fun f a b", "fun g b c", "fun f c zz"]
+
+
+def mostly(strategy):
+    """``strategy`` in three draws of four, arbitrary text in the fourth."""
+    return st.integers(0, 3).flatmap(lambda k: strategy if k else texts)
+
+
+models = mostly(st.lists(st.sampled_from(MODEL_LINES), max_size=3).map(lambda lines: MODEL + "\n".join(lines)))
+terms = mostly(st.sampled_from(["X: p", "X: q(f -> Y: s)", "X: s(f -> Y, g -> Y: q)", "X: p(f -> X)", ""]))
+elements = st.sampled_from(["a", "b", "c", "zz", ""])
+at_flags = elements.map(lambda e: ["--at", e])
+assign_flags = st.lists(
+    st.one_of(
+        st.builds("{}={}".format, st.sampled_from(["X", "Y", "Z", ""]), elements),
+        st.sampled_from(["X", "=", ""]),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda items: [arg for item in items for arg in ("--assign", item)])
+both_flags = st.tuples(at_flags, assign_flags).map(lambda pair: pair[0] + pair[1])
+eval_flags = st.one_of(st.just([]), at_flags, assign_flags, both_flags)
+batches = st.lists(mostly(st.tuples(terms, terms).map("\t".join)), max_size=4).map("\n".join)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run; a usage error is exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+
+
+@fuzz
+@given(model=models, term=terms, flags=eval_flags, as_json=st.booleans())
+def test_cli_eval_survives_arbitrary_models_and_flags(
+    tmp_path_factory, ontology_file, model, term, flags, as_json
+):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.interp"
+    path.write_text(model, encoding="utf-8")
+    argv = ["--ontology", ontology_file, *(["--json"] if as_json else []), "eval", "--interp", str(path)]
+    _assert_clean_exit(*_run([*argv, *flags, "--", term]))
+
+
+@fuzz
+@given(batch=batches, as_json=st.booleans())
+def test_cli_unify_batch_survives_arbitrary_files(tmp_path_factory, ontology_file, batch, as_json):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-pairs.tsv"
+    path.write_text(batch, encoding="utf-8")
+    argv = ["--ontology", ontology_file, *(["--json"] if as_json else []), "unify", "--batch", str(path)]
+    _assert_clean_exit(*_run(argv))

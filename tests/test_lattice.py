@@ -529,3 +529,38 @@ def test_format_parse_roundtrip_random(dag):
     assert sorted(again.edges) == sorted(graph.edges)
     assert list(again.sorts) == list(graph.sorts)
     assert list(again.features) == ["f0"]
+
+
+# -- input boundaries ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sorts, features, edges, error, message",
+    [
+        (["Bad"], [], [], OntologyError, "bad sort name: 'Bad'"),
+        (["a"], ["Bad"], [], OntologyError, "bad feature name: 'Bad'"),
+        (["a"], ["f", "f"], [], DuplicateName, "feature declared twice: f"),
+        (["a"], [], [("zork", "a", 1.0)], UnknownSort, "unknown sort: zork"),
+        (["a"], [], [("a", "zork", 1.0)], UnknownSort, "unknown sort: zork"),
+    ],
+    ids=["bad-sort-name", "bad-feature-name", "duplicate-feature", "unknown-sub", "unknown-sup"],
+)
+def test_sort_graph_rejects_bad_declarations(sorts, features, edges, error, message):
+    with pytest.raises(OntologyError) as exc:
+        SortGraph(sorts, features, edges)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sort a b\nsim a b high", "line 2: bad degree: 'high'"),
+        ("sort a b\nsim a b 1.5", "line 2: sim degree must lie in [0, 1]: 1.5"),
+        ("sort a b\nsim a b -0.5", "line 2: sim degree must lie in [0, 1]: -0.5"),
+    ],
+    ids=["bad-degree", "above-one", "below-zero"],
+)
+def test_load_ontology_rejects_bad_sim_degrees(text, message):
+    with pytest.raises(OntologyError) as exc:
+        load_ontology(text)
+    assert (type(exc.value), str(exc.value)) == (OntologyError, message)

@@ -189,8 +189,8 @@ def test_normalize_is_idempotent(bundle):
 # -- the randomized small-step engine ------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(strategies.lattice_and_clause(max_tags=6))
+@settings(max_examples=300, deadline=None)
+@given(strategies.lattice_and_clause(max_tags=6) | strategies.diamond_and_clause(max_tags=6))
 def test_small_step_agrees_with_production(bundle):
     lattice, clause = bundle
     expected = canonical_normal_form(normalize(clause, lattice))

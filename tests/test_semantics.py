@@ -565,3 +565,61 @@ def test_theorem_harness_is_seed_deterministic():
     assert [(c.name, c.cases) for c in a.checks] == [
         (c.name, c.cases) for c in b.checks
     ]
+
+
+# -- input boundaries ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "elements, table, features, names, problems",
+    [
+        ([], {}, {}, [], ["domain is empty"]),
+        (["a"], {("zork", "a"): 1.0}, {}, [], ["unknown sort in table: zork"]),
+        (["a"], {("p", "b"): 1.0}, {}, [], ["degree given for unknown element: b"]),
+        (["a"], {("p", "a"): 1.5}, {}, [], ["degree out of range: p(a) = 1.5"]),
+        (["a"], {("top", "a"): 0.5}, {}, [], ["top must hold of a at 1, not 0.5"]),
+        (["a"], {("bot", "a"): 0.5}, {}, [], ["bot must hold of a at 0, not 0.5"]),
+        (["a"], {}, {("f", "a"): "b"}, ["f"], ["feature f maps a outside the domain: b"]),
+        (["a"], {}, {("f", "a"): "a"}, [], ["feature value given for undeclared feature: f"]),
+        (
+            ["a"],
+            {},
+            {("f", "a"): "a", ("f", "b"): "a"},
+            ["f"],
+            ["feature f defined at unknown element: b"],
+        ),
+    ],
+    ids=[
+        "empty-domain",
+        "unknown-sort",
+        "unknown-element",
+        "degree-out-of-range",
+        "top-entry",
+        "bot-entry",
+        "image-outside-domain",
+        "undeclared-feature",
+        "feature-at-unknown-element",
+    ],
+)
+def test_validate_interpretation_reports_structural_problems(elements, table, features, names, problems):
+    lattice = SortLattice(SortGraph(["p"], ["f"], [])).validate()
+    model = Interpretation(elements, table, features, names)
+    assert validate_interpretation(model, lattice) == problems
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elem", "line 1: expected: elem <name>..."),
+        ("elem a\ndeg p a high", "line 2: bad degree: 'high'"),
+        ("elem a\ndeg p a 1.5", "line 2: degree must lie in [0, 1]: 1.5"),
+        ("elem a\nfun f b a", "line 2: undeclared element: b"),
+        ("elem a\nfun f a b", "line 2: undeclared element: b"),
+    ],
+    ids=["elem-without-names", "bad-degree", "degree-out-of-range", "undeclared-source", "undeclared-image"],
+)
+def test_load_interpretation_rejects_bad_lines(text, message):
+    graph = SortGraph(["p"], ["f"], [])
+    with pytest.raises(ValueError) as exc:
+        load_interpretation(text, graph)
+    assert (type(exc.value), str(exc.value)) == (ValueError, message)

@@ -475,3 +475,18 @@ def test_clause_roundtrip_is_identity(bundle):
     lattice, (t,) = bundle
     again = clause_to_term(term_to_clause(t))
     assert format_term(again) == format_term(t)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("X: zork", UnknownSort, "unknown sort: zork"),
+        ("X: p & X.zork = Y", UnknownFeature, "unknown feature: zork"),
+    ],
+    ids=["unknown-sort", "unknown-feature"],
+)
+def test_parse_clause_rejects_names_outside_the_signature(text, error, message):
+    graph = SortGraph(["p"], ["f"], [])
+    with pytest.raises(error) as exc:
+        parse_clause(text, graph)
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -319,8 +319,8 @@ def _shape(constraints: set, root: str) -> tuple[dict, dict, str]:
     return sort_of, out, root
 
 
-@settings(max_examples=200, deadline=None)
-@given(strategies.lattice_and_terms(count=2, max_tags=5))
+@settings(max_examples=400, deadline=None)
+@given(strategies.lattice_and_terms(count=2, max_tags=5) | strategies.diamond_and_terms(max_tags=5))
 def test_unify_agrees_with_the_naive_meet(bundle):
     # The oracle solves both terms' constraint readings, the second renamed
     # apart, plus a root equality (two values of one feature of a fresh tag).
