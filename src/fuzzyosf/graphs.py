@@ -4,11 +4,12 @@ A feature graph has tag-named nodes labeled with sorts and feature-labeled
 edges, all nodes reachable from a root.  Terms, solved rooted clauses, and
 graphs are three presentations of the same structure; this module holds the
 term <-> graph bijection plus canonical forms, equivalence and rendering.
-A term's sorts and edges come from the walk that checks its normal form
-(``terms._walk``); here they are only re-keyed.  Feature application and sort
-membership as a model, with "trivial" elements for the top-sorted targets a
-graph does not mention, live in :class:`fuzzyosf.semantics.CanonicalAlgebra`,
-which builds from a graph or straight from a solved clause.
+A term's sorts and edges come from the numbered record that its normal-form
+gate returns (``terms._gate``); here they are only re-keyed.  Feature
+application and sort membership as a model, with "trivial" elements for the
+top-sorted targets a graph does not mention, live in
+:class:`fuzzyosf.semantics.CanonicalAlgebra`, which builds from a graph or
+straight from a solved clause.
 """
 
 from __future__ import annotations
@@ -44,18 +45,19 @@ def term_to_graph(t: Term) -> OsfGraph:
 
 def _graph(t: Term, signature: SortGraph | None) -> OsfGraph:
     """The graph of ``t``, normal over ``signature``, keyed depth-first."""
-    sorts, structured = _gate(t, signature)
+    tags, sorts, edges = _gate(t, signature)
     ordered: dict[str, str] = {}
     out: dict[str, tuple[tuple[str, str], ...]] = {}
-    walk = [t.tag]
+    walk = [0]
     while walk:
-        tag = walk.pop()
+        x = walk.pop()
+        tag = tags[x]
         if tag in ordered:
             continue
-        ordered[tag] = sorts[tag]
-        edges = out[tag] = tuple((f, child.tag) for f, child in structured.get(tag, ()))
-        for _, target in reversed(edges):
-            walk.append(target)
+        ordered[tag] = sorts[x]
+        targets = edges.get(x, {})
+        out[tag] = tuple((f, tags[y]) for f, y in targets.items())
+        walk += reversed(targets.values())
     return OsfGraph(root=t.tag, sorts=ordered, out=out)
 
 

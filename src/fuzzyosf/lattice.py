@@ -76,6 +76,19 @@ class SignatureMismatch(OntologyError):
     """A term refers to sorts or features outside the signature."""
 
 
+class _Names(dict):
+    """Names of one kind, each mapped to itself so that parsed terms share the
+    signature's strings; another name raises ``unknown`` or, if None, is kept."""
+
+    def __init__(self, unknown: type[OntologyError] | None = None):
+        self.unknown = unknown
+
+    def __missing__(self, name: str) -> str:
+        if self.unknown is None:
+            return name
+        raise self.unknown(name)
+
+
 class SortGraph:
     """The declared fragment of a sort hierarchy: names plus weighted edges.
 
@@ -96,16 +109,16 @@ class SortGraph:
         for name in (BOT, TOP):
             if name not in declared:
                 declared.append(name)
-        seen: set[str] = set()
+        seen = self._sort_names = _Names(UnknownSort)
         for name in declared:
             if not _SORT_RE.match(name):
                 raise OntologyError(f"bad sort name: {name!r}")
             if name in seen:
                 raise DuplicateName(f"sort declared twice: {name}")
-            seen.add(name)
+            seen[name] = name
         self.sorts: list[str] = declared
 
-        feats: set[str] = set()
+        feats = self._feature_names = _Names(UnknownFeature)
         for name in features:
             if not _FEATURE_RE.match(name):
                 raise OntologyError(f"bad feature name: {name!r}")
@@ -113,9 +126,8 @@ class SortGraph:
                 raise DuplicateName(f"feature declared twice: {name}")
             if name in seen:
                 raise DuplicateName(f"name used as both sort and feature: {name}")
-            feats.add(name)
+            feats[name] = name
         self.features: list[str] = list(features)
-        self._feature_set = feats
 
         self._index: dict[str, int] = {name: i for i, name in enumerate(self.sorts)}
         n = len(self.sorts)
@@ -185,7 +197,7 @@ class SortGraph:
         return name in self._index
 
     def has_feature(self, name: str) -> bool:
-        return name in self._feature_set
+        return name in self._feature_names
 
     def to_dot(self) -> str:
         lines = ["digraph sorts {", "  rankdir=BT;"]
@@ -500,6 +512,8 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
         raise kind(f"line {lineno}: {msg}")
 
     def add_sort(lineno: int, name: str) -> None:
+        if name in sorts:  # checked at its first mention
+            return
         if not _SORT_RE.match(name):
             fail(lineno, f"bad sort name: {name!r}")
         if name in features:

@@ -63,7 +63,7 @@ class _Solver:
     order).  A class carries at most one sort (``sort``) and one value per
     feature (``feats``, feature to tag number), both at the class's root.
     A caller may fill these tables up front; constraints land through
-    :meth:`add_sort` and :meth:`add_feat`; equalities queue on ``pending``
+    :meth:`add_sort` and :meth:`add_feats`; equalities queue on ``pending``
     and :meth:`drain` merges them, queueing the feature merges they force.
     A bot sort raises ``_Collapse``.  With ``trace`` set, every rule firing
     is logged.
@@ -108,17 +108,20 @@ class _Solver:
             raise _Collapse(rep)
         self.sort[rep] = sort
 
-    def add_feat(self, rep: int, feature: str, target: int) -> None:
+    def add_feats(self, rep: int, edges: dict[str, int]) -> None:
+        """Add ``edges`` to ``rep``'s class; a class with no features takes the dict."""
         bucket = self.feats[rep]
         if bucket is None:
-            bucket = self.feats[rep] = {}
-        existing = bucket.setdefault(feature, target)
-        if existing != target and self.find(existing) != self.find(target):
-            if self.trace:
-                names = self.names
-                forced = f"{names[existing]} = {names[target]}"
-                self.log.append(f"feature-functionality: {names[rep]}.{feature} forces {forced}")
-            self.pending.append((existing, target))
+            self.feats[rep] = edges
+            return
+        for feature, target in edges.items():
+            existing = bucket.setdefault(feature, target)
+            if existing != target and self.find(existing) != self.find(target):
+                if self.trace:
+                    names = self.names
+                    forced = f"{names[existing]} = {names[target]}"
+                    self.log.append(f"feature-functionality: {names[rep]}.{feature} forces {forced}")
+                self.pending.append((existing, target))
 
     def drain(self) -> None:
         """Merge queued equalities until none is left."""
@@ -145,8 +148,7 @@ class _Solver:
             lost_feats = feats[loser]
             if lost_feats is not None:
                 feats[loser] = None
-                for feature, target in lost_feats.items():
-                    self.add_feat(winner, feature, target)
+                self.add_feats(winner, lost_feats)
 
 
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
@@ -166,7 +168,7 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
             if isinstance(c, SortConstraint):
                 solver.add_sort(find(number[c.tag]), c.sort)
             elif isinstance(c, FeatureConstraint):
-                solver.add_feat(find(number[c.tag]), c.feature, number[c.target])
+                solver.add_feats(find(number[c.tag]), {c.feature: number[c.target]})
             else:
                 solver.pending.append((number[c.left], number[c.right]))
             solver.drain()

@@ -36,32 +36,26 @@ class SubsumptionWitness:
     per_tag: dict[str, tuple[str, str, float]]
 
 
-def _find_witness(
-    root0: str, sorts0: dict[str, str], args0: dict, g1: OsfGraph
-) -> dict[str, str] | None:
-    """Map g1's nodes into t0, completed with fresh top nodes where g1
-    demands an edge t0 lacks; None on a coreference conflict.
+def _find_witness(tags0: list[str], edges0: dict, g1: OsfGraph) -> dict[str, int] | None:
+    """Map g1's nodes to t0's tag numbers, completing t0 with fresh top nodes
+    where g1 demands an edge t0 lacks; None on a coreference conflict.
 
-    t0 is read as :func:`_gate` returns it (``sorts0``, ``args0``).  Each
-    node's arguments are indexed by feature on its first visit (a normal t0
-    has each feature at most once per node), and a completion edge joins the
-    index, so the fresh nodes are the mapped tags that ``sorts0`` does not hold.
+    t0 is the record :func:`_gate` returns (``tags0``, ``edges0``), which the
+    caller owns: a completion edge joins its node's edges, and a fresh node
+    takes the next number, its name appended to ``tags0``.
     """
-    fresh = fresh_tags(sorts0, prefix="_T")
-    index: dict[str, dict[str, str]] = {}
-
-    mapping: dict[str, str] = {g1.root: root0}
+    fresh = fresh_tags(set(tags0), prefix="_T")
+    mapping: dict[str, int] = {g1.root: 0}
     queue = [g1.root]
     while queue:
         n1 = queue.pop()
-        n0 = mapping[n1]
+        x0 = mapping[n1]
         for f, m1 in g1.out.get(n1, ()):
-            edges0 = index.get(n0)
-            if edges0 is None:
-                edges0 = index[n0] = {g: child.tag for g, child in args0.get(n0, ())}
-            m0 = edges0.get(f)
+            out0 = edges0.setdefault(x0, {})
+            m0 = out0.get(f)
             if m0 is None:
-                m0 = edges0[f] = next(fresh)
+                m0 = out0[f] = len(tags0)
+                tags0.append(next(fresh))
             known = mapping.get(m1)
             if known is None:
                 mapping[m1] = m0
@@ -73,20 +67,22 @@ def _find_witness(
 
 def subsumption_witness(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
     """Witness after top-completion of t0; None only on a coreference conflict."""
-    sorts0, args0 = _gate(t0, lattice.graph)
+    tags0, sorts0, edges0 = _gate(t0, lattice.graph)
     g1 = _graph(t1, lattice.graph)
-    mapping = _find_witness(t0.tag, sorts0, args0, g1)
-    if mapping is None:
+    n0 = len(tags0)
+    found = _find_witness(tags0, edges0, g1)
+    if found is None:
         return None
     per_tag: dict[str, tuple[str, str, float]] = {}
     degree = 1.0
-    for n1 in g1.sorts:
-        s0 = sorts0.get(mapping[n1], TOP)
-        s1 = g1.sorts[n1]
+    for n1, s1 in g1.sorts.items():
+        x0 = found[n1]
+        s0 = sorts0[x0] if x0 < n0 else TOP
         d = lattice.degree(s0, s1)
         per_tag[n1] = (s0, s1, d)
         if d < degree:
             degree = d
+    mapping = {n1: tags0[x0] for n1, x0 in found.items()}
     return SubsumptionWitness(mapping=mapping, degree=degree, per_tag=per_tag)
 
 

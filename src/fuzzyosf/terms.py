@@ -7,6 +7,10 @@ a conjunction of atomic constraints over tags — sort membership ``X:s``,
 feature value ``X.f ≐ Y``, and tag equality ``X ≐ Y`` — and is the flattened
 form a term compiles to.
 
+A term is read into its graph once: parsing over a signature builds the
+record that :func:`_walk` would, for the first :func:`_gate` over that
+signature to take; any other term, or a second gate, is walked.
+
 All traversals here are iterative, so deeply nested terms (thousands of
 levels) never hit the recursion limit.
 """
@@ -15,11 +19,11 @@ from __future__ import annotations
 
 import re
 import string
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort
+from .lattice import BOT, TOP, SignatureMismatch, SortGraph, _Names
 
 
 class TermSyntaxError(ValueError):
@@ -42,27 +46,17 @@ class NotRooted(ValueError):
         super().__init__(msg)
 
 
-class Term:
-    """An immutable feature term: tag, sort, and ordered feature arguments."""
+class Term(namedtuple("Term", ("tag", "sort", "args"), defaults=((),))):
+    """An immutable feature term: tag, sort, and ordered feature arguments.
 
-    __slots__ = ("tag", "sort", "args")
-    __match_args__ = ("tag", "sort", "args")
+    A root parsed over a signature has a fourth element: see :func:`_gate`.
+    """
+
+    __slots__ = ()
 
     tag: str
     sort: str
     args: tuple[tuple[str, Term], ...]
-
-    def __init__(self, tag: str, sort: str, args: tuple[tuple[str, Term], ...] = ()):
-        # The slot descriptors' setters bypass the __setattr__ guard below.
-        _set_tag(self, tag)
-        _set_sort(self, sort)
-        _set_args(self, args)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Term, (self.tag, self.sort, self.args)
@@ -75,7 +69,7 @@ class Term:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            return False  # not NotImplemented: a plain tuple would then compare as one
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -89,14 +83,15 @@ class Term:
                 stack.append((x, y))
         return True
 
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
     def __hash__(self) -> int:
         # Equal terms have equal preorder node sequences.
         return hash(tuple((n.tag, n.sort, tuple(f for f, _ in n.args)) for n in term_nodes(self)))
 
 
-_set_tag = Term.tag.__set__
-_set_sort = Term.sort.__set__
-_set_args = Term.args.__set__
+_new = tuple.__new__  # builds a Term from its fields without a Python-level call
 
 
 @dataclass(frozen=True)
@@ -190,48 +185,51 @@ def term_tags(t: Term) -> dict[str, int]:
     return counts
 
 
-def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], dict[str, str], dict]:
-    """One preorder walk of ``t``, the only place a term is read into its graph.
+def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], tuple | None]:
+    """One preorder walk of ``t``, the reading of a term that :func:`parse_term`
+    repeats as it parses.
 
     Returns the normal-form violations in walk order, each flagged True when
-    it names a sort or feature outside ``graph``'s signature; each tag's sort
-    at its structured occurrence (top if it has none) in first-occurrence
-    order; and each structured tag's args, keyed in preorder (the last
-    occurrence's when a term that is not normal has several).
+    it names a sort or feature outside ``graph``'s signature, and, for a
+    normal term, its record: the tags numbered by first occurrence, each
+    tag's sort at its structured occurrence (top if it has none), and each
+    node with arguments as ``{tag number: {feature: child number}}``, in
+    preorder.
     """
     problems: list[tuple[bool, str]] = []
-    sorts: dict[str, str] = {}
-    structured: dict[str, tuple[tuple[str, Term], ...]] = {}
-    repeats: dict[str, int] = {}  # structured occurrences of a tag that has several
+    number: dict[str, int] = {}
+    sorts: list[str] = []
+    edges: dict[int, dict[str, int]] = {}
+    structured: dict[str, int] = {}  # structured occurrences per tag, in first-occurrence order
     known_sorts = graph._index if graph is not None else None
-    known_features = graph._feature_set if graph is not None else None
-    stack = [t]
+    known_features = graph._feature_names if graph is not None else None
+    stack: list[tuple] = [(t, {}, None)]  # node, its parent's edges, the feature to it
     while stack:
-        node = stack.pop()
+        node, up, feature = stack.pop()
         tag, sort, args = node.tag, node.sort, node.args
+        x = up[feature] = number.setdefault(tag, len(number))
+        if x == len(sorts):
+            sorts.append(TOP)
         if sort == BOT:
             problems.append((False, f"tag {tag} is sorted {BOT}"))
         if known_sorts is not None and sort not in known_sorts:
             problems.append((True, f"unknown sort: {sort}"))
         if args:
             feats, children = zip(*args)
-            if known_features is not None and not known_features.issuperset(feats):
+            if known_features is not None:
                 problems += [(True, f"unknown feature: {f}") for f in feats if f not in known_features]
             if len(set(feats)) != len(feats):
                 dup = sorted(f for f, k in Counter(feats).items() if k > 1)
                 problems.append((False, f"tag {tag} repeats feature(s): {', '.join(dup)}"))
-            stack += children[::-1]
+            out = edges[x] = {}
+            stack += [(child, out, f) for f, child in reversed(args)]
         elif sort == TOP:
-            sorts.setdefault(tag, TOP)
             continue
-        if tag in structured:
-            repeats[tag] = repeats.get(tag, 1) + 1
-        structured[tag] = args
-        sorts[tag] = sort
-    if repeats:  # reported in first-occurrence order
-        problems += [(False, f"tag {tag} has {repeats[tag]} structured occurrences")
-                     for tag in structured if tag in repeats]
-    return problems, sorts, structured
+        structured[tag] = structured.get(tag, 0) + 1
+        sorts[x] = sort
+    problems += [(False, f"tag {tag} has {k} structured occurrences")
+                 for tag, k in structured.items() if k > 1]
+    return problems, None if problems else (list(number), sorts, edges)
 
 
 def check_normal(t: Term, graph: SortGraph | None = None) -> list[str]:
@@ -243,31 +241,41 @@ def is_normal(t: Term, graph: SortGraph | None = None) -> bool:
     return not _walk(t, graph)[0]
 
 
-def _gate(t: Term, graph: SortGraph | None) -> tuple[dict[str, str], dict]:
+def _gate(t: Term, graph: SortGraph | None) -> tuple:
     """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
     signature, else NotNormalTerm if it breaks another normal-form condition;
-    on success, return :func:`_walk`'s sorts and args."""
-    problems, sorts, structured = _walk(t, graph)
+    on success, return :func:`_walk`'s record, which the caller owns.
+
+    :func:`parse_term` leaves a normal root's record in a one-item list, its
+    fourth element; a gate over the same ``graph`` empties it instead of
+    walking, so a term keeps no record once gated and a second gate walks.
+    """
+    cell = t[3] if len(t) > 3 else None
+    if cell and cell[0][0] is graph:
+        return cell.pop()[1:]
+    problems, record = _walk(t, graph)
     if problems:
         unknown = [msg for signature, msg in problems if signature]
         if unknown:
             raise SignatureMismatch("; ".join(unknown))
         raise NotNormalTerm("; ".join(msg for _, msg in problems))
-    return sorts, structured
+    return record
 
 
 # -- parsing -----------------------------------------------------------------
 
-# One match per grammar unit, without the whitespace after it: a node head
-# (``Tag``, ``Tag:`` or ``Tag: sort``), a bare sort, a feature with its arrow
-# (``f ->``), a punctuation mark, or a stray character.  A stray character
+_ANY_NAME = _Names()  # the names of no signature
+
+# One match per grammar unit, without the whitespace after it: a punctuation
+# mark, a node head (``Tag``, ``Tag:`` or ``Tag: sort``), a bare sort, a
+# feature with its arrow (``f ->``), or a stray character.  A stray character
 # swallows the rest of the text, so it can only be the last token.  The
 # whitespace is skipped after a token, not before: skipping it before would
 # retry a whitespace tail from each of its positions, quadratic in its length.
 _TOKEN = re.compile(
-    r"([A-Z_][A-Za-z0-9_]*(?:\s*:\s*(?:[a-z][A-Za-z0-9_]*)?)?"
+    r"([():,.]|[A-Z_][A-Za-z0-9_]*(?:\s*:\s*(?:[a-z][A-Za-z0-9_]*)?)?"
     r"|[a-z][A-Za-z0-9_]*(?:\s*->)?"
-    r"|->|[():,.]"
+    r"|->"
     r"|\S[\s\S]*)\s*"
 )
 # Every first character of a token that is not stray; '-' starts only '->'.
@@ -286,26 +294,34 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     Untagged subterms get fresh ``_Z<n>`` tags (never colliding with tags
     written in the input), assigned in parse order.  A bare tag with neither
     sort nor args is a back-reference.  With ``graph=None``, any sort and
-    feature names are accepted.
+    feature names are accepted; over a signature, they are its own strings,
+    and a normal term's root carries :func:`_walk`'s record for :func:`_gate`.
     """
     toks = _TOKEN.findall(text)
     if toks and toks[-1][0] not in _STARTS and toks[-1] != "->":
         rest = toks[-1]
         raise TermSyntaxError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
     toks.append("")  # end of input
-    known_sorts = graph._index if graph is not None else None
-    known_features = graph._feature_set if graph is not None else None
+    sort_names = graph._sort_names if graph is not None else _ANY_NAME
+    feature_names = graph._feature_names if graph is not None else _ANY_NAME
     fresh = None
+    # The walk record, built as the heads arrive; a sort is None until its tag
+    # is structured.  The term is normal if no tag is structured twice, no
+    # node repeats a feature and no sort is bot.
+    number: dict[str, int] = {}
+    sorts: list[str | None] = [None] * len(toks)  # more than the tags
+    edges: dict[int, dict[str, int]] = {}
+    normal = True
 
     # With no stray token left, a token's first character tells its kind:
     # names sort from 'a' up, tags ('A'-'Z', '_') from 'A' up, punctuation
     # below 'A', and the empty end marker below everything.  The innermost
-    # open term collects ``args`` and waits for ``feature``'s value; ``stack``
-    # holds each open term's tag and sort with its parent's args and feature
-    # (None at the top level).
+    # open term collects ``args`` and ``out`` and waits for ``feature``'s
+    # value; ``stack`` holds each open term's tag, number and sort with its
+    # parent's args, edges and feature (None at the top level).
     stack: list[tuple] = []
     args: list | None = None
-    feature = None
+    out = feature = None
     i = 0
     while True:
         # A term: its head, then '(' or the end of the term.
@@ -313,21 +329,17 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
         i += 1
         if tok >= "a":
             if tok[-1] == ">":
-                # A sort leaf followed by '->', which no rule accepts next.
-                name = tok[:-2].rstrip()
-                if known_sorts is not None and name not in known_sorts:
-                    raise UnknownSort(name)
+                # A sort leaf then '->', which no rule accepts; an unknown sort fails first.
+                sort_names[tok[:-2].rstrip()]
                 if args is not None:
                     raise TermSyntaxError("expected ',' or ')', found '->'")
                 raise TermSyntaxError("trailing input after term: '->'")
             if toks[i] == ":":
                 raise TermSyntaxError(f"tags start with an uppercase letter or '_': {tok!r}")
-            if known_sorts is not None and tok not in known_sorts:
-                raise UnknownSort(tok)
+            sort = sort_names[tok]
             if fresh is None:
                 fresh = fresh_tags({_lead(t) for t in toks if "A" <= t < "a"})
             tag = next(fresh)
-            sort = tok
         elif tok >= "A":
             if ":" in tok:
                 tag, _, sort = tok.partition(":")
@@ -337,8 +349,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                     if not toks[i]:
                         raise TermSyntaxError("unexpected end of input; expected a sort name")
                     raise TermSyntaxError(f"expected a sort name after ':', found {_lead(toks[i])!r}")
-                if known_sorts is not None and sort not in known_sorts:
-                    raise UnknownSort(sort)
+                sort = sort_names[sort]
             else:
                 tag = tok
                 sort = TOP
@@ -346,19 +357,32 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
             raise TermSyntaxError(f"expected a term, found {tok!r}")
         else:
             raise TermSyntaxError("unexpected end of input; expected a term")
+        x = number.setdefault(tag, len(number))
         if toks[i] == "(":
+            normal &= sorts[x] is None
+            sorts[x] = sort
             i += 1
-            stack.append((tag, sort, args, feature))
-            args = []
+            stack.append((tag, x, sort, args, out, feature))
+            args, out = [], {}
+            edges[x] = out
         else:
             # A finished term closes every open term whose ')' follows it.
-            node = Term(tag, sort)
+            if sort != TOP:
+                normal &= sorts[x] is None
+                sorts[x] = sort
+            node = _new(Term, (tag, sort, ()))
             while True:
                 if args is None:
                     if toks[i]:
                         raise TermSyntaxError(f"trailing input after term: {_lead(toks[i])!r}")
+                    del sorts[len(number):]
+                    if normal and graph is not None and BOT not in sorts:
+                        if None in sorts:
+                            sorts = [TOP if s is None else s for s in sorts]
+                        node = _new(Term, (*node, [(graph, list(number), sorts, edges)]))
                     return node
                 args.append((feature, node))
+                out[feature] = x
                 tok = toks[i]
                 i += 1
                 if tok == ",":
@@ -367,8 +391,10 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                     if not tok:
                         raise TermSyntaxError("unexpected end of input; expected ',' or ')'")
                     raise TermSyntaxError(f"expected ',' or ')', found {_lead(tok)!r}")
-                tag, sort, parent, feature = stack.pop()
-                node = Term(tag, sort, tuple(args))
+                if len(out) < len(args):  # a repeated feature
+                    normal = False
+                tag, x, sort, parent, out, feature = stack.pop()
+                node = _new(Term, (tag, sort, tuple(args)))
                 args = parent
         # A feature and its arrow.
         tok = toks[i]
@@ -378,9 +404,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 raise TermSyntaxError("unexpected end of input; expected a feature name")
             raise TermSyntaxError(f"expected a feature name, found {_lead(tok)!r}")
         arrow = tok[-1] == ">"
-        feature = tok[:-2].rstrip() if arrow else tok
-        if known_features is not None and feature not in known_features:
-            raise UnknownFeature(feature)
+        feature = feature_names[tok[:-2].rstrip() if arrow else tok]
         if not arrow:
             if not toks[i]:
                 raise TermSyntaxError("unexpected end of input; expected '->'")
@@ -396,25 +420,21 @@ def parse_clause(text: str, graph: SortGraph | None) -> Clause:
     """Parse ``&``-separated constraints: ``X:s``, ``X.f ≐ Y``, ``X ≐ Y``.
 
     ASCII ``=`` is accepted for ``≐``.  With ``graph=None``, any sort and
-    feature names are accepted.
+    feature names are accepted; otherwise they are the signature's own strings.
     """
-    known_sorts = graph._index if graph is not None else None
-    known_features = graph._feature_set if graph is not None else None
+    sort_names = graph._sort_names if graph is not None else _ANY_NAME
+    feature_names = graph._feature_names if graph is not None else _ANY_NAME
     constraints: list[Constraint] = []
     for atom in text.split("&"):
         if not atom.strip():
             raise TermSyntaxError("empty constraint in clause")
         m = _ATOM_SORT_RE.match(atom)
         if m:
-            if known_sorts is not None and m.group(2) not in known_sorts:
-                raise UnknownSort(m.group(2))
-            constraints.append(SortConstraint(m.group(1), m.group(2)))
+            constraints.append(SortConstraint(m.group(1), sort_names[m.group(2)]))
             continue
         m = _ATOM_FEAT_RE.match(atom)
         if m:
-            if known_features is not None and m.group(2) not in known_features:
-                raise UnknownFeature(m.group(2))
-            constraints.append(FeatureConstraint(m.group(1), m.group(2), m.group(3)))
+            constraints.append(FeatureConstraint(m.group(1), feature_names[m.group(2)], m.group(3)))
             continue
         m = _ATOM_EQ_RE.match(atom)
         if m:
@@ -571,14 +591,14 @@ def _expand(root: str, sorts: dict[str, str], out: dict) -> Term:
     while True:
         for f, child in edges:
             if child in expanded:
-                args.append((f, Term(child, TOP, ())))
+                args.append((f, _new(Term, (child, TOP, ()))))
             else:
                 expanded.add(child)
                 stack.append((tag, edges, args, f))
                 tag, edges, args = child, iter(out.get(child, ())), []
                 break
         else:
-            node = Term(tag, sorts[tag], tuple(args))
+            node = _new(Term, (tag, sorts[tag], tuple(args)))
             if not stack:
                 return node
             tag, edges, args, f = stack.pop()

@@ -2,12 +2,15 @@
 
 Unification conjoins the constraint forms of the two terms with an equality
 between their roots and solves them with :func:`normalize`'s union-find
-engine.  The two gated walks number the tags and fill the solver's tables:
-a normal term on its own fires no rule, so one root equality and one drain
-do all the solving.  An inconsistent result is the bottom term at degree 1
-(failure is certain).  Otherwise each class of tags gets a fresh name and
-the solved classes rebuild the unifier term; the degree to which each input
-subsumes the unifier is
+engine.  Each term comes from its gate as a numbered record (tags, sorts and
+edges): the parser's, when the term was parsed over the lattice's signature
+and not gated since, else a fresh walk.  The two records, the second shifted
+past the first, are the solver's tables; a normal term on its own fires no
+rule, so one root equality and one drain do all the solving.  An
+inconsistent result is the bottom term at degree 1 (failure is certain).
+Otherwise each class of tags gets a fresh name and the solved classes
+rebuild the unifier term; the degree to which each input subsumes the
+unifier is
 
     beta_i = min over tags X of term_i of degree(class sort of X, sort of X in term_i)
 
@@ -18,7 +21,6 @@ are all top-sorted contribute nothing (degree 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .lattice import SortLattice
 from .normalize import _Collapse, _Solver
@@ -47,11 +49,12 @@ class UnifyResult:
         return self.unifier is None
 
 
-def _disjoint_rename(tags1: dict[str, str], tags2: dict[str, str]) -> dict[str, str]:
+def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     """Renames of the second term's tags that clash with the first's: each
     clashing tag takes ``_`` suffixes until its name is unused."""
-    clash = [tag for tag in tags2 if tag in tags1]
-    taken = tags1.keys() | tags2.keys()
+    taken = set(tags1)
+    clash = [tag for tag in tags2 if tag in taken]
+    taken.update(tags2)
     mapping: dict[str, str] = {}
     for tag in clash:
         candidate = tag
@@ -64,30 +67,29 @@ def _disjoint_rename(tags1: dict[str, str], tags2: dict[str, str]) -> dict[str, 
 
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
-    sorts1, structured1 = _gate(t1, lattice.graph)
-    sorts2, structured2 = _gate(t2, lattice.graph)
-    renamed = _disjoint_rename(sorts1, sorts2)
+    tags1, own1, edges1 = _gate(t1, lattice.graph)
+    tags2, own2, edges2 = _gate(t2, lattice.graph)
+    renamed = _disjoint_rename(tags1, tags2)
 
     # Tags are numbered term 1 first, then term 2, each in walk order.  A normal
     # term has one structured occurrence per tag, distinct features per node and
-    # no bot, so on its own it fires no rule: it goes straight into the tables.
-    n1 = len(sorts1)
-    number1 = dict(zip(sorts1, range(n1)))
-    number2 = dict(zip(sorts2, range(n1, n1 + len(sorts2))))
-    names = [*sorts1, *(renamed.get(tag, tag) for tag in sorts2)]
-    own = [*sorts1.values(), *sorts2.values()]  # each tag's sort in its own term
+    # no bot, so on its own it fires no rule: its record goes straight into the
+    # tables, term 2's shifted past term 1's.
+    n1 = len(tags1)
+    names = tags1 + [renamed.get(tag, tag) for tag in tags2] if renamed else tags1 + tags2
     solver = _Solver(lattice, names)
-    solver.sort[:] = own
+    solver.sort = sort = own1 + own2
+    feats = solver.feats
     # Class names follow the combined clause's first mentions of the tags:
-    # each root, then each feature's target, structured tag by structured tag.
-    mention = []
-    for number, structured, root in ((number1, structured1, 0), (number2, structured2, n1)):
-        mention.append(root)
-        for tag, args in structured.items():
-            edges = solver.feats[number[tag]] = {}
-            for f, child in args:
-                edges[f] = target = number[child.tag]
-                mention.append(target)
+    # each root, then each feature's target, node by node in preorder.
+    mention = [0]
+    for x, out in edges1.items():
+        feats[x] = out
+        mention += out.values()
+    mention.append(n1)
+    for x, out in edges2.items():
+        out = feats[x + n1] = {f: y + n1 for f, y in out.items()}
+        mention += out.values()
 
     solver.pending.append((0, n1))
     try:
@@ -97,37 +99,39 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
             unifier=None, beta1=1.0, beta2=1.0, beta=1.0, tag_classes={}, renamed=renamed
         )
 
-    # Classes are numbered, and get fresh names, in first-mention order.
+    # Classes get fresh names in first-mention order.
     roots = solver.roots()
-    sort, feats = solver.sort, solver.feats
-    cls: dict[int, int] = {}
+    fresh = fresh_tags(set(names), prefix="_Z")
+    class_name: list[str | None] = [None] * len(names)  # per class root
     reps: list[int] = []
-    members: list[list[str]] = []
+    classes: dict[str, list[str]] = {}  # each class's members, in first-mention order
     for x in dict.fromkeys(mention):
         rep = roots[x]
-        k = cls.get(rep)
-        if k is None:
-            cls[rep] = len(reps)
+        name = class_name[rep]
+        if name is None:
+            name = class_name[rep] = next(fresh)
             reps.append(rep)
-            members.append([names[x]])
+            classes[name] = [names[x]]
         else:
-            members[k].append(names[x])
-    class_names = list(islice(fresh_tags(set(names), prefix="_Z"), len(reps)))
-    class_of = [class_names[cls[rep]] for rep in roots]
+            classes[name].append(names[x])
+    class_of = list(map(class_name.__getitem__, roots))
     unifier = _expand(
-        class_names[0],
-        dict(zip(class_names, map(sort.__getitem__, reps))),
-        {class_of[rep]: [(f, class_of[x]) for f, x in feats[rep].items()] for rep in reps if feats[rep]},
+        class_of[0],
+        dict(zip(classes, map(sort.__getitem__, reps))),
+        {class_of[rep]: zip(out, map(class_of.__getitem__, out.values()))
+         for rep in reps if (out := feats[rep])},
     )
 
-    # Each tag's degree, term 1's tags first, each term's in walk order.
-    degrees = list(map(lattice.degree, map(sort.__getitem__, roots), own))
+    # Each tag's degree, term 1's tags first, each term's in walk order; a tag
+    # whose class kept its own sort has degree 1 by reflexivity.
+    degree = lattice.degree
+    degrees = [1.0 if s == t else degree(s, t) for s, t in zip(map(sort.__getitem__, roots), own1 + own2)]
     beta1, beta2 = min(degrees[:n1]), min(degrees[n1:])
     return UnifyResult(
         unifier=unifier,
         beta1=beta1,
         beta2=beta2,
         beta=min(beta1, beta2),
-        tag_classes=dict(zip(class_names, map(tuple, members))),
+        tag_classes={name: tuple(members) for name, members in classes.items()},
         renamed=renamed,
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from fuzzyosf import (
+    BOT,
     CanonicalAlgebra,
     Clause,
     EqualityConstraint,
@@ -21,6 +22,7 @@ from fuzzyosf import (
     NotNormalTerm,
     NotRooted,
     NotSolved,
+    SignatureMismatch,
     SortConstraint,
     SortGraph,
     Term,
@@ -36,6 +38,7 @@ from fuzzyosf import (
     parse_term,
     term_to_clause,
 )
+from fuzzyosf.terms import _gate, _walk
 
 
 @pytest.fixture(scope="module")
@@ -490,3 +493,119 @@ def test_parse_clause_rejects_names_outside_the_signature(text, error, message):
     with pytest.raises(error) as exc:
         parse_clause(text, graph)
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+# -- the parser's walk record --------------------------------------------------------
+
+
+def _record(t: Term):
+    """The walk record the parser left on ``t``, without its graph, or None."""
+    return t[3][0][1:] if len(t) > 3 and t[3] else None
+
+
+def _gated(t: Term, graph: SortGraph):
+    """What ``_gate`` gives: the record, or the error's type and message."""
+    try:
+        return _gate(t, graph)
+    except (SignatureMismatch, NotNormalTerm) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def not_normal(draw, t: Term, graph: SortGraph) -> Term:
+    """``t`` broken at one node: sorted bot, a repeated feature, or a second
+    structured occurrence of the root's tag (sorted, or with an argument)."""
+    nodes = [t]
+    for node in nodes:
+        nodes += [child for _, child in node.args]
+    k = draw(st.integers(0, len(nodes) - 1))
+    fault = draw(st.sampled_from(["bot", "repeat a feature", "restructure"]))
+    sort = draw(st.sampled_from([s for s in graph.sorts if s != BOT]))
+
+    def rebuild(node: Term, at: list[int]) -> Term:
+        args = tuple((f, rebuild(child, at)) for f, child in node.args)
+        at[0] += 1
+        if at[0] - 1 != k:
+            return Term(node.tag, node.sort, args)
+        if fault == "bot":
+            return Term(node.tag, BOT, args)
+        if fault == "repeat a feature" and args:
+            return Term(node.tag, node.sort, args + args[:1])
+        again = Term(t.tag, sort, draw(st.sampled_from([(), ((graph.features[0], t),)])))
+        return Term(node.tag, node.sort, args + ((graph.features[0], again),))
+
+    return rebuild(t, [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=strategies.lattice_and_terms(count=1, max_tags=6), data=st.data())
+def test_parser_record_is_the_walk_record(bundle, data):
+    # Printed in either style, or broken first, a parsed term carries exactly
+    # the record the walk builds (none when it is not normal), and the gate
+    # answers alike with the record and with a fresh root that has none.
+    lattice, (t,) = bundle
+    graph = lattice.graph
+    shape = data.draw(st.sampled_from(["explicit", "compact", "not normal"]))
+    if shape == "not normal":
+        t = data.draw(not_normal(t, graph))
+    parsed = parse_term(format_term(t, "compact" if shape == "compact" else "explicit"), graph)
+    assert _record(parsed) == _walk(parsed, graph)[1]
+    bare = Term(parsed.tag, parsed.sort, parsed.args)
+    assert _record(bare) is None
+    assert _gated(parsed, graph) == _gated(bare, graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=term_texts())
+def test_parser_record_is_the_walk_record_on_any_text(sig, text):
+    try:
+        parsed = parse_term(text, sig)
+    except (TermSyntaxError, UnknownSort, UnknownFeature):
+        return
+    assert _record(parsed) == _walk(parsed, sig)[1]
+
+
+def test_a_record_is_used_once(sig):
+    t = parse_term("X: s(f -> Y: u(g -> X), g -> Y)", sig)
+    record = _record(t)
+    assert record == (["X", "Y"], ["s", "u"], {0: {"f": 1, "g": 1}, 1: {"g": 0}})
+    first = _gate(t, sig)
+    assert first == record and _record(t) is None
+    second = _gate(t, sig)
+    assert second == first and second is not first
+
+
+def test_parsed_names_are_the_signature_strings():
+    graph = SortGraph(["movie", "person"], ["directed_by"], [])
+    t = parse_term("X: movie(directed_by -> person)", graph)
+    ((feature, child),) = t.args
+    assert t.sort is graph.sorts[0] and child.sort is graph.sorts[1]
+    assert feature is graph.features[0]
+    sort, feat = parse_clause("X: person & X.directed_by = Y", graph).constraints
+    assert sort.sort is graph.sorts[1] and feat.feature is graph.features[0]
+
+
+def test_a_term_parsed_over_another_graph_walks(sig):
+    t = parse_term("X: s(f -> Y: u)", sig)
+    twin = SortGraph(["s", "u"], ["f", "g"], [])
+    assert _gate(t, twin) == _walk(t, twin)[1]
+    assert _record(t) is not None  # kept for the graph it was parsed over
+    with pytest.raises(SignatureMismatch, match="unknown sort: u"):
+        _gate(t, SortGraph(["s"], ["f"], []))
+    assert _gate(t, sig) == _walk(t, sig)[1]
+    assert _record(t) is None
+
+
+def test_a_term_is_not_equal_to_its_fields():
+    t = Term("X", "s")
+    assert t != ("X", "s", ()) and ("X", "s", ()) != t
+    assert not t == ("X", "s", ()) and not ("X", "s", ()) == t
+
+
+def test_copies_of_a_parsed_term_compare_equal_and_carry_no_record(sig):
+    t = parse_term("X: s(f -> Y: u(g -> X), g -> Y)", sig)
+    assert _record(t) is not None
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t and hash(clone) == hash(t)
+        assert _record(clone) is None
+    assert _gate(t, sig) == _gate(pickle.loads(pickle.dumps(t)), sig)
