@@ -98,7 +98,7 @@ class _Solver:
     def add_sort(self, rep: int, sort: str) -> None:
         cur = self.sort[rep]
         if cur is not None:
-            meet = self.lattice.glb(cur, sort)
+            meet = cur if cur == sort else self.lattice.glb(cur, sort)
             if self.trace:
                 self.log.append(f"sort-intersection: {self.names[rep]} : glb({cur}, {sort}) = {meet}")
             sort = meet

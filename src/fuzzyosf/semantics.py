@@ -118,17 +118,19 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
         return problems
 
     # Both conditions below bind only where a sort holds positively, so each
-    # element's positive sorts come from its stated degrees plus top, in sort
-    # order.  The checks above leave every table sort known, every table
+    # element's positive sorts come from its stated degrees plus top, by sort
+    # number.  The checks above leave every table sort known, every table
     # element in the domain and every top/bot entry equal to its fixed degree.
-    stated: dict[str, list[tuple[int, str, float]]] = {}
+    stated: dict[str, dict[int, float]] = {e: {index[TOP]: 1.0} for e in model.elements}
     for (s, e), d in model.sort_table.items():
-        if d > 0.0 and s != TOP:
-            stated.setdefault(e, []).append((index[s], s, d))
-    top = (index[TOP], TOP, 1.0)
+        if d > 0.0:
+            stated[e][index[s]] = d
+    if lattice._validated and _certified(stated, lattice):
+        return problems
+
+    sorts = lattice.graph.sorts
     positive_of = [
-        (e, {s: d for _, s, d in sorted([*stated.get(e, ()), top])})
-        for e in model.elements
+        (e, {sorts[u]: d for u, d in sorted(stated[e].items())}) for e in model.elements
     ]
 
     # Graded-subsumption compatibility (condition on every sort pair).  All
@@ -162,6 +164,34 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     return problems
 
 
+def _certified(stated: dict[str, dict[int, float]], lattice: SortLattice) -> bool:
+    """Whether two linear checks prove every element free of gaps.
+
+    ``stated`` maps each element to its positive sorts (by number, top
+    included) and degrees; ``lattice`` has been validated.  Edge check: each
+    declared edge ``u -> v`` at degree w out of a positive sort has
+    ``d(v) >= min(d(u), w)``.  By induction along a best path, this gives
+    every closure pair's bound, so every sort above a positive sort is
+    positive.  Meet check: the meet of all the positive sorts, the highest
+    sort in the AND of their down-sets, is positive.  It lies below the meet
+    of any two of them, which is therefore positive too.  Conversely, a
+    valid element has a least positive sort (two minimal ones would meet at
+    a positive sort below both), so only a model with a gap fails here.
+    """
+    succ, down = lattice.graph._succ, lattice._down
+    index, bit_sort = lattice.graph._index, lattice._bit_sort
+    for positive in stated.values():
+        common = -1
+        for u, du in positive.items():
+            common &= down[u]
+            for v, w in succ[u]:
+                if positive.get(v, 0.0) < (du if du < w else w):
+                    return False
+        if index[bit_sort[common.bit_length() - 1]] not in positive:
+            return False
+    return True
+
+
 # -- interpretation text format ----------------------------------------------
 
 
@@ -182,53 +212,58 @@ def load_interpretation(text: str, graph: SortGraph) -> Interpretation:
     def fail(lineno: int, msg: str) -> None:
         raise ValueError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    sort_names, feature_names = graph._index, graph._feature_names
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
-        if kind == "elem":
+        if kind == "fun":
+            if len(parts) != 4:
+                fail(lineno, "expected: fun <feature> <elem|*> <elem>")
+            _, f, e, img = parts
+            if f not in feature_names:
+                fail(lineno, f"unknown feature: {f}")
+            if e != "*" and e not in elements:
+                fail(lineno, f"undeclared element: {e}")
+            if img not in elements:
+                fail(lineno, f"undeclared element: {img}")
+            if e == "*":
+                defaults[f] = img
+            else:
+                explicit[(f, e)] = img
+        elif kind == "deg":
+            if len(parts) != 4:
+                fail(lineno, "expected: deg <sort> <elem> <degree>")
+            _, s, e, value = parts
+            if s not in sort_names:
+                fail(lineno, f"unknown sort: {s}")
+            if s in (BOT, TOP):
+                fail(lineno, f"{s} rows are implied and cannot be stated")
+            if e not in elements:
+                fail(lineno, f"undeclared element: {e}")
+            try:
+                d = float(value)
+            except ValueError:
+                fail(lineno, f"bad degree: {value!r}")
+            if not 0.0 <= d <= 1.0:
+                fail(lineno, f"degree must lie in [0, 1]: {value}")
+            sort_table[(s, e)] = d
+        elif kind == "elem":
             if len(parts) < 2:
                 fail(lineno, "expected: elem <name>...")
             for name in parts[1:]:
                 elements[name] = None
-        elif kind == "deg":
-            if len(parts) != 4:
-                fail(lineno, "expected: deg <sort> <elem> <degree>")
-            if not graph.has_sort(parts[1]):
-                fail(lineno, f"unknown sort: {parts[1]}")
-            if parts[1] in (BOT, TOP):
-                fail(lineno, f"{parts[1]} rows are implied and cannot be stated")
-            if parts[2] not in elements:
-                fail(lineno, f"undeclared element: {parts[2]}")
-            try:
-                d = float(parts[3])
-            except ValueError:
-                fail(lineno, f"bad degree: {parts[3]!r}")
-            if not 0.0 <= d <= 1.0:
-                fail(lineno, f"degree must lie in [0, 1]: {parts[3]}")
-            sort_table[(parts[1], parts[2])] = d
-        elif kind == "fun":
-            if len(parts) != 4:
-                fail(lineno, "expected: fun <feature> <elem|*> <elem>")
-            if not graph.has_feature(parts[1]):
-                fail(lineno, f"unknown feature: {parts[1]}")
-            if parts[2] != "*" and parts[2] not in elements:
-                fail(lineno, f"undeclared element: {parts[2]}")
-            if parts[3] not in elements:
-                fail(lineno, f"undeclared element: {parts[3]}")
-            if parts[2] == "*":
-                defaults[parts[1]] = parts[3]
-            else:
-                explicit[(parts[1], parts[2])] = parts[3]
         else:
             fail(lineno, f"unknown directive: {kind!r}")
 
     features: dict[tuple[str, str], str] = {}
     for f in graph.features:
+        default = defaults.get(f)
         for e in elements:
-            img = explicit.get((f, e), defaults.get(f))
+            img = explicit.get((f, e), default)
             if img is not None:
                 features[(f, e)] = img
     return Interpretation(
@@ -312,25 +347,30 @@ def _denotation(t: Term, model, element, alpha: dict[str, object] | None) -> flo
 
     ``alpha``, when given, binds every tag; without it, the first image a
     tag meets binds it.  A tag met at an element other than its binding
-    makes the degree 0.
+    makes the degree 0.  A root held at 0, or without arguments, answers
+    from its own degree.
     """
-    binding: dict[str, object] = {} if alpha is None else alpha
-    value = 1.0
-    stack = [(t, element)]
+    sd = model.sort_degree(t[1], element)  # fields by position: a parsed root has four
+    value = sd if sd < 1.0 else 1.0
+    if value == 0.0 or not t[2]:
+        return value
+    binding: dict[str, object] = {t[0]: element} if alpha is None else alpha
+    image = model.feature_image
+    stack = [(child, image(f, element)) for f, child in t[2]]
     while stack:
         node, d = stack.pop()
-        bound = binding.get(node.tag)
+        bound = binding.get(node[0])
         if bound is None:
-            binding[node.tag] = bound = d
+            binding[node[0]] = bound = d
         if bound != d:
             return 0.0
-        sd = model.sort_degree(node.sort, d)
+        sd = model.sort_degree(node[1], d)
         if sd < value:
             value = sd
-        if value == 0.0:
-            return 0.0
-        for f, child in node.args:
-            stack.append((child, model.feature_image(f, d)))
+            if value == 0.0:
+                return 0.0
+        for f, child in node[2]:
+            stack.append((child, image(f, d)))
     return value
 
 

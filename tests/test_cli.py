@@ -251,6 +251,8 @@ def test_normalize_json(capsys, chain_file):
 
 
 SOLVED_TRACE = ["sort-intersection: X : glb(u, v) = s", "tag-elimination: Y -> X"]
+# A sort met with itself asks the lattice nothing, and the trace still shows it.
+SAME_SORT_TRACE = ["sort-intersection: X : glb(s, s) = s"]
 BOTTOM_TRACE = [
     "sort-intersection: X : glb(director, string) = bot",
     "inconsistent-sort: X is bot",
@@ -276,6 +278,12 @@ BOTTOM_TRACE = [
             "X: director & X: string",
             "INCONSISTENT (X)\n" + "".join(f"trace: {line}\n" for line in BOTTOM_TRACE),
             {"inconsistent": True, "witness": "X", "trace": BOTTOM_TRACE},
+        ),
+        (
+            "chain",
+            "X: s & X: s",
+            "X:s\n" + "".join(f"trace: {line}\n" for line in SAME_SORT_TRACE),
+            {"inconsistent": False, "solved": "X:s", "equalities": [], "trace": SAME_SORT_TRACE},
         ),
     ],
 )

@@ -160,7 +160,8 @@ def _lattice_and_model(seed: int, kind: str) -> tuple[SortLattice, Interpretatio
     """A random lattice and model: valid, or with random degrees restated.
 
     ``non-lattice`` draws an unvalidated random DAG, so pairs of positive
-    sorts may have no unique GLB.
+    sorts may have no unique GLB.  The ``diamond-`` kinds add a diamond, so
+    two minimal positive sorts may meet above bot.
     """
     rng = random.Random(seed)
     if kind == "non-lattice":
@@ -168,9 +169,11 @@ def _lattice_and_model(seed: int, kind: str) -> tuple[SortLattice, Interpretatio
         lattice = SortLattice(SortGraph(names, ["f"], edges))
     else:
         lattice = random_lattice(rng, 6, 2)
+        if kind.startswith("diamond-"):
+            lattice = strategies.with_diamond(rng, lattice)
     make = rng.choice([random_interpretation, random_repaired_interpretation])
     model = make(rng, lattice, 4)
-    if kind == "valid":
+    if kind.endswith("valid"):
         return lattice, model
     table = dict(model.sort_table)
     plain = [s for s in lattice.graph.sorts if s not in ("top", "bot")]
@@ -193,7 +196,7 @@ def _lattice_and_model(seed: int, kind: str) -> tuple[SortLattice, Interpretatio
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(["valid", "broken", "non-lattice"]),
+    st.sampled_from(["valid", "broken", "diamond-valid", "diamond-broken", "non-lattice"]),
 )
 def test_validation_matches_a_dense_scan(seed, kind):
     lattice, model = _lattice_and_model(seed, kind)
@@ -201,14 +204,14 @@ def test_validation_matches_a_dense_scan(seed, kind):
     assert problems == oracles.lattice_problems(
         model, lattice.graph.sorts, lattice.graph.edges
     )
-    if kind == "valid":
+    if kind.endswith("valid"):
         assert problems == []
 
 
 def test_dense_scan_differential_reaches_every_message():
     kinds = set()
     for seed in range(300):
-        for kind in ("broken", "non-lattice"):
+        for kind in ("broken", "diamond-broken", "non-lattice"):
             lattice, model = _lattice_and_model(seed, kind)
             for p in validate_interpretation(model, lattice):
                 kinds.add(p.split(":", 1)[0].split(" (")[0])
@@ -238,6 +241,90 @@ def test_validate_interpretation_time_follows_the_stated_degrees():
     start = time.perf_counter()
     problems = validate_interpretation(model, lattice)
     assert time.perf_counter() - start < 1.5
+    assert problems == []
+
+
+class _RecordingLattice(SortLattice):
+    """Records every glb call made through the lattice object."""
+
+    def glb(self, s, t):
+        self.calls.append((s, t))
+        return super().glb(s, t)
+
+
+def _recording(lattice: SortLattice, validated: bool = True) -> _RecordingLattice:
+    rec = _RecordingLattice(lattice.graph)
+    if validated:
+        rec.validate()
+    rec.calls = []
+    return rec
+
+
+def test_a_valid_model_is_certified_without_rows_or_meets(movies, movie_model):
+    # Every element has one least positive sort, so there is no pair of
+    # minimal positive sorts to meet, and the declared edges stand in for
+    # the closure rows.
+    lattice = _recording(movies)
+    assert validate_interpretation(movie_model, lattice) == []
+    assert (lattice._rows, lattice.calls) == ({}, [])
+
+
+def test_an_unvalidated_lattice_gets_the_full_scan(movies, movie_model):
+    lattice = _recording(movies, validated=False)
+    assert validate_interpretation(movie_model, lattice) == []
+    assert lattice._rows
+    assert ("thriller", "horror") in lattice.calls
+
+
+@pytest.mark.parametrize(
+    "drop,gap",
+    [
+        (("movie", "halloween"), "membership gap: thriller(halloween)=0.5"),
+        (("slasher", "halloween"), "meet gap: thriller and horror both hold of halloween"),
+    ],
+)
+def test_a_failed_certificate_falls_back_to_the_full_scan(movies, movie_model, drop, gap):
+    # Dropping movie breaks only declared edges into it; dropping slasher
+    # leaves thriller and horror both minimal, meeting at slasher.
+    table = dict(movie_model.sort_table)
+    del table[drop]
+    broken = Interpretation(
+        movie_model.elements, table, movie_model.features, movie_model.feature_names
+    )
+    lattice = _recording(movies)
+    problems = validate_interpretation(broken, lattice)
+    assert problems == validate_interpretation(broken, _recording(movies, validated=False))
+    assert any(p.startswith(gap) for p in problems)
+    assert lattice._rows
+    assert ("thriller", "horror") in lattice.calls
+
+
+def test_the_certificate_accepts_exactly_the_valid_models():
+    # On a validated lattice the full scan runs (and builds rows) exactly
+    # when the model has a gap; the diamonds give minimal sorts that meet
+    # above bot.
+    runs = {True: 0, False: 0}
+    for seed in range(200):
+        for kind in ("valid", "broken", "diamond-valid", "diamond-broken"):
+            lattice, model = _lattice_and_model(seed, kind)
+            fresh = SortLattice(lattice.graph).validate()
+            problems = validate_interpretation(model, fresh)
+            assert bool(fresh._rows) == bool(problems)
+            runs[bool(problems)] += 1
+    assert runs[True] > 100 and runs[False] > 100
+
+
+def test_validate_interpretation_time_on_a_long_chain():
+    # A 500-sort chain and 20 elements, each positive on every sort: the
+    # pairwise meet scan takes over a second here.
+    names = [f"c{i}" for i in range(500)]
+    edges = [(names[i], names[i + 1], 0.5) for i in range(499)]
+    lattice = SortLattice(SortGraph(names, [], edges)).validate()
+    table = {(s, f"e{k}"): 1.0 if s == names[0] else 0.5 for s in names for k in range(20)}
+    model = Interpretation([f"e{k}" for k in range(20)], table, {}, [])
+    start = time.perf_counter()
+    problems = validate_interpretation(model, lattice)
+    assert time.perf_counter() - start < 0.1
     assert problems == []
 
 
