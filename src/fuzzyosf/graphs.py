@@ -5,7 +5,10 @@ edges, all nodes reachable from a root.  Terms, solved rooted clauses, and
 graphs are three presentations of the same structure; this module holds the
 term <-> graph bijection plus canonical forms, equivalence and rendering.
 A term's sorts and edges come from the numbered record that its normal-form
-gate returns (``terms._gate``); here they are only re-keyed.  Feature
+gate returns (``terms._gate``); here they are only re-keyed by tag name.
+Queries build no graph: ``unify`` and subsumption read the records
+themselves, and a graph is the public view for rendering, equivalence and
+the canonical algebra.  Feature
 application and sort membership as a model, with "trivial" elements for the
 top-sorted targets a graph does not mention, live in
 :class:`fuzzyosf.semantics.CanonicalAlgebra`, which builds from a graph or
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import TOP, SortGraph
+from .lattice import TOP
 from .terms import Term, _expand, _gate
 
 
@@ -39,13 +42,9 @@ class OsfGraph:
 
 
 def term_to_graph(t: Term) -> OsfGraph:
-    """Graph of a normal term: one node per tag, edges from the structured occurrence."""
-    return _graph(t, None)
-
-
-def _graph(t: Term, signature: SortGraph | None) -> OsfGraph:
-    """The graph of ``t``, normal over ``signature``, keyed depth-first."""
-    tags, sorts, edges = _gate(t, signature)
+    """Graph of a normal term: one node per tag, keyed depth-first, edges from
+    the structured occurrence."""
+    tags, sorts, edges = _gate(t, None)
     ordered: dict[str, str] = {}
     out: dict[str, tuple[tuple[str, str], ...]] = {}
     walk = [0]

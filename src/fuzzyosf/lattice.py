@@ -193,12 +193,6 @@ class SortGraph:
             raise CycleDetected([self.sorts[i] for i in cycle])
         return order
 
-    def has_sort(self, name: str) -> bool:
-        return name in self._index
-
-    def has_feature(self, name: str) -> bool:
-        return name in self._feature_names
-
     def to_dot(self) -> str:
         lines = ["digraph sorts {", "  rankdir=BT;"]
         for name in self.sorts:
@@ -323,15 +317,6 @@ class SortLattice:
             raise NotALattice(s, t, self._maximal(common))
         return self._bit_sort[high]
 
-    def glb_all(self, names: list[str]) -> str:
-        """Fold glb over a non-empty list of sorts."""
-        if not names:
-            raise ValueError("glb_all needs at least one sort")
-        acc = names[0]
-        for name in names[1:]:
-            acc = self.glb(acc, name)
-        return acc
-
     def _first_failure(self, indices: list[int] | range) -> tuple[int, int] | None:
         """The first pair of sort ``indices``, in order, with no unique GLB."""
         # If (a, b) has maximal common lower bounds m1 != m2, so has (a', b') for
@@ -427,11 +412,11 @@ def enrich_from_similarity(
     for _, _, d in graph.edges:
         if d != 1.0:
             raise ValueError("similarity enrichment requires a crisp hierarchy (all edge degrees 1)")
-    for a, b in sim:
-        if not graph.has_sort(a) or not graph.has_sort(b):
-            raise UnknownSort(a if not graph.has_sort(a) else b)
-
     idx = graph._index
+    for a, b in sim:
+        if a not in idx or b not in idx:
+            raise UnknownSort(a if a not in idx else b)
+
     n = len(graph.sorts)
 
     # Crisp down-sets over declared edges only (reflexive; no implicit bounds).

@@ -157,8 +157,15 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
     Inconsistency is a value, not an error.  The solved part lists sort
     constraints first, then feature constraints, each in first-occurrence
     order of the input; equalities reproduce the union-find partition as
-    (representative, member) pairs.
+    (representative, member) pairs.  Before solving, the first unknown sort or
+    feature in constraint order raises UnknownSort or UnknownFeature.
     """
+    sort_names, feature_names = lattice.graph._sort_names, lattice.graph._feature_names
+    for c in clause.constraints:  # a lookup of an unknown name raises
+        if isinstance(c, SortConstraint):
+            sort_names[c.sort]
+        elif isinstance(c, FeatureConstraint):
+            feature_names[c.feature]
     names = clause.tags()
     number = {tag: x for x, tag in enumerate(names)}
     solver = _Solver(lattice, names, trace)

@@ -21,6 +21,7 @@ sample models and randomized ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -567,7 +568,7 @@ def random_repaired_interpretation(
     """A valid interpretation of irregular shape.
 
     Each element seeds one positively held sort, scatters independent random
-    degrees across sorts above it, then a monotone raising pass enforces
+    degrees across sorts above it, then one monotone raising pass enforces
     graded-subsumption compatibility.  All positive sorts sit above the seed,
     so every pairwise meet also sits above the seed and the raising pass has
     made it positive — meets stay consistent without any dropping.
@@ -585,22 +586,19 @@ def random_repaired_interpretation(
             if s != seed_sort and lattice.degree(seed_sort, s) > 0.0 and rng.random() < 0.5:
                 table[(s, e)] = rng.choice(DEGREE_PALETTE)
 
-    def get(s: str, e: str) -> float:
-        return table.get((s, e), 0.0)
-
-    changed = True
-    while changed:
-        changed = False
-        for e in elements:
-            for s0 in plain:
-                d0 = get(s0, e)
-                if d0 <= 0.0:
-                    continue
-                for s1 in plain:
-                    bound = min(d0, lattice.degree(s0, s1))
-                    if bound > get(s1, e):
-                        table[(s1, e)] = bound
-                        changed = True
+    # One raising pass reaches the fixpoint: when s0 raises s1 after s1's
+    # turn, s0 also raises each s2 above s1 to min(d0, degree(s0, s2)), and
+    # degree(s0, s2) >= min(degree(s0, s1), degree(s1, s2)) (max-min
+    # transitivity), so s1's new degree has nothing left to pass on.
+    for e in elements:
+        for s0 in plain:
+            d0 = table.get((s0, e), 0.0)
+            if d0 <= 0.0:
+                continue
+            for s1, d in lattice._above(s0):
+                bound = min(d0, d)
+                if s1 != TOP and bound > table.get((s1, e), 0.0):
+                    table[(s1, e)] = bound
     return _random_model(rng, lattice, elements, table)
 
 
@@ -968,7 +966,7 @@ def check_theorems(
                     for s in lattice.graph.sorts
                     if s != TOP and model.sort_degree(s, e) > 0.0
                 ]
-                target_sorts[e] = lattice.glb_all(positive) if positive else TOP
+                target_sorts[e] = functools.reduce(lattice.glb, positive) if positive else TOP
         except NotALattice as err:
             final_check.failures.append(str(err))
         else:

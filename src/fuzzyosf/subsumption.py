@@ -11,6 +11,9 @@ of t1 with sort s that lands on such a node scores degree(top, s), which is
 
 with min over no tags = 1.  A shared-tag (coreference) demand in t1 that t0
 cannot honor admits no witness at all: the graded degree is 0.
+
+Both terms are read as the numbered records of their normal-form gate
+(``terms._gate``); tag names come back only in the result.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 
 from .lattice import SortLattice, TOP
 from .terms import Term, _gate, fresh_tags
-from .graphs import OsfGraph, _graph
 
 
 @dataclass
@@ -28,7 +30,8 @@ class SubsumptionWitness:
 
     ``mapping`` sends each tag of the more general term to the tag of the
     more specific (possibly completed) term it lands on; ``per_tag`` records
-    (specific sort, general sort, degree) per mapped tag.
+    (specific sort, general sort, degree) per mapped tag, in ``mapping``'s
+    order.
     """
 
     mapping: dict[str, str]
@@ -36,31 +39,34 @@ class SubsumptionWitness:
     per_tag: dict[str, tuple[str, str, float]]
 
 
-def _find_witness(tags0: list[str], edges0: dict, g1: OsfGraph) -> dict[str, int] | None:
-    """Map g1's nodes to t0's tag numbers, completing t0 with fresh top nodes
-    where g1 demands an edge t0 lacks; None on a coreference conflict.
+def _find_witness(tags0: list[str], edges0: dict, edges1: dict) -> dict[int, int] | None:
+    """Map t1's tag numbers to t0's, root first, in the order the search
+    reaches them, completing t0 with fresh top nodes where t1 demands an edge
+    t0 lacks; None on a coreference conflict.
 
-    t0 is the record :func:`_gate` returns (``tags0``, ``edges0``), which the
-    caller owns: a completion edge joins its node's edges, and a fresh node
-    takes the next number, its name appended to ``tags0``.
+    Both are :func:`_gate` records.  t0's (``tags0``, ``edges0``) is the
+    caller's: a completion edge joins its node's edges, and a fresh node takes
+    the next number, its ``_T`` name appended to ``tags0``.
     """
     fresh = fresh_tags(set(tags0), prefix="_T")
-    mapping: dict[str, int] = {g1.root: 0}
-    queue = [g1.root]
+    mapping = {0: 0}
+    queue = [0]
     while queue:
-        n1 = queue.pop()
-        x0 = mapping[n1]
-        for f, m1 in g1.out.get(n1, ()):
-            out0 = edges0.setdefault(x0, {})
-            m0 = out0.get(f)
-            if m0 is None:
-                m0 = out0[f] = len(tags0)
+        x1 = queue.pop()
+        out1 = edges1.get(x1)
+        if out1 is None:
+            continue
+        out0 = edges0.setdefault(mapping[x1], {})
+        for f, y1 in out1.items():
+            y0 = out0.get(f)
+            if y0 is None:
+                y0 = out0[f] = len(tags0)
                 tags0.append(next(fresh))
-            known = mapping.get(m1)
+            known = mapping.get(y1)
             if known is None:
-                mapping[m1] = m0
-                queue.append(m1)
-            elif known != m0:
+                mapping[y1] = y0
+                queue.append(y1)
+            elif known != y0:
                 return None
     return mapping
 
@@ -68,21 +74,17 @@ def _find_witness(tags0: list[str], edges0: dict, g1: OsfGraph) -> dict[str, int
 def subsumption_witness(t0: Term, t1: Term, lattice: SortLattice) -> SubsumptionWitness | None:
     """Witness after top-completion of t0; None only on a coreference conflict."""
     tags0, sorts0, edges0 = _gate(t0, lattice.graph)
-    g1 = _graph(t1, lattice.graph)
-    n0 = len(tags0)
-    found = _find_witness(tags0, edges0, g1)
+    tags1, sorts1, edges1 = _gate(t1, lattice.graph)
+    found = _find_witness(tags0, edges0, edges1)
     if found is None:
         return None
-    per_tag: dict[str, tuple[str, str, float]] = {}
-    degree = 1.0
-    for n1, s1 in g1.sorts.items():
-        x0 = found[n1]
-        s0 = sorts0[x0] if x0 < n0 else TOP
-        d = lattice.degree(s0, s1)
-        per_tag[n1] = (s0, s1, d)
-        if d < degree:
-            degree = d
-    mapping = {n1: tags0[x0] for n1, x0 in found.items()}
+    sorts0 += [TOP] * (len(tags0) - len(sorts0))  # the completion nodes
+    per_tag = {}
+    for x1, x0 in found.items():
+        s0, s1 = sorts0[x0], sorts1[x1]
+        per_tag[tags1[x1]] = (s0, s1, lattice.degree(s0, s1))
+    mapping = {tags1[x1]: tags0[x0] for x1, x0 in found.items()}
+    degree = min(d for _, _, d in per_tag.values())  # the root is always mapped
     return SubsumptionWitness(mapping=mapping, degree=degree, per_tag=per_tag)
 
 

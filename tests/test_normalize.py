@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 import strategies
@@ -15,6 +16,8 @@ from fuzzyosf import (
     Inconsistent,
     Normalized,
     SortConstraint,
+    UnknownFeature,
+    UnknownSort,
     format_clause,
     normalize,
     parse_clause,
@@ -132,6 +135,24 @@ def test_normalize_keeps_the_root(chain_lattice):
     clause = Clause(clause.constraints, root="Y")
     nf = normalize(clause, chain_lattice)
     assert nf.solved.root == "X"
+
+
+@pytest.mark.parametrize(
+    "text, error, name",
+    [
+        ("X: zork", UnknownSort, "zork"),
+        ("X: zork & X: zork", UnknownSort, "zork"),
+        ("X: zork & X: movie", UnknownSort, "zork"),
+        ("X.zork = Y", UnknownFeature, "zork"),
+        ("X: movie & X.blip = Y & X: zork", UnknownFeature, "blip"),
+    ],
+)
+def test_names_outside_the_signature_raise_before_solving(movies, text, error, name):
+    # A clause built without a signature reaches normalize unchecked.
+    clause = parse_clause(text, None)
+    with pytest.raises(error) as info:
+        normalize(clause, movies)
+    assert info.value.name == name
 
 
 def test_empty_clause_normalizes_to_empty(chain_lattice):

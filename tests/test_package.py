@@ -78,6 +78,21 @@ EXPORTS = [
     "validate_interpretation",
 ]
 
+# Each module's module-level ``from .x import`` edges.  A new edge is a new
+# dependency between layers: it must come with an edit here.
+MODULE_IMPORTS = {
+    "__init__": {"graphs", "lattice", "normalize", "semantics", "subsumption", "terms", "unify"},
+    "cli": {"graphs", "lattice", "normalize", "semantics", "subsumption", "terms", "unify"},
+    "graphs": {"lattice", "terms"},
+    "lattice": set(),
+    "normalize": {"lattice", "terms"},
+    "samples": {"lattice", "semantics"},
+    "semantics": {"graphs", "lattice", "normalize", "subsumption", "terms"},
+    "subsumption": {"lattice", "terms"},
+    "terms": {"lattice"},
+    "unify": {"lattice", "normalize", "terms"},
+}
+
 
 def test_every_export_resolves_once():
     names = fuzzyosf.__all__
@@ -101,6 +116,16 @@ def test_everything_importable_is_exported():
         and name != "annotations"
     }
     assert public == set(fuzzyosf.__all__)
+
+
+def test_module_imports_are_frozen():
+    found = {}
+    for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        found[path.stem] = {
+            stmt.module for stmt in body if isinstance(stmt, ast.ImportFrom) and stmt.level == 1
+        }
+    assert found == MODULE_IMPORTS
 
 
 def test_no_unused_imports():
@@ -156,9 +181,12 @@ def test_no_unused_private_names():
 
 def test_no_unused_public_names():
     # A module-level public function, class or constant that is neither
-    # exported nor read by any module of the package is dead code.
+    # exported nor read by any module of the package is dead code; so is a
+    # public method of a package class that no module reads as an attribute.
     defined = []
+    methods = []
     used: set[str] = set()
+    read_attributes: set[str] = set()
     for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for stmt in tree.body:
@@ -169,17 +197,28 @@ def test_no_unused_public_names():
                 defined += [
                     (path.name, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
                 ]
+            if isinstance(stmt, ast.ClassDef):
+                methods += [
+                    (path.name, f"{stmt.name}.{f.name}")
+                    for f in stmt.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read_attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     public = [(module, name) for module, name in defined if not name.startswith("_")]
     assert len(public) > len(fuzzyosf.__all__)
     exported = set(fuzzyosf.__all__)
     assert [f"{m}: {name}" for m, name in public if name not in exported and name not in used] == []
+    assert len(methods) > 0
+    unread = [f"{m}: {name}" for m, name in methods if name.split(".")[1] not in read_attributes]
+    assert unread == []
 
 
 def test_no_unread_function_parameters():

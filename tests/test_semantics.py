@@ -636,6 +636,41 @@ def test_random_models_are_seed_frozen():
     assert rng.random() == 0.8988382879679935
 
 
+def test_repaired_models_reach_the_naive_fixpoint():
+    # The generator raises degrees in one pass; a naive loop that repeats
+    # full passes until nothing changes must give the same table, in the
+    # same insertion order.  The scatter phase is replayed on a twin rng.
+    raised_late = 0  # seeds where a sort is raised after its own turn
+    for seed in range(200):
+        lattice = random_lattice(random.Random(seed), max_sorts=7, max_features=1)
+        model = random_repaired_interpretation(random.Random(seed), lattice, max_domain=3)
+        rng = random.Random(seed)
+        elements = [f"d{i}" for i in range(rng.randint(1, 3))]
+        plain = [s for s in lattice.graph.sorts if s not in ("top", "bot")]
+        table = {}
+        for e in elements:
+            seed_sort = rng.choice(plain)
+            table[(seed_sort, e)] = rng.choice(semantics.DEGREE_PALETTE)
+            for s in plain:
+                if s != seed_sort and lattice.degree(seed_sort, s) > 0.0 and rng.random() < 0.5:
+                    table[(s, e)] = rng.choice(semantics.DEGREE_PALETTE)
+        late = False
+        changed = True
+        while changed:
+            changed = False
+            for e in elements:
+                for i, s0 in enumerate(plain):
+                    for j, s1 in enumerate(plain):
+                        bound = min(table.get((s0, e), 0.0), lattice.degree(s0, s1))
+                        if bound > table.get((s1, e), 0.0):
+                            table[(s1, e)] = bound
+                            changed = True
+                            late = late or j < i
+        raised_late += late
+        assert list(model.sort_table.items()) == list(table.items()), seed
+    assert raised_late > 50, raised_late
+
+
 def test_theorem_harness_passes_and_reports():
     report = check_theorems(seed=7, max_domain=3, max_sorts=4, rounds=8)
     assert report.passed

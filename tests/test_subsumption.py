@@ -106,8 +106,8 @@ def test_witness_order_when_a_back_reference_comes_first(chain_k_lattice, backre
     assert list(down.per_tag.items()) == [
         ("A", ("s", "s", 1.0)),
         ("B", ("u", "u", 1.0)),
-        ("D", ("v", "top", 1.0)),
         ("C", ("t", "t", 1.0)),
+        ("D", ("v", "top", 1.0)),
     ]
     assert down.degree == 1.0
     up = subsumption_witness(other, backref_first, chain_k_lattice)
@@ -115,8 +115,8 @@ def test_witness_order_when_a_back_reference_comes_first(chain_k_lattice, backre
     assert list(up.per_tag.items()) == [
         ("X", ("s", "s", 1.0)),
         ("Y", ("u", "u", 1.0)),
-        ("W", ("top", "v", 0.0)),
         ("Z", ("t", "t", 1.0)),
+        ("W", ("top", "v", 0.0)),
     ]
     assert up.degree == 0.0
 
@@ -138,11 +138,11 @@ def test_witness_reuses_completions_and_skips_taken_fresh_names(chain_k_lattice)
         ("A", ("p", "s", 1.0)),
         ("G", ("q", "s", 0.9)),
         ("D", ("r", "top", 1.0)),
-        ("E", ("top", "top", 1.0)),
-        ("F", ("top", "top", 1.0)),
         ("B", ("r", "u", 1.0)),
         ("C", ("top", "top", 1.0)),
         ("H", ("u", "u", 1.0)),
+        ("E", ("top", "top", 1.0)),
+        ("F", ("top", "top", 1.0)),
     ]
     assert w.degree == 0.9
 
@@ -206,6 +206,23 @@ def test_antisymmetry_up_to_equivalence(bundle):
         and fuzzy_subsumption_degree(b, a, lattice) > 0.0
     ):
         assert graph_equivalent(term_to_graph(a), term_to_graph(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.lattice_and_terms(count=2))
+def test_witness_lists_each_general_tag_once_in_mapping_order(bundle):
+    lattice, (a, b) = bundle
+    for specific, general in ((a, b), (b, a), (a, a)):
+        w = subsumption_witness(specific, general, lattice)
+        if w is None:
+            continue
+        assert list(w.per_tag) == list(w.mapping)
+        tags, stack = set(), [general]
+        while stack:
+            node = stack.pop()
+            tags.add(node.tag)
+            stack += [child for _, child in node.args]
+        assert sorted(w.mapping) == sorted(tags)
 
 
 @settings(max_examples=200, deadline=None)
