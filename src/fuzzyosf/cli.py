@@ -310,6 +310,7 @@ def cmd_eval(args) -> int:
             print(f"invalid interpretation: {p}", file=sys.stderr)
         raise _SemanticFailure(f"{len(problems)} validity violations")
     term = parse_term(_maybe_file(args.term), lattice.graph)
+    domain = set(model.elements)
     if args.assign:
         alpha: dict[str, str] = {}
         tags = term_tags(term)
@@ -319,14 +320,16 @@ def cmd_eval(args) -> int:
             tag, _, elem = item.partition("=")
             if tag not in tags:
                 raise _InputFailure(f"--assign names a tag the term does not have: {tag}")
-            if elem not in set(model.elements):
+            if tag in alpha:
+                raise _InputFailure(f"--assign gives tag {tag} twice")
+            if elem not in domain:
                 raise _InputFailure(f"unknown element in --assign: {elem}")
             alpha[tag] = elem
         degree = denote(term, model, alpha)
         _emit(args, {"degree": degree}, _fmt(degree))
         return 0
     if args.at is not None:
-        if args.at not in set(model.elements):
+        if args.at not in domain:
             raise _InputFailure(f"unknown element: {args.at}")
         degree = best_denotation(term, model, args.at)
         _emit(args, {"element": args.at, "degree": degree}, _fmt(degree))

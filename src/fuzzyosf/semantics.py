@@ -80,13 +80,23 @@ class Interpretation:
 
 
 def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list[str]:
-    """All validity violations, exhaustively (empty list means valid)."""
+    """All validity violations, exhaustively (empty list means valid).
+
+    Each element is decided on its own: on a validated lattice, one that
+    :func:`_certified` accepts has no gap, so only the others are scanned.
+    """
     problems: list[str] = []
     if not model.elements:
         problems.append("domain is empty")
     domain = set(model.elements)
     index = lattice.graph._index
 
+    # Both conditions below bind only where a sort holds positively, so each
+    # element's positive sorts are its stated positive degrees plus top, by
+    # sort number.  They are read only when the checks here find nothing, and
+    # then every table sort is known, every table element is in the domain and
+    # every top/bot entry equals its fixed degree.
+    stated: dict[str, dict[int, float]] = {e: {index[TOP]: 1.0} for e in model.elements}
     for (s, e), d in model.sort_table.items():
         if s not in index:
             problems.append(f"unknown sort in table: {s}")
@@ -100,6 +110,8 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
             problems.append(f"top must hold of {e} at 1, not {d:g}")
         if s == BOT and d != 0.0:
             problems.append(f"bot must hold of {e} at 0, not {d:g}")
+        if d > 0.0:
+            stated[e][index[s]] = d
 
     for f in model.feature_names:
         for e in model.elements:
@@ -118,26 +130,18 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     if problems:
         return problems
 
-    # Both conditions below bind only where a sort holds positively, so each
-    # element's positive sorts come from its stated degrees plus top, by sort
-    # number.  The checks above leave every table sort known, every table
-    # element in the domain and every top/bot entry equal to its fixed degree.
-    stated: dict[str, dict[int, float]] = {e: {index[TOP]: 1.0} for e in model.elements}
-    for (s, e), d in model.sort_table.items():
-        if d > 0.0:
-            stated[e][index[s]] = d
-    if lattice._validated and _certified(stated, lattice):
-        return problems
-
+    # The scan keeps domain order; it covers every element of an unvalidated lattice.
     sorts = lattice.graph.sorts
-    positive_of = [
-        (e, {sorts[u]: d for u, d in sorted(stated[e].items())}) for e in model.elements
+    failing = [
+        (e, {sorts[u]: d for u, d in sorted(stated[e].items())})
+        for e in model.elements
+        if not (lattice._validated and _certified(stated[e], lattice))
     ]
 
     # Graded-subsumption compatibility (condition on every sort pair).  All
     # degrees lie in [0, 1] here, so pairs with degree(s0, s1) = 0 hold.
     above: dict[str, list[tuple[str, float]]] = {}
-    for e, positive in positive_of:
+    for e, positive in failing:
         for s0, d0 in positive.items():
             if s0 not in above:
                 above[s0] = lattice._above(s0)
@@ -150,7 +154,7 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
                         f"{s1}({e}) >= {bound:g}, found {model.sort_degree(s1, e):g}"
                     )
     # Meet consistency: jointly positive sorts need a positive meet.
-    for e, positive in positive_of:
+    for e, positive in failing:
         for s0, s1 in itertools.combinations(positive, 2):
             try:
                 meet = lattice.glb(s0, s1)
@@ -165,11 +169,11 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     return problems
 
 
-def _certified(stated: dict[str, dict[int, float]], lattice: SortLattice) -> bool:
-    """Whether two linear checks prove every element free of gaps.
+def _certified(positive: dict[int, float], lattice: SortLattice) -> bool:
+    """Whether two linear checks prove one element free of gaps.
 
-    ``stated`` maps each element to its positive sorts (by number, top
-    included) and degrees; ``lattice`` has been validated.  Edge check: each
+    ``positive`` maps the element's positive sorts (by number, top included)
+    to their degrees; ``lattice`` has been validated.  Edge check: each
     declared edge ``u -> v`` at degree w out of a positive sort has
     ``d(v) >= min(d(u), w)``.  By induction along a best path, this gives
     every closure pair's bound, so every sort above a positive sort is
@@ -177,20 +181,16 @@ def _certified(stated: dict[str, dict[int, float]], lattice: SortLattice) -> boo
     sort in the AND of their down-sets, is positive.  It lies below the meet
     of any two of them, which is therefore positive too.  Conversely, a
     valid element has a least positive sort (two minimal ones would meet at
-    a positive sort below both), so only a model with a gap fails here.
+    a positive sort below both), so only an element with a gap fails here.
     """
     succ, down = lattice.graph._succ, lattice._down
-    index, bit_sort = lattice.graph._index, lattice._bit_sort
-    for positive in stated.values():
-        common = -1
-        for u, du in positive.items():
-            common &= down[u]
-            for v, w in succ[u]:
-                if positive.get(v, 0.0) < (du if du < w else w):
-                    return False
-        if index[bit_sort[common.bit_length() - 1]] not in positive:
-            return False
-    return True
+    common = -1
+    for u, du in positive.items():
+        common &= down[u]
+        for v, w in succ[u]:
+            if positive.get(v, 0.0) < (du if du < w else w):
+                return False
+    return lattice.graph._index[lattice._bit_sort[common.bit_length() - 1]] in positive
 
 
 # -- interpretation text format ----------------------------------------------
@@ -553,12 +553,9 @@ def random_interpretation(
     for e in elements:
         principal = rng.choice(sorts)
         cap = rng.choice(DEGREE_PALETTE)
-        for s in lattice.graph.sorts:
-            if s in (TOP, BOT):
-                continue
-            d = min(cap, lattice.degree(principal, s))
-            if d > 0.0:
-                table[(s, e)] = d
+        for s, d in lattice._above(principal):
+            if s != TOP:
+                table[(s, e)] = min(cap, d)
     return _random_model(rng, lattice, elements, table)
 
 

@@ -48,7 +48,7 @@ def _find_witness(tags0: list[str], edges0: dict, edges1: dict) -> dict[int, int
     caller's: a completion edge joins its node's edges, and a fresh node takes
     the next number, its ``_T`` name appended to ``tags0``.
     """
-    fresh = fresh_tags(set(tags0), prefix="_T")
+    fresh = None  # the names to avoid are tags0 as the first completion finds it
     mapping = {0: 0}
     queue = [0]
     while queue:
@@ -60,6 +60,8 @@ def _find_witness(tags0: list[str], edges0: dict, edges1: dict) -> dict[int, int
         for f, y1 in out1.items():
             y0 = out0.get(f)
             if y0 is None:
+                if fresh is None:
+                    fresh = fresh_tags(set(tags0), prefix="_T")
                 y0 = out0[f] = len(tags0)
                 tags0.append(next(fresh))
             known = mapping.get(y1)

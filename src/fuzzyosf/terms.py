@@ -237,10 +237,6 @@ def check_normal(t: Term, graph: SortGraph | None = None) -> list[str]:
     return [msg for _, msg in _walk(t, graph)[0]]
 
 
-def is_normal(t: Term, graph: SortGraph | None = None) -> bool:
-    return not _walk(t, graph)[0]
-
-
 def _gate(t: Term, graph: SortGraph | None) -> tuple:
     """Raise SignatureMismatch if ``t`` uses names outside ``graph``'s
     signature, else NotNormalTerm if it breaks another normal-form condition;

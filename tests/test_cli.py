@@ -718,8 +718,12 @@ def test_enrich_json_lists_edges_and_dropped(capsys, tmp_ontology):
         (["unify", "--batch", "{batch}"], "{batch}:2: expected two tab-separated terms"),
         (["eval", "--interp", "{interp}", "--assign", "X", "X: movie"], "bad --assign (want TAG=ELEMENT): 'X'"),
         (["eval", "--interp", "{interp}", "--assign", "X=zz", "X: movie"], "unknown element in --assign: zz"),
+        (
+            ["eval", "--interp", "{interp}", "--assign", "X=halloween", "--assign", "X=psycho", "X: thriller"],
+            "--assign gives tag X twice",
+        ),
     ],
-    ids=["batch-line-without-tab", "assign-without-equals", "assign-unknown-element"],
+    ids=["batch-line-without-tab", "assign-without-equals", "assign-unknown-element", "assign-repeated-tag"],
 )
 def test_cli_input_errors(capsys, movies_file, tmp_path, command, message):
     paths = {"batch": tmp_path / "pairs.txt", "interp": tmp_path / "m.interp"}

@@ -62,7 +62,6 @@ EXPORTS = [
     "graph_isomorphic",
     "graph_to_dot",
     "graph_to_term",
-    "is_normal",
     "load_interpretation",
     "load_ontology",
     "morphism_max_beta",
@@ -102,7 +101,7 @@ def test_every_export_resolves_once():
 
 
 def test_exports_are_frozen():
-    assert len(EXPORTS) == 65
+    assert len(EXPORTS) == 64
     assert sorted(fuzzyosf.__all__) == EXPORTS
 
 

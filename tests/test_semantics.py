@@ -20,6 +20,7 @@ from fuzzyosf import (
     SortConstraint,
     SortGraph,
     SortLattice,
+    TOP,
     approximation_degree,
     best_denotation,
     check_theorems,
@@ -314,18 +315,50 @@ def test_the_certificate_accepts_exactly_the_valid_models():
     assert runs[True] > 100 and runs[False] > 100
 
 
-def test_validate_interpretation_time_on_a_long_chain():
-    # A 500-sort chain and 20 elements, each positive on every sort: the
-    # pairwise meet scan takes over a second here.
-    names = [f"c{i}" for i in range(500)]
-    edges = [(names[i], names[i + 1], 0.5) for i in range(499)]
+@pytest.mark.parametrize("drop", [("movie", "halloween"), ("slasher", "halloween")])
+def test_only_the_failing_element_is_scanned(movies, movie_model, drop):
+    # Every other element is certified, so each meet asked for and each
+    # closure row built belongs to halloween's positive sorts.
+    table = dict(movie_model.sort_table)
+    del table[drop]
+    broken = Interpretation(
+        movie_model.elements, table, movie_model.features, movie_model.feature_names
+    )
+    lattice = _recording(movies)
+    assert validate_interpretation(broken, lattice)
+    positive = {s for (s, e), d in table.items() if e == "halloween" and d > 0} | {TOP}
+    assert lattice.calls and {s for pair in lattice.calls for s in pair} <= positive
+    assert lattice._rows and {movies.graph.sorts[u] for u in lattice._rows} <= positive
+
+
+def _chain_model(n: int) -> tuple[SortLattice, Interpretation]:
+    """An n-sort chain and 20 elements, each positive on every sort."""
+    names = [f"c{i}" for i in range(n)]
+    edges = [(names[i], names[i + 1], 0.5) for i in range(n - 1)]
     lattice = SortLattice(SortGraph(names, [], edges)).validate()
     table = {(s, f"e{k}"): 1.0 if s == names[0] else 0.5 for s in names for k in range(20)}
-    model = Interpretation([f"e{k}" for k in range(20)], table, {}, [])
+    return lattice, Interpretation([f"e{k}" for k in range(20)], table, {}, [])
+
+
+def test_validate_interpretation_time_on_a_long_chain():
+    # 500 sorts: the pairwise meet scan takes over a second here.
+    lattice, model = _chain_model(500)
     start = time.perf_counter()
     problems = validate_interpretation(model, lattice)
     assert time.perf_counter() - start < 0.1
     assert problems == []
+
+
+def test_validate_interpretation_time_on_a_long_chain_with_one_gap():
+    # 1,000 sorts and one gap in the middle of one element's chain: scanning
+    # every element takes over 7 s here, the failing one alone under 1 s.
+    lattice, model = _chain_model(1_000)
+    del model.sort_table[("c500", "e7")]
+    start = time.perf_counter()
+    problems = validate_interpretation(model, lattice)
+    assert time.perf_counter() - start < 2.5
+    assert len(problems) == 500
+    assert all(p.startswith("membership gap: c") and "force c500(e7) >= 0.5" in p for p in problems)
 
 
 # -- denotation -----------------------------------------------------------------------
