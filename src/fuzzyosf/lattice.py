@@ -15,6 +15,7 @@ their out-edges, not the whole hierarchy.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 BOT = "bot"
@@ -87,6 +88,14 @@ class _Names(dict):
         if self.unknown is None:
             return name
         raise self.unknown(name)
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The set bits of a bitset, highest first."""
+    while x:
+        bit = x.bit_length() - 1
+        yield bit
+        x ^= 1 << bit
 
 
 class SortGraph:
@@ -298,8 +307,8 @@ class SortLattice:
         """Sorted names of the maximal sorts in a down-closed bitset."""
         # From the highest bit down: maximal iff below no maximal sort seen.
         out, covered = [], 0
-        for bit in range(common.bit_length() - 1, -1, -1):
-            if common >> bit & 1 and not covered >> bit & 1:
+        for bit in _bits(common):
+            if not covered >> bit & 1:
                 out.append(self._bit_sort[bit])
                 covered |= self._bit_below[bit]
         return sorted(out)
@@ -417,40 +426,25 @@ def enrich_from_similarity(
         if a not in idx or b not in idx:
             raise UnknownSort(a if a not in idx else b)
 
-    n = len(graph.sorts)
-
-    # Crisp down-sets over declared edges only (reflexive; no implicit bounds).
-    down = [1 << i for i in range(n)]
+    # Reachability in the working graph, reflexive, without implicit bounds:
+    # down[u] holds the sorts that reach u and up[u] those u reaches.
+    down = [1 << i for i in range(len(graph.sorts))]
+    up = list(down)
     for u in graph._topo:
         for v, _ in graph._pred[u]:
             down[u] |= down[v]
+    for u in reversed(graph._topo):
+        for v, _ in graph._succ[u]:
+            up[u] |= up[v]
 
     candidates: dict[tuple[int, int], float] = {}
     for (u, s2), beta in sim.items():
         if beta <= 0.0:
             continue
         j = idx[s2]
-        below = down[idx[u]]
-        while below:
-            i = below.bit_length() - 1
-            below ^= 1 << i
+        for i in _bits(down[idx[u]]):
             if candidates.get((i, j), 0.0) < beta:
                 candidates[(i, j)] = beta
-
-    succ: list[set[int]] = [set(v for v, _ in graph._succ[i]) for i in range(n)]
-
-    def reaches(a: int, b: int) -> bool:
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for v in succ[u]:
-                if v == b:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
 
     accepted: list[tuple[str, str, float]] = []
     dropped: list[DroppedEdge] = []
@@ -460,11 +454,16 @@ def enrich_from_similarity(
         if i == j:
             dropped.append(DroppedEdge(sub, sup, beta, "self"))
             continue
-        if sup == BOT or sub == TOP or reaches(j, i):
+        if sup == BOT or sub == TOP or up[j] >> i & 1:
             dropped.append(DroppedEdge(sub, sup, beta, "cycle"))
             continue
         accepted.append((sub, sup, beta))
-        succ[i].add(j)
+        # Update only the sorts whose reachability changes (Italiano, TCS 1986).
+        sources, targets = down[i] & ~down[j], up[j] & ~up[i]
+        for k in _bits(sources):
+            up[k] |= up[j]
+        for k in _bits(targets):
+            down[k] |= down[i]
 
     # SortGraph keeps a repeated edge's larger degree at its first place.
     enriched = SortGraph(

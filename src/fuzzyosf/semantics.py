@@ -231,10 +231,11 @@ def load_interpretation(text: str, graph: SortGraph) -> Interpretation:
                 fail(lineno, f"undeclared element: {e}")
             if img not in elements:
                 fail(lineno, f"undeclared element: {img}")
-            if e == "*":
-                defaults[f] = img
-            else:
-                explicit[(f, e)] = img
+            table, key = (defaults, f) if e == "*" else (explicit, (f, e))
+            old = table.get(key, img)
+            if old != img:
+                fail(lineno, f"conflicting images for ({f}, {e}): {old} vs {img}")
+            table[key] = img
         elif kind == "deg":
             if len(parts) != 4:
                 fail(lineno, "expected: deg <sort> <elem> <degree>")
@@ -251,6 +252,9 @@ def load_interpretation(text: str, graph: SortGraph) -> Interpretation:
                 fail(lineno, f"bad degree: {value!r}")
             if not 0.0 <= d <= 1.0:
                 fail(lineno, f"degree must lie in [0, 1]: {value}")
+            old = sort_table.get((s, e), d)
+            if old != d:
+                fail(lineno, f"conflicting degrees for ({s}, {e}): {old:g} vs {d:g}")
             sort_table[(s, e)] = d
         elif kind == "elem":
             if len(parts) < 2:

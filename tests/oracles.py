@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 library: closure by Floyd–Warshall-style relaxation over a materialized
-node set, meets by explicit down-set intersection, crisp subsumption by a
+node set, meets by explicit down-set intersection, similarity enrichment by
+a fresh reachability search per candidate edge, crisp subsumption by a
 naive substitution-based solver plus a from-scratch rooted-graph matcher,
 denotation by translating a term into its constraint reading and scoring
 each constraint directly, and normalization by a small-step engine that
@@ -109,6 +110,66 @@ def is_lattice(sorts: list[str], edges: list[tuple[str, str, float]]) -> bool:
         if len(glb_candidates(sorts, edges, s, t)) != 1:
             return False
     return True
+
+
+# -- similarity enrichment ---------------------------------------------------------
+
+
+def _reaches(edges: list[tuple[str, str]], source: str, target: str) -> bool:
+    """Breadth-first search for a path of one or more edges."""
+    frontier, seen = [source], set()
+    while frontier:
+        node = frontier.pop(0)
+        for a, b in edges:
+            if a == node and b not in seen:
+                if b == target:
+                    return True
+                seen.add(b)
+                frontier.append(b)
+    return False
+
+
+def enrich(
+    sorts: list[str],
+    edges: list[tuple[str, str, float]],
+    pairs: list[tuple[str, str, float]],
+) -> tuple[list[str], list[tuple[str, str, float]], list[tuple[str, str, float, str]]]:
+    """Similarity enrichment by its definition: ``(sorts, edges, dropped)``.
+
+    Every ``sim(u, s2) = b > 0``, read both ways, seeds ``(s, s2, b)`` for
+    each ``s`` crisply below ``u`` over the declared edges (reflexive, no
+    implicit bounds); seeds are max-combined per pair and walked in sorted
+    name order.  A candidate is dropped as ``self`` if its ends agree and
+    as ``cycle`` if its target already reaches its source: reachability is
+    searched afresh for each candidate over the declared edges, the edges
+    accepted so far and the implicit ``bot -> s -> top`` bounds.  The
+    enriched edges are the declared ones and then the accepted ones, a
+    repeated pair keeping its larger degree at its first place.
+    """
+    declared = [(a, b) for a, b, _ in edges]
+    candidates: dict[tuple[str, str], float] = {}
+    for a, b, d in pairs:
+        if d <= 0.0:
+            continue
+        for u, s2 in ((a, b), (b, a)):
+            for s in [u] + [s for s in sorts if _reaches(declared, s, u)]:
+                candidates[(s, s2)] = max(candidates.get((s, s2), 0.0), d)
+    bounds = [(BOT, s) for s in sorts if s != BOT] + [(s, TOP) for s in sorts if s != TOP]
+    accepted: list[tuple[str, str, float]] = []
+    dropped: list[tuple[str, str, float, str]] = []
+    for (sub, sup), d in sorted(candidates.items()):
+        working = declared + [(a, b) for a, b, _ in accepted] + bounds
+        if sub == sup:
+            dropped.append((sub, sup, d, "self"))
+        elif _reaches(working, sup, sub):
+            dropped.append((sub, sup, d, "cycle"))
+        else:
+            accepted.append((sub, sup, d))
+    merged: dict[tuple[str, str], float] = {}
+    for a, b, d in edges + accepted:
+        merged[(a, b)] = max(merged.get((a, b), 0.0), d)
+    names = [s for s in sorts if s not in (BOT, TOP)] + [BOT, TOP]
+    return names, [(a, b, d) for (a, b), d in merged.items()], dropped
 
 
 # -- crisp subsumption over the support lattice ----------------------------------

@@ -22,9 +22,11 @@ from fuzzyosf import (
     SortGraph,
     SortLattice,
     Term,
+    build_similarity,
     check_theorems,
     clause_to_term,
     crisp_subsumes,
+    enrich_from_similarity,
     format_term,
     fuzzy_subsumption_degree,
     graph_equivalent,
@@ -43,6 +45,7 @@ SMALL_UNIFY_BUDGET = 0.010  # seconds, best of 5
 CHAIN_UNIFY_BUDGET = 2.0  # seconds, single run on two 10,000-tag chains
 QUERY_BUDGET = 0.050  # seconds, one degree query on the 5,000-sort ontology
 HARNESS_BUDGET = 60.0  # seconds, full semantic harness
+ENRICH_BUDGET = 2.0  # seconds, single run on the 4,000-sort forest
 
 DAG_COUNT = 1000  # criterion 4
 CLAUSE_COUNT = 500  # criterion 5
@@ -385,4 +388,32 @@ def test_criterion_9_performance_envelope(capsys):
         capsys,
         f"PASS criterion 9: 10,000-tag unify {chain_elapsed:.2f} s;"
         f" 5,000-sort degree query {query_elapsed * 1000:.1f} ms",
+    )
+
+
+def test_criterion_9_enrichment_envelope(capsys):
+    # A 4,000-sort crisp forest, each sort's parent among the 50 before it,
+    # and n // 5 sims: every candidate's cycle test must stay one bit test.
+    rng = random.Random(3)
+    n = 4000
+    names = [f"s{i}" for i in range(n)]
+    edges = [(names[i], names[rng.randrange(max(0, i - 50), i)], 1.0) for i in range(1, n)]
+    pairs: dict[frozenset[str], tuple[str, str, float]] = {}
+    for _ in range(n // 5):
+        a, b = rng.sample(names, 2)
+        pairs.setdefault(frozenset((a, b)), (a, b, rng.choice([0.3, 0.5, 0.8])))
+    graph = SortGraph(names, [], edges)
+    sim = build_similarity(list(pairs.values()))
+
+    start = time.perf_counter()
+    enriched, dropped = enrich_from_similarity(graph, sim)
+    elapsed = time.perf_counter() - start
+
+    added = len(enriched.edges) - len(graph.edges)
+    assert (added, len(dropped)) == (102_786, 16_185)
+    assert elapsed < ENRICH_BUDGET, f"enrichment took {elapsed:.2f} s"
+    _report(
+        capsys,
+        f"PASS criterion 9: 4,000-sort enrichment {elapsed:.2f} s;"
+        f" {added:,} new edges, {len(dropped):,} dropped",
     )

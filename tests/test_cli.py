@@ -533,6 +533,21 @@ def test_eval_table_full_output(capsys, movies_file, tmp_path):
     assert (code, out) == (0, json.dumps(table) + "\n")
 
 
+def test_eval_rejects_conflicting_model_lines(capsys, tmp_ontology, tmp_path):
+    # Keeping the last of two conflicting lines would print x 0 / y 0 with
+    # exit 0 for the first model and blame a membership gap for the second.
+    path = tmp_ontology("sort a b\nedge a b 1\nfeature f\n", "ab.txt")
+    interp = tmp_path / "m.interp"
+    head = "elem x y\ndeg a x 1\ndeg b x 1\n"
+    for model, message in [
+        ("fun f * x\nfun f x x\nfun f x y\n", "line 6: conflicting images for (f, x): x vs y"),
+        ("deg b x 0.2\nfun f * x\n", "line 4: conflicting degrees for (b, x): 1 vs 0.2"),
+    ]:
+        interp.write_text(head + model, encoding="utf-8")
+        argv = ["--ontology", path, "eval", "--interp", str(interp), "X: a(f -> Y: b)"]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_eval_invalid_model_is_semantic_failure(capsys, movies_file, tmp_path):
     interp = tmp_path / "bad.interp"
     interp.write_text(INVALID_MODEL, encoding="utf-8")

@@ -452,6 +452,47 @@ def test_enrichment_edges_and_drops_in_order():
     ]
 
 
+@st.composite
+def enrichment_cases(draw, max_sorts: int = 8):
+    """A crisp DAG under shuffled names, with explicit ``bot ->`` and ``-> top``
+    edges, and sims that include self-sims, sims on ``bot``/``top``, sims of
+    degree 0 and sims between comparable sorts, which close cycles."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sorts, edges = strategies.random_dag(rng, max_sorts=max_sorts)
+    rename = dict(zip(sorts, rng.sample([f"c{i}" for i in range(20)], len(sorts))))
+    edges = [(rename[a], rename[b], 1.0) for a, b, _ in edges]
+    sorts = list(rename.values())
+    for s in sorts:
+        if rng.random() < 0.2:
+            edges.append((BOT, s, 1.0))
+        if rng.random() < 0.2:
+            edges.append((s, TOP, 1.0))
+    names = [*sorts, BOT, TOP]
+    rng.shuffle(names)
+    degrees: dict[frozenset[str], float] = {}
+    pairs = []
+    for _ in range(rng.randint(0, 8)):
+        if edges and rng.random() < 0.3:
+            a, b, _ = rng.choice(edges)
+        else:
+            a, b = rng.choice(names), rng.choice(names)
+        d = 1.0 if a == b else degrees.get(frozenset((a, b)), rng.choice([0.0, 0.3, 0.5, 0.8, 1.0]))
+        degrees[frozenset((a, b))] = d
+        pairs.append((a, b, d))
+    return names, edges, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(enrichment_cases())
+def test_enrichment_matches_the_oracle(case):
+    names, edges, pairs = case
+    enriched, dropped = enrich_from_similarity(SortGraph(names, [], edges), build_similarity(pairs))
+    expected_sorts, expected_edges, expected_dropped = oracles.enrich(names, edges, pairs)
+    assert enriched.sorts == expected_sorts
+    assert enriched.edges == expected_edges
+    assert [(e.sub, e.sup, e.degree, e.reason) for e in dropped] == expected_dropped
+
+
 def test_enrichment_requires_crisp_hierarchy():
     graph = SortGraph(["a", "b"], [], [("a", "b", 0.7)])
     with pytest.raises(ValueError):

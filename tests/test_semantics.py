@@ -770,11 +770,31 @@ def test_validate_interpretation_reports_structural_problems(elements, table, fe
         ("elem a\ndeg p a 1.5", "line 2: degree must lie in [0, 1]: 1.5"),
         ("elem a\nfun f b a", "line 2: undeclared element: b"),
         ("elem a\nfun f a b", "line 2: undeclared element: b"),
+        ("elem a b\ndeg p a 1\ndeg p a 0.2", "line 3: conflicting degrees for (p, a): 1 vs 0.2"),
+        ("elem a b\nfun f a a\nfun f a b", "line 3: conflicting images for (f, a): a vs b"),
+        ("elem a b\nfun f * a\nfun f b b\nfun f * b", "line 4: conflicting images for (f, *): a vs b"),
     ],
-    ids=["elem-without-names", "bad-degree", "degree-out-of-range", "undeclared-source", "undeclared-image"],
+    ids=[
+        "elem-without-names",
+        "bad-degree",
+        "degree-out-of-range",
+        "undeclared-source",
+        "undeclared-image",
+        "conflicting-degree",
+        "conflicting-image",
+        "conflicting-default",
+    ],
 )
 def test_load_interpretation_rejects_bad_lines(text, message):
     graph = SortGraph(["p"], ["f"], [])
     with pytest.raises(ValueError) as exc:
         load_interpretation(text, graph)
     assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+
+def test_load_interpretation_accepts_an_identical_repeat():
+    graph = SortGraph(["p"], ["f"], [])
+    text = "elem a b\ndeg p a 1\ndeg p a 1.0\nfun f * a\nfun f * a\nfun f b a\nfun f b a\n"
+    model = load_interpretation(text, graph)
+    assert model.sort_table == {("p", "a"): 1.0}
+    assert model.features == {("f", "a"): "a", ("f", "b"): "a"}
