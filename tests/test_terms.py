@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -37,6 +39,7 @@ from fuzzyosf import (
     parse_term,
     term_to_clause,
 )
+from fuzzyosf.semantics import random_lattice, random_normal_term
 from fuzzyosf.terms import _gate, _walk
 
 
@@ -153,6 +156,19 @@ def test_parse_error_messages(sig, text, error, message):
 )
 def test_parse_glued_and_spaced_units(sig, text, explicit):
     assert format_term(parse_term(text, sig)) == explicit
+
+
+@pytest.mark.parametrize(
+    "text, explicit",
+    [
+        # fresh tags avoid the tags written in the text, not tag-like runs
+        # inside sort names
+        ("a_Z0(f -> b, g -> _Z1)", "_Z0: a_Z0(f -> _Z2: b, g -> _Z1)"),
+        ("X : s ( f->Y:t,g  ->  X )", "X: s(f -> Y: t, g -> X)"),
+    ],
+)
+def test_parse_edge_cases_without_a_signature(text, explicit):
+    assert format_term(parse_term(text, None)) == explicit
 
 
 def _shape(t: Term) -> tuple:
@@ -608,3 +624,50 @@ def test_copies_of_a_parsed_term_compare_equal_and_carry_no_record(sig):
         assert clone == t and hash(clone) == hash(t)
         assert _record(clone) is None
     assert _gate(t, sig) == _gate(pickle.loads(pickle.dumps(t)), sig)
+
+
+# -- frozen parse outcomes ---------------------------------------------------------
+
+_UNIT = re.compile(r"[A-Za-z0-9_]+|->|\S")
+_SPACING = ["", " ", "  ", "\t", "\n", " \n\t"]
+
+
+def _variants(rng: random.Random, text: str) -> list[str]:
+    """A printed term re-spaced, then as it is, without one unit, and with one
+    character inserted, deleted or replaced (the mutations of ``term_texts``)."""
+    units = _UNIT.findall(text)
+    text = "".join(rng.choice(_SPACING) + unit for unit in units) + rng.choice(_SPACING)
+    spans = [m.span() for m in _UNIT.finditer(text)]
+    start, end = rng.choice(spans)
+    k = rng.randint(0, len(text))
+    c = rng.choice("Xsf():,->9é \t")
+    head, tail = text[:k], text[k + 1 :]
+    changed = rng.choice([head + c + text[k:], head + tail, head + c + tail])
+    return [text, text[:start] + text[end:], changed]
+
+
+def _outcome(text: str, graph: SortGraph | None):
+    """The parsed term's shape and record, or the error's type and message."""
+    try:
+        t = parse_term(text, graph)
+    except (TermSyntaxError, UnknownSort, UnknownFeature) as err:
+        return type(err).__name__, str(err)
+    return _shape(t), _record(t)
+
+
+PARSE_OUTCOMES_DIGEST = "121d6f5b03502572b27c1c83cd63bdf0a6f2cf04ab0e2edbf3d7b350838e22df"
+
+
+def test_parse_outcomes_are_frozen():
+    # 2,000 printed random normal terms, each re-spaced and mutated, parsed
+    # over their signature and over none.
+    rng = random.Random(4242)
+    outcomes = []
+    for _ in range(10):
+        lattice = random_lattice(rng, 8, 3)
+        for _ in range(200):
+            text = format_term(random_normal_term(rng, lattice, 12), rng.choice(["explicit", "compact"]))
+            for variant in _variants(rng, text):
+                outcomes += [_outcome(variant, lattice.graph), _outcome(variant, None)]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == PARSE_OUTCOMES_DIGEST

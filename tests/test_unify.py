@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import tracemalloc
 
@@ -25,7 +26,7 @@ from fuzzyosf import (
     term_to_graph,
     unify,
 )
-from fuzzyosf.semantics import random_normal_term
+from fuzzyosf.semantics import random_lattice, random_normal_term
 
 
 # -- the cyclic flagship pair ---------------------------------------------------------
@@ -405,3 +406,33 @@ def test_parsed_and_unified_terms_retain_no_more_memory():
     finally:
         tracemalloc.stop()
     assert retained / len(terms) <= RETAINED_BYTES_PER_TERM
+
+
+# -- frozen outcomes -------------------------------------------------------------------
+
+UNIFY_OUTCOMES_DIGEST = "6c978105303f9d8f35988e306ec7eb72e1a695c570cadc731b39a4c847764782"
+
+
+def test_unify_outcomes_are_frozen():
+    # 1,000 seeded pairs over harness lattices with a diamond; half are rooted
+    # at its two incomparable sorts, and half are parsed from their printed form.
+    rng = random.Random(4242)
+    outcomes = []
+    for _ in range(20):
+        lattice = strategies.with_diamond(rng, random_lattice(rng, 6, 3))
+        for _ in range(50):
+            t1, t2 = (random_normal_term(rng, lattice, 8) for _ in range(2))
+            if rng.random() < 0.5:
+                t1, t2 = Term(t1.tag, "dl", t1.args), Term(t2.tag, "dr", t2.args)
+            if rng.random() < 0.5:
+                styles = [rng.choice(["explicit", "compact"]) for _ in range(2)]
+                t1, t2 = (parse_term(format_term(t, s), lattice.graph) for t, s in zip((t1, t2), styles))
+            r = unify(t1, t2, lattice)
+            outcomes.append((
+                None if r.unifier is None else format_term(r.unifier),
+                r.beta1, r.beta2, r.beta,
+                list(r.tag_classes.items()),
+                list(r.renamed.items()),
+            ))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == UNIFY_OUTCOMES_DIGEST
