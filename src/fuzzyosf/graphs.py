@@ -62,7 +62,10 @@ def term_to_graph(t: Term) -> OsfGraph:
 
 def graph_to_term(g: OsfGraph) -> Term:
     """Term of a graph: depth-first, each node expanded at first encounter."""
-    return _expand(g.root, g.sorts, g.out)
+    names = list(g.sorts)
+    number = {tag: x for x, tag in enumerate(names)}
+    out = [{f: number[y] for f, y in g.out.get(tag, ())} for tag in names]
+    return _expand(number[g.root], names, list(g.sorts.values()), out)
 
 
 # -- canonical form and equivalence -------------------------------------------

@@ -160,14 +160,22 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
     (representative, member) pairs.  Before solving, the first unknown sort or
     feature in constraint order raises UnknownSort or UnknownFeature.
     """
+    # One pass numbers the tags by first occurrence and looks up each name;
+    # an unknown one raises.
     sort_names, feature_names = lattice.graph._sort_names, lattice.graph._feature_names
-    for c in clause.constraints:  # a lookup of an unknown name raises
+    number: dict[str, int] = {}
+    for c in clause.constraints:
         if isinstance(c, SortConstraint):
             sort_names[c.sort]
+            number.setdefault(c.tag, len(number))
         elif isinstance(c, FeatureConstraint):
             feature_names[c.feature]
-    names = clause.tags()
-    number = {tag: x for x, tag in enumerate(names)}
+            number.setdefault(c.tag, len(number))
+            number.setdefault(c.target, len(number))
+        else:
+            number.setdefault(c.left, len(number))
+            number.setdefault(c.right, len(number))
+    names = list(number)
     solver = _Solver(lattice, names, trace)
     find = solver.find
     try:

@@ -21,9 +21,9 @@ import re
 import string
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NoReturn, Union
 
-from .lattice import BOT, TOP, SignatureMismatch, SortGraph, _Names
+from .lattice import BOT, TOP, OntologyError, SignatureMismatch, SortGraph, _Names
 
 
 class TermSyntaxError(ValueError):
@@ -262,12 +262,22 @@ def _gate(t: Term, graph: SortGraph | None) -> tuple:
 
 _ANY_NAME = _Names()  # the names of no signature
 
-# One match per grammar unit, without the whitespace after it: a punctuation
-# mark, a node head (``Tag``, ``Tag:`` or ``Tag: sort``), a bare sort, a
-# feature with its arrow (``f ->``), or a stray character.  A stray character
-# swallows the rest of the text, so it can only be the last token.  The
-# whitespace is skipped after a token, not before: skipping it before would
-# retry a whitespace tail from each of its positions, quadratic in its length.
+_NAME = "[a-z][A-Za-z0-9_]*"
+# One match per node, in preorder, each part with the whitespace after it:
+# the head (``Tag``, ``Tag: sort`` or a bare sort), then either a link ('(',
+# or a run of ')' and a ',') with the next feature and its arrow, or else a
+# final run of ')'.  A stray match swallows the rest of the text, so it can
+# only be the last; the whitespace is skipped after a part, never before,
+# which would retry a whitespace tail from each of its positions.
+_NODE = re.compile(
+    rf"(?:([A-Z_][A-Za-z0-9_]*)(?:\s*:\s*({_NAME}))?|({_NAME}))\s*"
+    rf"(?:(\(|[)\s]*,)\s*({_NAME})\s*->\s*|([)\s]*))"
+    r"|(\S[\s\S]*)"
+)
+# The token grammar of the error path: one match per grammar unit, without
+# the whitespace after it: a punctuation mark, a node head, a bare sort, a
+# feature with its arrow (``f ->``), or a stray character, which again
+# swallows the rest of the text.
 _TOKEN = re.compile(
     r"([():,.]|[A-Z_][A-Za-z0-9_]*(?:\s*:\s*(?:[a-z][A-Za-z0-9_]*)?)?"
     r"|[a-z][A-Za-z0-9_]*(?:\s*->)?"
@@ -292,6 +302,85 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     sort nor args is a back-reference.  With ``graph=None``, any sort and
     feature names are accepted; over a signature, they are its own strings,
     and a normal term's root carries :func:`_walk`'s record for :func:`_gate`.
+    Text that is not one term raises what :func:`_reject` finds.
+    """
+    units = _NODE.findall(text)
+    if not units or units[-1][-1]:
+        _reject(text, graph)
+    sort_names = graph._sort_names if graph is not None else _ANY_NAME
+    feature_names = graph._feature_names if graph is not None else _ANY_NAME
+    fresh = None
+    # The walk record, built as the heads arrive; a sort is None until its tag
+    # is structured.  The term is normal if no tag is structured twice, no
+    # node repeats a feature and no sort is bot.
+    number: dict[str, int] = {}
+    sorts: list[str | None] = [None] * len(units)  # one per node: more than the tags
+    edges: dict[int, dict[str, int]] = {}
+    normal = True
+    # The innermost open term collects ``args`` and ``out`` and waits for
+    # ``feature``'s value; the root goes into a list of its own.  ``stack``
+    # holds each open term's tag, number and sort with its parent's args,
+    # edges and feature.  A signature error, or a ')' with no open term,
+    # leaves the loop for the error path.
+    stack: list[tuple] = []
+    args: list = []
+    out: dict = {}
+    feature = None
+    try:
+        for unit in units:
+            tag, sort, bare, link, feature_text, tail, _ = unit
+            if tag:
+                sort = sort_names[sort] if sort else TOP
+            else:
+                sort = sort_names[bare]
+                if fresh is None:
+                    fresh = fresh_tags({u[0] for u in units})
+                tag = next(fresh)
+            x = number.setdefault(tag, len(number))
+            if link == "(":
+                normal &= sorts[x] is None
+                sorts[x] = sort
+                stack.append((tag, x, sort, args, out, feature))
+                args, out = [], {}
+                edges[x] = out
+            else:
+                if sort != TOP:
+                    normal &= sorts[x] is None
+                    sorts[x] = sort
+                args.append((feature, _new(Term, (tag, sort, ()))))
+                out[feature] = x
+                if link != ",":
+                    for _ in range((link or tail).count(")")):
+                        if len(out) < len(args):  # a repeated feature
+                            normal = False
+                        tag, x, sort, parent, out, feature = stack.pop()
+                        node = _new(Term, (tag, sort, tuple(args)))
+                        args = parent
+                        args.append((feature, node))
+                        out[feature] = x
+                if not feature_text:
+                    break
+            feature = feature_names[feature_text]
+    except (IndexError, OntologyError):
+        _reject(text, graph)
+    if feature_text or stack or len(args) > 1 or unit is not units[-1]:
+        _reject(text, graph)
+    node = args[0][1]
+    del sorts[len(number):]
+    if normal and graph is not None and BOT not in sorts:
+        if None in sorts:
+            sorts = [TOP if s is None else s for s in sorts]
+        node = _new(Term, (*node, [(graph, list(number), sorts, edges)]))
+    return node
+
+
+def _reject(text: str, graph: SortGraph | None) -> NoReturn:
+    """Raise the first error in ``text``, read token by token: a stray
+    character outranks every other error, and otherwise the first error in
+    reading order wins, an unknown sort or feature included.
+
+    :func:`parse_term` calls this for text that its nodes do not read as
+    one term; it builds nothing.
     """
     toks = _TOKEN.findall(text)
     if toks and toks[-1][0] not in _STARTS and toks[-1] != "->":
@@ -300,25 +389,10 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     toks.append("")  # end of input
     sort_names = graph._sort_names if graph is not None else _ANY_NAME
     feature_names = graph._feature_names if graph is not None else _ANY_NAME
-    fresh = None
-    # The walk record, built as the heads arrive; a sort is None until its tag
-    # is structured.  The term is normal if no tag is structured twice, no
-    # node repeats a feature and no sort is bot.
-    number: dict[str, int] = {}
-    sorts: list[str | None] = [None] * len(toks)  # more than the tags
-    edges: dict[int, dict[str, int]] = {}
-    normal = True
-
-    # With no stray token left, a token's first character tells its kind:
-    # names sort from 'a' up, tags ('A'-'Z', '_') from 'A' up, punctuation
-    # below 'A', and the empty end marker below everything.  The innermost
-    # open term collects ``args`` and ``out`` and waits for ``feature``'s
-    # value; ``stack`` holds each open term's tag, number and sort with its
-    # parent's args, edges and feature (None at the top level).
-    stack: list[tuple] = []
-    args: list | None = None
-    out = feature = None
-    i = 0
+    # A token's first character tells its kind: names sort from 'a' up, tags
+    # ('A'-'Z', '_') from 'A' up, punctuation below 'A', and the empty end
+    # marker below everything.  ``depth`` counts the open terms.
+    depth = i = 0
     while True:
         # A term: its head, then '(' or the end of the term.
         tok = toks[i]
@@ -327,58 +401,34 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
             if tok[-1] == ">":
                 # A sort leaf then '->', which no rule accepts; an unknown sort fails first.
                 sort_names[tok[:-2].rstrip()]
-                if args is not None:
+                if depth:
                     raise TermSyntaxError("expected ',' or ')', found '->'")
                 raise TermSyntaxError("trailing input after term: '->'")
             if toks[i] == ":":
                 raise TermSyntaxError(f"tags start with an uppercase letter or '_': {tok!r}")
-            sort = sort_names[tok]
-            if fresh is None:
-                fresh = fresh_tags({_lead(t) for t in toks if "A" <= t < "a"})
-            tag = next(fresh)
+            sort_names[tok]
         elif tok >= "A":
             if ":" in tok:
-                tag, _, sort = tok.partition(":")
-                tag = tag.rstrip()
-                sort = sort.lstrip()
+                sort = tok.partition(":")[2].lstrip()
                 if not sort:
                     if not toks[i]:
                         raise TermSyntaxError("unexpected end of input; expected a sort name")
                     raise TermSyntaxError(f"expected a sort name after ':', found {_lead(toks[i])!r}")
-                sort = sort_names[sort]
-            else:
-                tag = tok
-                sort = TOP
+                sort_names[sort]
         elif tok:
             raise TermSyntaxError(f"expected a term, found {tok!r}")
         else:
             raise TermSyntaxError("unexpected end of input; expected a term")
-        x = number.setdefault(tag, len(number))
         if toks[i] == "(":
-            normal &= sorts[x] is None
-            sorts[x] = sort
             i += 1
-            stack.append((tag, x, sort, args, out, feature))
-            args, out = [], {}
-            edges[x] = out
+            depth += 1
         else:
             # A finished term closes every open term whose ')' follows it.
-            if sort != TOP:
-                normal &= sorts[x] is None
-                sorts[x] = sort
-            node = _new(Term, (tag, sort, ()))
             while True:
-                if args is None:
+                if not depth:
                     if toks[i]:
                         raise TermSyntaxError(f"trailing input after term: {_lead(toks[i])!r}")
-                    del sorts[len(number):]
-                    if normal and graph is not None and BOT not in sorts:
-                        if None in sorts:
-                            sorts = [TOP if s is None else s for s in sorts]
-                        node = _new(Term, (*node, [(graph, list(number), sorts, edges)]))
-                    return node
-                args.append((feature, node))
-                out[feature] = x
+                    raise AssertionError(f"one term, but no node reading: {text!r}")
                 tok = toks[i]
                 i += 1
                 if tok == ",":
@@ -387,11 +437,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                     if not tok:
                         raise TermSyntaxError("unexpected end of input; expected ',' or ')'")
                     raise TermSyntaxError(f"expected ',' or ')', found {_lead(tok)!r}")
-                if len(out) < len(args):  # a repeated feature
-                    normal = False
-                tag, x, sort, parent, out, feature = stack.pop()
-                node = _new(Term, (tag, sort, tuple(args)))
-                args = parent
+                depth -= 1
         # A feature and its arrow.
         tok = toks[i]
         i += 1
@@ -400,7 +446,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 raise TermSyntaxError("unexpected end of input; expected a feature name")
             raise TermSyntaxError(f"expected a feature name, found {_lead(tok)!r}")
         arrow = tok[-1] == ">"
-        feature = feature_names[tok[:-2].rstrip() if arrow else tok]
+        feature_names[tok[:-2].rstrip() if arrow else tok]
         if not arrow:
             if not toks[i]:
                 raise TermSyntaxError("unexpected end of input; expected '->'")
@@ -570,32 +616,39 @@ def clause_to_term(clause: Clause) -> Term:
         if unsorted:
             parts.append("unsorted: " + ", ".join(unsorted))
         raise NotRooted("; ".join(parts), stray + unsorted)
-    return _expand(clause.root, sort_of, feats)
+    number = {tag: x for x, tag in enumerate(all_tags)}
+    out = [{f: number[y] for f, y in feats[tag]} if tag in feats else None for tag in all_tags]
+    return _expand(number[clause.root], all_tags, list(map(sort_of.get, all_tags)), out)
 
 
-def _expand(root: str, sorts: dict[str, str], out: dict) -> Term:
-    """The term of a rooted structure: ``sorts[tag]`` is the sort and
-    ``out.get(tag, ())`` the ordered ``(feature, tag)`` edges of ``root`` and
-    of every tag those edges reach.
+def _expand(root: int, names: list, sorts: list, out: list) -> Term:
+    """The term of a rooted, numbered structure: ``names[x]`` is the tag,
+    ``sorts[x]`` the sort and ``out[x]`` (None for none) the ordered
+    ``{feature: number}`` edges of ``root`` and of every number they reach.
 
-    Depth-first from ``root``, each tag expands at its first encounter;
+    Depth-first from ``root``, each number expands at its first encounter;
     revisits become bare top leaves (back-references).
     """
+    if not out[root]:
+        return _new(Term, (names[root], sorts[root], ()))
     expanded = {root}
-    tag, edges, args = root, iter(out.get(root, ())), []
-    stack = []  # open ancestors: tag, edge iterator, args so far, feature to the child
+    x, edges, args = root, iter(out[root].items()), []
+    stack = []  # open ancestors: number, edge iterator, args so far, feature to the child
     while True:
-        for f, child in edges:
-            if child in expanded:
-                args.append((f, _new(Term, (child, TOP, ()))))
-            else:
-                expanded.add(child)
-                stack.append((tag, edges, args, f))
-                tag, edges, args = child, iter(out.get(child, ())), []
-                break
+        for f, y in edges:
+            if y in expanded:
+                args.append((f, _new(Term, (names[y], TOP, ()))))
+                continue
+            expanded.add(y)
+            if not out[y]:
+                args.append((f, _new(Term, (names[y], sorts[y], ()))))
+                continue
+            stack.append((x, edges, args, f))
+            x, edges, args = y, iter(out[y].items()), []
+            break
         else:
-            node = _new(Term, (tag, sorts[tag], tuple(args)))
+            node = _new(Term, (names[x], sorts[x], tuple(args)))
             if not stack:
                 return node
-            tag, edges, args, f = stack.pop()
+            x, edges, args, f = stack.pop()
             args.append((f, node))

@@ -88,7 +88,9 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
         mention += out.values()
     mention.append(n1)
     for x, out in edges2.items():
-        out = feats[x + n1] = {f: y + n1 for f, y in out.items()}
+        for f, y in out.items():
+            out[f] = y + n1
+        feats[x + n1] = out
         mention += out.values()
 
     solver.pending.append((0, n1))
@@ -99,28 +101,25 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
             unifier=None, beta1=1.0, beta2=1.0, beta=1.0, tag_classes={}, renamed=renamed
         )
 
-    # Classes get fresh names in first-mention order.
+    # Classes get fresh names in first-mention order; each class's features
+    # then point at class roots, and the unifier expands from the tables.
     roots = solver.roots()
     fresh = fresh_tags(set(names), prefix="_Z")
     class_name: list[str | None] = [None] * len(names)  # per class root
-    reps: list[int] = []
     classes: dict[str, list[str]] = {}  # each class's members, in first-mention order
     for x in dict.fromkeys(mention):
         rep = roots[x]
         name = class_name[rep]
         if name is None:
             name = class_name[rep] = next(fresh)
-            reps.append(rep)
             classes[name] = [names[x]]
+            out = feats[rep]
+            if out:
+                for f, y in out.items():
+                    out[f] = roots[y]
         else:
             classes[name].append(names[x])
-    class_of = list(map(class_name.__getitem__, roots))
-    unifier = _expand(
-        class_of[0],
-        dict(zip(classes, map(sort.__getitem__, reps))),
-        {class_of[rep]: zip(out, map(class_of.__getitem__, out.values()))
-         for rep in reps if (out := feats[rep])},
-    )
+    unifier = _expand(roots[0], class_name, sort, feats)
 
     # Each tag's degree, term 1's tags first, each term's in walk order; a tag
     # whose class kept its own sort has degree 1 by reflexivity.
