@@ -160,32 +160,31 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
     (representative, member) pairs.  Before solving, the first unknown sort or
     feature in constraint order raises UnknownSort or UnknownFeature.
     """
-    # One pass numbers the tags by first occurrence and looks up each name;
-    # an unknown one raises.
+    # One pass numbers the tags and looks up each name (an unknown one raises):
+    # a step is a tag number, a sort, feature or None, and a target or None.
     sort_names, feature_names = lattice.graph._sort_names, lattice.graph._feature_names
     number: dict[str, int] = {}
+    steps = []
     for c in clause.constraints:
         if isinstance(c, SortConstraint):
-            sort_names[c.sort]
-            number.setdefault(c.tag, len(number))
+            steps.append((number.setdefault(c.tag, len(number)), sort_names[c.sort], None))
         elif isinstance(c, FeatureConstraint):
-            feature_names[c.feature]
-            number.setdefault(c.tag, len(number))
-            number.setdefault(c.target, len(number))
+            x = number.setdefault(c.tag, len(number))
+            steps.append((x, feature_names[c.feature], number.setdefault(c.target, len(number))))
         else:
-            number.setdefault(c.left, len(number))
-            number.setdefault(c.right, len(number))
+            x = number.setdefault(c.left, len(number))
+            steps.append((x, None, number.setdefault(c.right, len(number))))
     names = list(number)
     solver = _Solver(lattice, names, trace)
     find = solver.find
     try:
-        for c in clause.constraints:
-            if isinstance(c, SortConstraint):
-                solver.add_sort(find(number[c.tag]), c.sort)
-            elif isinstance(c, FeatureConstraint):
-                solver.add_feats(find(number[c.tag]), {c.feature: number[c.target]})
+        for x, name, y in steps:
+            if y is None:
+                solver.add_sort(find(x), name)
+            elif name is None:
+                solver.pending.append((x, y))
             else:
-                solver.pending.append((number[c.left], number[c.right]))
+                solver.add_feats(find(x), {name: y})
             solver.drain()
     except _Collapse as stop:
         return Inconsistent(tag=names[stop.tag], trace=solver.log)

@@ -263,21 +263,18 @@ def _gate(t: Term, graph: SortGraph | None) -> tuple:
 _ANY_NAME = _Names()  # the names of no signature
 
 _NAME = "[a-z][A-Za-z0-9_]*"
-# One match per node, in preorder, each part with the whitespace after it:
-# the head (``Tag``, ``Tag: sort`` or a bare sort), then either a link ('(',
-# or a run of ')' and a ',') with the next feature and its arrow, or else a
-# final run of ')'.  A stray match swallows the rest of the text, so it can
-# only be the last; the whitespace is skipped after a part, never before,
-# which would retry a whitespace tail from each of its positions.
+# One match per node, in preorder: its head (``Tag``, ``Tag: sort`` or a bare
+# sort), then '(' or a run of ')' and a ',' with the next feature and its
+# arrow, or else a last run of ')'.  A stray match swallows the rest of the
+# text.  Whitespace is skipped after each part, never before, which would
+# retry a whitespace tail from each of its positions.
 _NODE = re.compile(
     rf"(?:([A-Z_][A-Za-z0-9_]*)(?:\s*:\s*({_NAME}))?|({_NAME}))\s*"
     rf"(?:(\(|[)\s]*,)\s*({_NAME})\s*->\s*|([)\s]*))"
     r"|(\S[\s\S]*)"
 )
-# The token grammar of the error path: one match per grammar unit, without
-# the whitespace after it: a punctuation mark, a node head, a bare sort, a
-# feature with its arrow (``f ->``), or a stray character, which again
-# swallows the rest of the text.
+# The error path's tokens, one per grammar unit: a punctuation mark, a node
+# head, a bare sort, a feature with its arrow (``f ->``), or a stray character.
 _TOKEN = re.compile(
     r"([():,.]|[A-Z_][A-Za-z0-9_]*(?:\s*:\s*(?:[a-z][A-Za-z0-9_]*)?)?"
     r"|[a-z][A-Za-z0-9_]*(?:\s*->)?"
@@ -288,10 +285,6 @@ _TOKEN = re.compile(
 _STARTS = frozenset(string.ascii_letters + "_():,.")
 # The word or mark a token starts with, as error messages quote it.
 _LEAD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|.")
-
-
-def _lead(tok: str) -> str:
-    return _LEAD.match(tok).group()
 
 
 def parse_term(text: str, graph: SortGraph | None) -> Term:
@@ -317,11 +310,9 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     sorts: list[str | None] = [None] * len(units)  # one per node: more than the tags
     edges: dict[int, dict[str, int]] = {}
     normal = True
-    # The innermost open term collects ``args`` and ``out`` and waits for
-    # ``feature``'s value; the root goes into a list of its own.  ``stack``
-    # holds each open term's tag, number and sort with its parent's args,
-    # edges and feature.  A signature error, or a ')' with no open term,
-    # leaves the loop for the error path.
+    # The innermost open term (at first, a list for the root) collects ``args``
+    # and ``out`` and waits for ``feature``'s value; ``stack`` holds each open
+    # term's tag, number and sort with its parent's args, edges and feature.
     stack: list[tuple] = []
     args: list = []
     out: dict = {}
@@ -361,9 +352,9 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 if not feature_text:
                     break
             feature = feature_names[feature_text]
-    except (IndexError, OntologyError):
-        _reject(text, graph)
-    if feature_text or stack or len(args) > 1 or unit is not units[-1]:
+    except (IndexError, OntologyError):  # a ')' with no open term, or an unknown name
+        unit = None
+    if unit is not units[-1] or feature_text or stack or len(args) > 1:
         _reject(text, graph)
     node = args[0][1]
     del sorts[len(number):]
@@ -375,82 +366,70 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
 
 
 def _reject(text: str, graph: SortGraph | None) -> NoReturn:
-    """Raise the first error in ``text``, read token by token: a stray
-    character outranks every other error, and otherwise the first error in
-    reading order wins, an unknown sort or feature included.
-
-    :func:`parse_term` calls this for text that its nodes do not read as
-    one term; it builds nothing.
+    """Raise the first error in ``text``, which is not one term, read token by
+    token: a stray character outranks all, and otherwise the first error in
+    reading order wins, an unknown sort or feature included.  Builds nothing.
     """
     toks = _TOKEN.findall(text)
     if toks and toks[-1][0] not in _STARTS and toks[-1] != "->":
-        rest = toks[-1]
-        raise TermSyntaxError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
+        stray = toks[-1]
+        raise TermSyntaxError(f"unexpected character {stray[0]!r} at position {len(text) - len(stray)}")
     toks.append("")  # end of input
     sort_names = graph._sort_names if graph is not None else _ANY_NAME
     feature_names = graph._feature_names if graph is not None else _ANY_NAME
-    # A token's first character tells its kind: names sort from 'a' up, tags
-    # ('A'-'Z', '_') from 'A' up, punctuation below 'A', and the empty end
-    # marker below everything.  ``depth`` counts the open terms.
+    # A token's first character tells its kind: names sort from 'a' up, tags from
+    # 'A' up, punctuation below 'A', the end below all.  ``depth`` counts open terms.
     depth = i = 0
     while True:
         # A term: its head, then '(' or the end of the term.
-        tok = toks[i]
-        i += 1
+        tok, i = toks[i], i + 1
         if tok >= "a":
-            if tok[-1] == ">":
-                # A sort leaf then '->', which no rule accepts; an unknown sort fails first.
+            if tok[-1] == ">":  # a sort leaf then '->', which no rule accepts; an unknown sort fails first
                 sort_names[tok[:-2].rstrip()]
                 if depth:
-                    raise TermSyntaxError("expected ',' or ')', found '->'")
+                    raise _expected("',' or ')'", "->")
                 raise TermSyntaxError("trailing input after term: '->'")
             if toks[i] == ":":
                 raise TermSyntaxError(f"tags start with an uppercase letter or '_': {tok!r}")
             sort_names[tok]
         elif tok >= "A":
-            if ":" in tok:
-                sort = tok.partition(":")[2].lstrip()
-                if not sort:
-                    if not toks[i]:
-                        raise TermSyntaxError("unexpected end of input; expected a sort name")
-                    raise TermSyntaxError(f"expected a sort name after ':', found {_lead(toks[i])!r}")
+            sort = tok.partition(":")[2].lstrip()
+            if sort:
                 sort_names[sort]
-        elif tok:
-            raise TermSyntaxError(f"expected a term, found {tok!r}")
+            elif ":" in tok:
+                if not toks[i]:
+                    raise TermSyntaxError("unexpected end of input; expected a sort name")
+                raise TermSyntaxError(f"expected a sort name after ':', found {_LEAD.match(toks[i])[0]!r}")
         else:
-            raise TermSyntaxError("unexpected end of input; expected a term")
+            raise _expected("a term", tok)
         if toks[i] == "(":
             i += 1
             depth += 1
         else:
             # A finished term closes every open term whose ')' follows it.
-            while True:
-                if not depth:
-                    if toks[i]:
-                        raise TermSyntaxError(f"trailing input after term: {_lead(toks[i])!r}")
-                    raise AssertionError(f"one term, but no node reading: {text!r}")
-                tok = toks[i]
+            while depth and toks[i] == ")":
                 i += 1
-                if tok == ",":
-                    break
-                if tok != ")":
-                    if not tok:
-                        raise TermSyntaxError("unexpected end of input; expected ',' or ')'")
-                    raise TermSyntaxError(f"expected ',' or ')', found {_lead(tok)!r}")
                 depth -= 1
+            if not depth:
+                if toks[i]:
+                    raise TermSyntaxError(f"trailing input after term: {_LEAD.match(toks[i])[0]!r}")
+                raise AssertionError(f"{text!r} is one term")
+            if toks[i] != ",":
+                raise _expected("',' or ')'", toks[i])
+            i += 1
         # A feature and its arrow.
-        tok = toks[i]
-        i += 1
+        tok, i = toks[i], i + 1
         if tok < "a":
-            if not tok:
-                raise TermSyntaxError("unexpected end of input; expected a feature name")
-            raise TermSyntaxError(f"expected a feature name, found {_lead(tok)!r}")
-        arrow = tok[-1] == ">"
-        feature_names[tok[:-2].rstrip() if arrow else tok]
-        if not arrow:
-            if not toks[i]:
-                raise TermSyntaxError("unexpected end of input; expected '->'")
-            raise TermSyntaxError(f"expected '->', found {_lead(toks[i])!r}")
+            raise _expected("a feature name", tok)
+        feature_names[tok[:-2].rstrip() if tok[-1] == ">" else tok]
+        if tok[-1] != ">":
+            raise _expected("'->'", toks[i])
+
+
+def _expected(what: str, tok: str) -> TermSyntaxError:
+    if not tok:
+        return TermSyntaxError(f"unexpected end of input; expected {what}")
+    return TermSyntaxError(f"expected {what}, found {_LEAD.match(tok)[0]!r}")
 
 
 _ATOM_SORT_RE = re.compile(r"\s*([A-Z_]\w*)\s*:\s*([a-z]\w*)\s*\Z")
@@ -593,20 +572,13 @@ def clause_to_term(clause: Clause) -> Term:
     if clause.root is None:
         raise NotRooted("clause has no root", [])
     sort_of, feats = _solved_structure(clause)
-
     all_tags = clause.tags()
     if clause.root not in all_tags:
         raise NotRooted(f"root {clause.root} does not occur in the clause", [clause.root])
-
-    reachable: set[str] = set()
-    stack = [clause.root]
-    while stack:
-        tag = stack.pop()
-        if tag in reachable:
-            continue
-        reachable.add(tag)
-        for _, target in feats.get(tag, ()):
-            stack.append(target)
+    number = {tag: x for x, tag in enumerate(all_tags)}
+    out = [{f: number[y] for f, y in feats[tag]} if tag in feats else None for tag in all_tags]
+    t = _expand(number[clause.root], all_tags, list(map(sort_of.get, all_tags)), out)
+    reachable = term_tags(t)
     stray = [tag for tag in all_tags if tag not in reachable]
     unsorted = [tag for tag in all_tags if tag in reachable and tag not in sort_of]
     if stray or unsorted:
@@ -616,9 +588,7 @@ def clause_to_term(clause: Clause) -> Term:
         if unsorted:
             parts.append("unsorted: " + ", ".join(unsorted))
         raise NotRooted("; ".join(parts), stray + unsorted)
-    number = {tag: x for x, tag in enumerate(all_tags)}
-    out = [{f: number[y] for f, y in feats[tag]} if tag in feats else None for tag in all_tags]
-    return _expand(number[clause.root], all_tags, list(map(sort_of.get, all_tags)), out)
+    return t
 
 
 def _expand(root: int, names: list, sorts: list, out: list) -> Term:
@@ -629,10 +599,8 @@ def _expand(root: int, names: list, sorts: list, out: list) -> Term:
     Depth-first from ``root``, each number expands at its first encounter;
     revisits become bare top leaves (back-references).
     """
-    if not out[root]:
-        return _new(Term, (names[root], sorts[root], ()))
     expanded = {root}
-    x, edges, args = root, iter(out[root].items()), []
+    x, edges, args = root, iter((out[root] or {}).items()), []
     stack = []  # open ancestors: number, edge iterator, args so far, feature to the child
     while True:
         for f, y in edges:
