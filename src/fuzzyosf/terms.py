@@ -23,7 +23,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Iterator, NoReturn, Union
 
-from .lattice import BOT, TOP, OntologyError, SignatureMismatch, SortGraph, _Names
+from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort, _Names
 
 
 class TermSyntaxError(ValueError):
@@ -352,7 +352,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 if not feature_text:
                     break
             feature = feature_names[feature_text]
-    except (IndexError, OntologyError):  # a ')' with no open term, or an unknown name
+    except (IndexError, UnknownSort, UnknownFeature):  # an unmatched ')', or an unknown name
         unit = None
     if unit is not units[-1] or feature_text or stack or len(args) > 1:
         _reject(text, graph)
