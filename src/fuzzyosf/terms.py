@@ -353,7 +353,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                     break
             feature = feature_names[feature_text]
     except (IndexError, UnknownSort, UnknownFeature):  # an unmatched ')', or an unknown name
-        unit = None
+        unit = None  # rejected below, outside the handler, so no error chains to this one
     if unit is not units[-1] or feature_text or stack or len(args) > 1:
         _reject(text, graph)
     node = args[0][1]
