@@ -224,7 +224,7 @@ class SortLattice:
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
     AND, and the GLB exists iff the sort at its highest bit has exactly that
-    down-set.  ``validate()`` tests only branching pairs and stores nothing.
+    down-set.  ``validate()`` reads only sorts above two join sorts.
     """
 
     def __init__(self, graph: SortGraph):
@@ -326,7 +326,7 @@ class SortLattice:
             raise NotALattice(s, t, self._maximal(common))
         return self._bit_sort[high]
 
-    def _first_failure(self, indices: list[int] | range) -> tuple[int, int] | None:
+    def _first_failure(self, indices: list[int]) -> tuple[int, int] | None:
         """The first pair of sort ``indices``, in order, with no unique GLB."""
         # If (a, b) has maximal common lower bounds m1 != m2, so has (a', b') for
         # a' <= a, b' <= b minimal above both: incomparable, and each has two
@@ -344,25 +344,25 @@ class SortLattice:
     def validate(self) -> "SortLattice":
         """Check that every sort pair has a unique GLB; raises NotALattice.
 
-        Only pairs of sorts with two or more declared subsorts are tested, and
-        of those only sorts above a sort other than bot with two or more
-        declared supersorts; an invalid hierarchy is rescanned in full to
-        report its first failing pair.
+        Both sorts of a failing pair lie above two join sorts, so only those
+        sorts are read: the pairs of them with two or more declared subsorts
+        give the verdict, and all of them, in declaration order, the first
+        failing pair.
         """
         if not self._validated:
             g = self.graph
-            # A maximal common lower bound m of a failing pair is not bot and has
-            # two declared supersorts: with one, that supersort would lie below
-            # both sorts and above m.
+            # A maximal common lower bound m of a failing pair is a join sort:
+            # not bot, with two declared supersorts; with one, that supersort
+            # would lie below both sorts and above m.
             downs = self._down
             bot = g._index[BOT]
             joins = 0
             for u, ups in enumerate(g._succ):
                 if len(ups) >= 2 and u != bot:
                     joins |= 1 << downs[u].bit_length() - 1
-            branching = [u for u, preds in enumerate(g._pred) if len(preds) >= 2 and downs[u] & joins]
-            if self._first_failure(branching) is not None:
-                a, b = self._first_failure(range(len(g.sorts)))
+            above = [u for u, down in enumerate(downs) if (x := down & joins) & (x - 1)]
+            if self._first_failure([u for u in above if len(g._pred[u]) >= 2]) is not None:
+                a, b = self._first_failure(above)
                 self.glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
             self._validated = True
         return self

@@ -8,94 +8,62 @@ thriller only to degree 0.5).
 
 from __future__ import annotations
 
-from .lattice import SortGraph, SortLattice
-from .semantics import Interpretation
+from .lattice import SortGraph, SortLattice, load_ontology
+from .semantics import Interpretation, load_interpretation
 
-MOVIE_SORTS = [
-    "movie",
-    "thriller",
-    "horror",
-    "slasher",
-    "person",
-    "director",
-    "string",
-]
+MOVIES = """\
+sort movie thriller horror slasher person director string
+feature directed_by genre title
+edge bot director 1
+edge bot slasher 1
+edge bot string 1
+edge director person 1
+edge slasher thriller 0.5
+edge slasher horror 1
+edge horror movie 1
+edge thriller movie 1
+edge string top 1
+edge person top 1
+edge movie top 1
+"""
 
-MOVIE_FEATURES = ["directed_by", "genre", "title"]
-
-MOVIE_EDGES = [
-    ("bot", "director", 1.0),
-    ("bot", "slasher", 1.0),
-    ("bot", "string", 1.0),
-    ("director", "person", 1.0),
-    ("slasher", "thriller", 0.5),
-    ("slasher", "horror", 1.0),
-    ("horror", "movie", 1.0),
-    ("thriller", "movie", 1.0),
-    ("string", "top", 1.0),
-    ("person", "top", 1.0),
-    ("movie", "top", 1.0),
-]
+# Two films, their directors, their titles, and a sink element.  psycho is a
+# movie/horror at 1 and a slasher only to 0.7; halloween is a slasher outright
+# (hence a thriller to 0.5).  Features are total: every unlisted image is the
+# sink null.
+MOVIE_MODEL = """\
+elem psycho halloween hitchcock carpenter psycho_title halloween_title null
+deg movie psycho 1
+deg thriller psycho 1
+deg horror psycho 1
+deg slasher psycho 0.7
+deg movie halloween 1
+deg thriller halloween 0.5
+deg horror halloween 1
+deg slasher halloween 1
+deg person hitchcock 1
+deg director hitchcock 1
+deg person carpenter 1
+deg director carpenter 1
+deg string psycho_title 1
+deg string halloween_title 1
+fun directed_by * null
+fun directed_by psycho hitchcock
+fun directed_by halloween carpenter
+fun genre * null
+fun title * null
+fun title psycho psycho_title
+fun title halloween halloween_title
+"""
 
 
 def movie_graph() -> SortGraph:
-    return SortGraph(MOVIE_SORTS, MOVIE_FEATURES, MOVIE_EDGES)
+    return load_ontology(MOVIES)[0]
 
 
 def movie_lattice() -> SortLattice:
     return SortLattice(movie_graph()).validate()
 
 
-MOVIE_ELEMENTS = [
-    "psycho",
-    "halloween",
-    "hitchcock",
-    "carpenter",
-    "psycho_title",
-    "halloween_title",
-    "null",
-]
-
-
 def movie_interpretation() -> Interpretation:
-    """Two films, their directors, their titles, and a sink element.
-
-    psycho is a movie/horror at 1 and a slasher only to 0.7; halloween is a
-    slasher outright (hence a thriller to 0.5).  Features are total: every
-    unlisted image is the sink ``null``.
-    """
-    sort_table: dict[tuple[str, str], float] = {}
-
-    def deg(sort: str, elem: str, d: float) -> None:
-        sort_table[(sort, elem)] = d
-
-    deg("movie", "psycho", 1.0)
-    deg("thriller", "psycho", 1.0)
-    deg("horror", "psycho", 1.0)
-    deg("slasher", "psycho", 0.7)
-    deg("movie", "halloween", 1.0)
-    deg("thriller", "halloween", 0.5)
-    deg("horror", "halloween", 1.0)
-    deg("slasher", "halloween", 1.0)
-    deg("person", "hitchcock", 1.0)
-    deg("director", "hitchcock", 1.0)
-    deg("person", "carpenter", 1.0)
-    deg("director", "carpenter", 1.0)
-    deg("string", "psycho_title", 1.0)
-    deg("string", "halloween_title", 1.0)
-
-    features: dict[tuple[str, str], str] = {}
-    for f in MOVIE_FEATURES:
-        for e in MOVIE_ELEMENTS:
-            features[(f, e)] = "null"
-    features[("directed_by", "psycho")] = "hitchcock"
-    features[("directed_by", "halloween")] = "carpenter"
-    features[("title", "psycho")] = "psycho_title"
-    features[("title", "halloween")] = "halloween_title"
-
-    return Interpretation(
-        elements=list(MOVIE_ELEMENTS),
-        sort_table=sort_table,
-        features=features,
-        feature_names=list(MOVIE_FEATURES),
-    )
+    return load_interpretation(MOVIE_MODEL, movie_graph())

@@ -49,7 +49,7 @@ class NotRooted(ValueError):
 class Term(namedtuple("Term", ("tag", "sort", "args"), defaults=((),))):
     """An immutable feature term: tag, sort, and ordered feature arguments.
 
-    A root parsed over a signature has a fourth element: see :func:`_gate`.
+    A root parsed over a signature has a fourth element, unseen by iteration: see :func:`_gate`.
     """
 
     __slots__ = ()
@@ -60,6 +60,9 @@ class Term(namedtuple("Term", ("tag", "sort", "args"), defaults=((),))):
 
     def __reduce__(self):
         return Term, (self.tag, self.sort, self.args)
+
+    def __iter__(self):
+        return iter(self[:3])
 
     def __str__(self) -> str:
         return format_term(self, style="explicit")

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from fuzzyosf import format_term, graph_equivalent, parse_term, term_to_graph
+from fuzzyosf import check_theorems, format_term, graph_equivalent, parse_term, term_to_graph
 from fuzzyosf.cli import main
-from fuzzyosf.samples import movie_lattice
+from fuzzyosf.samples import MOVIE_MODEL, MOVIES, movie_lattice
 
 CHAIN = """\
 sort p q r s t u v
@@ -21,22 +21,6 @@ edge r u 1
 edge s u 0.7
 edge s v 0.4
 edge t v 0.5
-"""
-
-MOVIES = """\
-sort movie thriller horror slasher person director string
-feature directed_by genre title
-edge bot director 1
-edge bot slasher 1
-edge bot string 1
-edge director person 1
-edge slasher thriller 0.5
-edge slasher horror 1
-edge horror movie 1
-edge thriller movie 1
-edge string top 1
-edge person top 1
-edge movie top 1
 """
 
 DIAMOND = """\
@@ -56,31 +40,6 @@ edge a d 1
 edge b c 1
 edge b d 1
 edge c e 1
-"""
-
-MOVIE_MODEL = """\
-elem psycho halloween hitchcock carpenter psycho_title halloween_title null
-deg movie psycho 1
-deg thriller psycho 1
-deg horror psycho 1
-deg slasher psycho 0.7
-deg movie halloween 1
-deg horror halloween 1
-deg slasher halloween 1
-deg thriller halloween 0.5
-deg person hitchcock 1
-deg director hitchcock 1
-deg person carpenter 1
-deg director carpenter 1
-deg string psycho_title 1
-deg string halloween_title 1
-fun directed_by * null
-fun directed_by psycho hitchcock
-fun directed_by halloween carpenter
-fun genre * null
-fun title * null
-fun title psycho psycho_title
-fun title halloween halloween_title
 """
 
 # thriller at 0.3 contradicts slasher=1 with slasher->thriller at 0.5
@@ -612,6 +571,31 @@ def test_theorems_full_output(capsys):
     assert (code, out) == (0, json.dumps({"passed": True, "seed": 5, "checks": checks}) + "\n")
 
 
+def test_theorems_report_failures_and_exit_two(capsys, monkeypatch):
+    # A denotation that is always 0 breaks two checks: the sample degrees at
+    # halloween and psycho, and 45 anchored morphism degrees, of which the
+    # summary lists three.
+    monkeypatch.setattr("fuzzyosf.semantics.best_denotation", lambda t, model, element: 0.0)
+    report = check_theorems(seed=5, max_domain=3, max_sorts=4)
+    assert report.passed is False
+    assert [(c.name, len(c.failures)) for c in report.checks if not c.passed] == [
+        ("sample denotation degrees", 2),
+        ("denotation equals the anchored morphism degree", 45),
+    ]
+    lines = report.summary().splitlines()
+    k = lines.index("[FAIL] sample denotation degrees (2 failures / 19 cases)")
+    assert lines[k + 1 : k + 4] == [
+        "       best degree at halloween: 0 != 0.5",
+        "       best degree at psycho: 0 != 1",
+        "[ok]   sample satisfaction thresholds (3 cases)",
+    ]
+    k = lines.index("[FAIL] denotation equals the anchored morphism degree (45 failures / 80 cases)")
+    assert [line.startswith("       ") for line in lines[k + 1 : k + 5]] == [True, True, True, False]
+    assert lines[-1] == "CHECKS FAILED (seed 5)"
+    code, out, err = run(capsys, "--seed", "5", "theorems", "--max-domain", "3", "--max-sorts", "4")
+    assert (code, out, err) == (2, report.summary() + "\n", "")
+
+
 # -- global behavior ---------------------------------------------------------------------
 
 
@@ -628,6 +612,16 @@ def test_theorems_rejects_sizes_below_one(capsys, flag, value):
         main(["theorems", flag, value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_theorems_rejects_a_size_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorems", "--max-domain", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert captured.err.endswith("error: argument --max-domain: not an integer: 'x'\n")
 
 
 # Each failure class, one row per way in: the exit code, an empty stdout, and
@@ -737,8 +731,15 @@ def test_enrich_json_lists_edges_and_dropped(capsys, tmp_ontology):
             ["eval", "--interp", "{interp}", "--assign", "X=halloween", "--assign", "X=psycho", "X: thriller"],
             "--assign gives tag X twice",
         ),
+        (["unify", "X: movie"], "unify needs two terms (or --batch <file>)"),
     ],
-    ids=["batch-line-without-tab", "assign-without-equals", "assign-unknown-element", "assign-repeated-tag"],
+    ids=[
+        "batch-line-without-tab",
+        "assign-without-equals",
+        "assign-unknown-element",
+        "assign-repeated-tag",
+        "unify-with-one-term",
+    ],
 )
 def test_cli_input_errors(capsys, movies_file, tmp_path, command, message):
     paths = {"batch": tmp_path / "pairs.txt", "interp": tmp_path / "m.interp"}

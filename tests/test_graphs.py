@@ -172,6 +172,12 @@ def test_different_sorts_are_not_isomorphic(sig):
     assert not graph_isomorphic(a, b)
 
 
+def test_different_feature_sets_are_not_isomorphic(sig):
+    a = term_to_graph(parse_term("X: s(f -> Y: u)", sig))
+    b = term_to_graph(parse_term("X: s(g -> Y: u)", sig))
+    assert not graph_isomorphic(a, b)
+
+
 @settings(max_examples=150, deadline=None)
 @given(strategies.lattice_and_terms(count=1))
 def test_equivalence_is_reflexive(bundle):

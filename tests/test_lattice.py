@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -75,6 +75,8 @@ def test_bounds_are_implicit(chain_lattice):
 def test_unknown_sort_raises(chain_lattice):
     with pytest.raises(UnknownSort):
         chain_lattice.degree("p", "nosuch")
+    with pytest.raises(UnknownSort):
+        chain_lattice.degree("nosuch", "p")
     with pytest.raises(UnknownSort):
         chain_lattice.glb("nosuch", "p")
 
@@ -355,6 +357,65 @@ def test_validate_matches_the_oracle_with_edges_at_the_bounds(dag):
     _assert_validate_matches_the_oracle(*dag)
 
 
+@st.composite
+def diamond_dags(draw, max_sorts: int = 8):
+    """A diamond with chains and fans above it, below a random DAG: join sorts
+    ``j1``, ``j2`` below ``c`` and ``d``, a chain above each of ``c`` and ``d``
+    whose first sorts ``x`` and ``y`` have one declared subsort each, and a
+    fan of sorts above a chain sort, two of them joined again above.  With
+    ``m`` between them, ``c`` and ``d`` meet at ``m``; without it, (x, y)
+    fails, and declared first, it is the first failing pair though neither
+    sort branches."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sorts, edges = strategies.random_dag(rng, max_sorts=max_sorts)
+
+    def deg() -> float:
+        return rng.choice(strategies.DEGREES)
+
+    names = ["j1", "j2", "c", "d"]
+    edges += [(j, s, deg()) for j in ("j1", "j2") for s in "cd"]
+    if rng.random() < 0.3:
+        names.append("m")
+        edges += [("j1", "m", deg()), ("j2", "m", deg()), ("m", "c", deg()), ("m", "d", deg())]
+    chain = []
+    for base, head in (("c", "x"), ("d", "y")):
+        below = base
+        for k in range(rng.randint(1, 4)):
+            name = f"{head}{k}" if k else head
+            edges.append((below, name, deg()))
+            chain.append(name)
+            below = name
+    fan = [f"f{k}" for k in range(rng.randint(0, 4))]
+    hub = rng.choice(chain)
+    edges += [(hub, f, deg()) for f in fan]
+    if len(fan) >= 2:
+        edges += [(f, "fj", deg()) for f in rng.sample(fan, 2)]
+        fan.append("fj")
+    # Edges from the diamond's side into the random DAG keep the whole acyclic.
+    for s in names + chain + fan:
+        if rng.random() < 0.3:
+            edges.append((s, rng.choice(sorts), deg()))
+    names += chain + fan
+    rng.shuffle(names)
+    if rng.random() < 0.5:
+        names = ["x", "y"] + [s for s in names if s not in ("x", "y")]
+    return names + sorts, edges
+
+
+@example(
+    (
+        ["x", "y", "c", "d", "j1", "j2"],
+        [(j, s, 1.0) for j in ("j1", "j2") for s in "cd"] + [("c", "x", 1.0), ("d", "y", 1.0)],
+    )
+)
+@settings(max_examples=300, deadline=None)
+@given(diamond_dags())
+def test_validate_matches_the_oracle_with_chains_and_fans_above_diamonds(dag):
+    # Only sorts above two join sorts can fail; a chain sort above one
+    # diamond side has one declared subsort, yet its pair may come first.
+    _assert_validate_matches_the_oracle(*dag)
+
+
 def test_validate_time_on_a_tree_is_not_quadratic():
     # An 8,000-sort binary tree: about 4,000 sorts branch, but no sort has two
     # declared supersorts, so no pair can fail; a scan of every branching
@@ -365,6 +426,63 @@ def test_validate_time_on_a_tree_is_not_quadratic():
     start = time.perf_counter()
     assert lattice.validate() is lattice
     assert time.perf_counter() - start < 0.25
+
+
+def _generated_hierarchy(n: int, seed: int = 7) -> tuple[list[str], list[tuple[str, str, float]]]:
+    """The benchmark's ``make_hierarchy`` hierarchy on sorts s0..s(n-1): a random
+    tree where about a fifth of the sorts in the pure tree part (no sort above
+    with two parents) also get a sibling of their parent as a second parent,
+    each sibling pair sharing at most one child, so every GLB is unique."""
+    rng = random.Random(seed)
+    degrees = (1.0, 1.0, 1.0, 0.9, 0.8, 0.75, 0.6, 0.5, 0.3)
+    tree_parent: list[int] = []
+    pure: list[bool] = []
+    kids: dict[int, list[int]] = {-1: []}
+    used: set[frozenset[int]] = set()
+    edges = []
+    for i in range(n):
+        p1 = -1 if i < 3 else rng.randrange(i)
+        tree_parent.append(p1)
+        kids.setdefault(p1, []).append(i)
+        kids[i] = []
+        ups = [] if p1 < 0 else [(p1, rng.choice(degrees))]
+        if p1 >= 0 and pure[p1] and rng.random() < 0.2:
+            siblings = [
+                c for c in kids[tree_parent[p1]]
+                if c != p1 and pure[c] and frozenset((p1, c)) not in used
+            ]
+            if siblings:
+                p2 = rng.choice(siblings)
+                used.add(frozenset((p1, p2)))
+                ups.append((p2, rng.choice(degrees)))
+        pure.append(len(ups) < 2 and (p1 < 0 or pure[p1]))
+        edges += [(f"s{i}", f"s{p}", d) for p, d in ups]
+    return [f"s{i}" for i in range(n)], edges
+
+
+def test_validate_time_on_a_generated_hierarchy():
+    # 16,000 sorts, about 3.5 % of them join sorts; a scan of every branching
+    # sort above one join sort, not two, takes about 0.6 s.
+    names, edges = _generated_hierarchy(16_000)
+    lattice = SortLattice(SortGraph(names, [], edges))
+    start = time.perf_counter()
+    assert lattice.validate() is lattice
+    assert time.perf_counter() - start < 0.5
+
+
+def test_validate_reports_a_broken_diamond_in_a_generated_hierarchy_quickly():
+    # One broken diamond declared after 8,000 valid sorts: a rescan of every
+    # pair of sorts for the first failing one takes seconds.
+    names, edges = _generated_hierarchy(8_000)
+    edges += [(a, b, 1.0) for a in ("za", "zb") for b in ("zc", "zd")]
+    lattice = SortLattice(SortGraph(names + ["za", "zb", "zc", "zd"], [], edges))
+    start = time.perf_counter()
+    with pytest.raises(NotALattice) as exc:
+        lattice.validate()
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == (
+        "no unique greatest lower bound for (zc, zd); maximal common lower bounds: za, zb"
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -497,6 +615,13 @@ def test_enrichment_requires_crisp_hierarchy():
     graph = SortGraph(["a", "b"], [], [("a", "b", 0.7)])
     with pytest.raises(ValueError):
         enrich_from_similarity(graph, build_similarity([("a", "b", 0.5)]))
+
+
+def test_enrichment_rejects_a_sim_on_an_unknown_sort():
+    graph = SortGraph(["a", "b"], [], [("a", "b", 1.0)])
+    with pytest.raises(UnknownSort) as exc:
+        enrich_from_similarity(graph, build_similarity([("a", "zork", 0.5)]))
+    assert exc.value.name == "zork"
 
 
 def test_similarity_table_rules():

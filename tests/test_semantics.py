@@ -770,6 +770,8 @@ def test_validate_interpretation_reports_structural_problems(elements, table, fe
         ("elem a\ndeg p a 1.5", "line 2: degree must lie in [0, 1]: 1.5"),
         ("elem a\nfun f b a", "line 2: undeclared element: b"),
         ("elem a\nfun f a b", "line 2: undeclared element: b"),
+        ("elem a\nfun f a", "line 2: expected: fun <feature> <elem|*> <elem>"),
+        ("elem a\ndeg p b 1", "line 2: undeclared element: b"),
         ("elem a b\ndeg p a 1\ndeg p a 0.2", "line 3: conflicting degrees for (p, a): 1 vs 0.2"),
         ("elem a b\nfun f a a\nfun f a b", "line 3: conflicting images for (f, a): a vs b"),
         ("elem a b\nfun f * a\nfun f b b\nfun f * b", "line 4: conflicting images for (f, *): a vs b"),
@@ -780,6 +782,8 @@ def test_validate_interpretation_reports_structural_problems(elements, table, fe
         "degree-out-of-range",
         "undeclared-source",
         "undeclared-image",
+        "fun-with-three-fields",
+        "degree-at-undeclared-element",
         "conflicting-degree",
         "conflicting-image",
         "conflicting-default",

@@ -119,6 +119,7 @@ def test_parse_rejects_malformed_terms(sig, text):
         ("X: s(f -> Y: u, ->)", TermSyntaxError, "expected a feature name, found '->'"),
         ("X: s(f Y: u)", TermSyntaxError, "expected '->', found 'Y'"),
         ("X: s(f -> Y: u g -> Z)", TermSyntaxError, "expected ',' or ')', found 'g'"),
+        ("X: s(f -> u -> Y)", TermSyntaxError, "expected ',' or ')', found '->'"),
         ("X: s(f -> Y: u))", TermSyntaxError, "trailing input after term: ')'"),
         ("X: s(f -> Y: u) extra", TermSyntaxError, "trailing input after term: 'extra'"),
         ("X: nosuch", UnknownSort, "unknown sort: nosuch"),
@@ -282,6 +283,8 @@ def test_format_compact_drops_noise(sig):
     again = parse_term(compact, sig)
     assert again.sort == "s"
     assert again.args[0][1].sort == "top"
+    with pytest.raises(ValueError, match="unknown style: 'fancy'"):
+        format_term(t, "fancy")
 
 
 def test_format_both_styles_on_three_arguments_nesting_and_back_references():
@@ -413,6 +416,20 @@ def test_clause_to_term_rejects_unreachable_tags(sig):
 
 
 @pytest.mark.parametrize(
+    "clause, message",
+    [
+        (Clause((SortConstraint("X", "s"),), root="Y"), "root Y does not occur in the clause"),
+        (Clause((SortConstraint("X", "s"), FeatureConstraint("X", "f", "Y")), root="X"), "unsorted: Y"),
+    ],
+    ids=["absent-root", "unsorted-tag"],
+)
+def test_clause_to_term_names_the_tag_it_cannot_place(clause, message):
+    with pytest.raises(NotRooted) as exc:
+        clause_to_term(clause)
+    assert (str(exc.value), exc.value.tags) == (message, ["Y"])
+
+
+@pytest.mark.parametrize(
     "constraints,message",
     [
         (
@@ -465,6 +482,7 @@ def test_parse_clause_syntax(sig):
     kinds = [type(c).__name__ for c in clause.constraints]
     assert kinds == ["SortConstraint", "FeatureConstraint", "EqualityConstraint"]
     assert "≐" in format_clause(clause)
+    assert str(clause) == format_clause(clause) == "X:s & X.f ≐ Y & X ≐ X2"
 
 
 def test_parse_clause_accepts_unicode_equals(sig):
@@ -615,6 +633,8 @@ def test_a_term_is_not_equal_to_its_fields():
     t = Term("X", "s")
     assert t != ("X", "s", ()) and ("X", "s", ()) != t
     assert not t == ("X", "s", ()) and not ("X", "s", ()) == t
+    # Same shape, tags and sorts; only the feature names differ.
+    assert Term("X", "s", (("f", Term("Y", "u")),)) != Term("X", "s", (("g", Term("Y", "u")),))
 
 
 def test_copies_of_a_parsed_term_compare_equal_and_carry_no_record(sig):
@@ -624,6 +644,18 @@ def test_copies_of_a_parsed_term_compare_equal_and_carry_no_record(sig):
         assert clone == t and hash(clone) == hash(t)
         assert _record(clone) is None
     assert _gate(t, sig) == _gate(pickle.loads(pickle.dumps(t)), sig)
+
+
+def test_a_parsed_root_unpacks_as_its_three_fields():
+    graph = SortGraph(["movie", "director"], ["directed_by"], [])
+    t = parse_term("X: movie(directed_by -> Y: director)", graph)
+    built = Term("X", "movie", (("directed_by", Term("Y", "director")),))
+    assert _record(t) is not None and len(t) == 4
+    for term in (t, built):
+        tag, sort, args = term
+        assert (tag, sort, args) == tuple(term) == ("X", "movie", built.args)
+        assert list(term) == ["X", "movie", built.args]
+    assert _record(t) is not None  # iteration leaves the record in place
 
 
 # -- frozen parse outcomes ---------------------------------------------------------
