@@ -138,6 +138,14 @@ def test_parse_rejects_malformed_terms(sig, text):
         # signature checks run as each name is read
         ("X: s(nosuch Y)", UnknownFeature, "unknown feature: nosuch"),
         ("X: s(f -> nosuch -> Y)", UnknownSort, "unknown sort: nosuch"),
+        # precedence: a unit's own structure before its name lookup, a root
+        # closed early before a later unknown name, and a stray only where
+        # no token can start
+        ("x: zork", TermSyntaxError, "tags start with an uppercase letter or '_': 'x'"),
+        ("X: s(f -> Y), g -> zork", TermSyntaxError, "trailing input after term: ','"),
+        ("X: s(f -> Y)) zork", TermSyntaxError, "trailing input after term: ')'"),
+        ("X: s > Y", TermSyntaxError, "unexpected character '>' at position 5"),
+        ("X: s9(f -> Y)", UnknownSort, "unknown sort: s9"),
     ],
 )
 def test_parse_error_messages(sig, text, error, message):
