@@ -31,7 +31,6 @@ from .lattice import (
 )
 from .terms import (
     Clause,
-    TermSyntaxError,
     format_clause,
     format_term,
     parse_clause,
@@ -160,11 +159,11 @@ def cmd_glb(args) -> int:
 
 
 def _parse_term_or_clause(text: str, graph) -> Clause:
-    """A clause either way: terms are flattened, clause text parsed directly."""
-    try:
-        return term_to_clause(parse_term(text, graph))
-    except TermSyntaxError:
+    """A clause either way: text with '&', '=' or '≐', which no term has, is
+    parsed as a clause; any other is parsed as a term and flattened."""
+    if any(mark in text for mark in "&=≐"):
         return parse_clause(text, graph)
+    return term_to_clause(parse_term(text, graph))
 
 
 def cmd_normalize(args) -> int:

@@ -18,7 +18,6 @@ levels) never hit the recursion limit.
 from __future__ import annotations
 
 import re
-import string
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Iterator, NoReturn, Union
@@ -265,6 +264,7 @@ def _gate(t: Term, graph: SortGraph | None) -> tuple:
 
 _ANY_NAME = _Names()  # the names of no signature
 
+_TAG = "[A-Z_][A-Za-z0-9_]*"
 _NAME = "[a-z][A-Za-z0-9_]*"
 # One match per node, in preorder: its head (``Tag``, ``Tag: sort`` or a bare
 # sort), then '(' or a run of ')' and a ',' with the next feature and its
@@ -272,22 +272,15 @@ _NAME = "[a-z][A-Za-z0-9_]*"
 # text.  Whitespace is skipped after each part, never before, which would
 # retry a whitespace tail from each of its positions.
 _NODE = re.compile(
-    rf"(?:([A-Z_][A-Za-z0-9_]*)(?:\s*:\s*({_NAME}))?|({_NAME}))\s*"
+    rf"(?:({_TAG})(?:\s*:\s*({_NAME}))?|({_NAME}))\s*"
     rf"(?:(\(|[)\s]*,)\s*({_NAME})\s*->\s*|([)\s]*))"
     r"|(\S[\s\S]*)"
 )
-# The error path's tokens, one per grammar unit: a punctuation mark, a node
-# head, a bare sort, a feature with its arrow (``f ->``), or a stray character.
-_TOKEN = re.compile(
-    r"([():,.]|[A-Z_][A-Za-z0-9_]*(?:\s*:\s*(?:[a-z][A-Za-z0-9_]*)?)?"
-    r"|[a-z][A-Za-z0-9_]*(?:\s*->)?"
-    r"|->"
-    r"|\S[\s\S]*)\s*"
-)
-# Every first character of a token that is not stray; '-' starts only '->'.
-_STARTS = frozenset(string.ascii_letters + "_():,.")
-# The word or mark a token starts with, as error messages quote it.
-_LEAD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|.")
+# A stray character, where a token starts but none can: not a letter, digit,
+# '_', mark or '->', or a digit outside a name, or a '-' or '>' outside '->'.
+_STRAY = re.compile(r"[^\sA-Za-z0-9_():,.>-]|(?<![A-Za-z0-9_])[0-9]|-(?!>)|(?<!-)>")
+# The word or mark a token starts with, as error messages quote it ('' at the end).
+_LEAD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|.?")
 
 
 def parse_term(text: str, graph: SortGraph | None) -> Term:
@@ -298,11 +291,11 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     sort nor args is a back-reference.  With ``graph=None``, any sort and
     feature names are accepted; over a signature, they are its own strings,
     and a normal term's root carries :func:`_walk`'s record for :func:`_gate`.
-    Text that is not one term raises what :func:`_reject` finds.
+    Text that is not one term raises what :func:`_reject` finds where the
+    loop stops.
     """
     units = _NODE.findall(text)
-    if not units or units[-1][-1]:
-        _reject(text, graph)
+    stray = units.pop()[-1] if units and units[-1][-1] else ""  # the text after the last node
     sort_names = graph._sort_names if graph is not None else _ANY_NAME
     feature_names = graph._feature_names if graph is not None else _ANY_NAME
     fresh = None
@@ -319,9 +312,10 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     stack: list[tuple] = []
     args: list = []
     out: dict = {}
-    feature = None
+    feature = unit = error = None
+    rest = iter(units)
     try:
-        for unit in units:
+        for unit in rest:
             tag, sort, bare, link, feature_text, tail, _ = unit
             if tag:
                 sort = sort_names[sort] if sort else TOP
@@ -355,10 +349,12 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
                 if not feature_text:
                     break
             feature = feature_names[feature_text]
-    except (IndexError, UnknownSort, UnknownFeature):  # an unmatched ')', or an unknown name
-        unit = None  # rejected below, outside the handler, so no error chains to this one
-    if unit is not units[-1] or feature_text or stack or len(args) > 1:
-        _reject(text, graph)
+    except (IndexError, UnknownSort, UnknownFeature) as e:  # an unmatched ')', or an unknown name
+        error = e  # rejected below, outside the handler, so that no error chains to this one
+    nxt = next(rest, None)
+    if error or nxt or stray or len(args) != 1 or stack or unit[4]:
+        # The text after the unit starts with the next node's tag or sort, or is the stray match.
+        _reject(text, unit, (nxt[0] or nxt[2]) if nxt else stray, error, stack, args, feature_names)
     node = args[0][1]
     del sorts[len(number):]
     if normal and graph is not None and BOT not in sorts:
@@ -368,76 +364,64 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     return node
 
 
-def _reject(text: str, graph: SortGraph | None) -> NoReturn:
-    """Raise the first error in ``text``, which is not one term, read token by
-    token: a stray character outranks all, and otherwise the first error in
-    reading order wins, an unknown sort or feature included.  Builds nothing.
+def _reject(text: str, unit: tuple | None, after: str, error: Exception | None,
+            stack: list, args: list, feature_names: dict) -> NoReturn:
+    """Raise the first error in ``text``, which is not one term.
+
+    A stray character outranks all.  Otherwise the first error in reading
+    order is at ``unit``, where :func:`parse_term`'s loop stopped (on
+    ``error``, or after a node that is not the last one of a term), or in
+    ``after``, the text right after it; or else at a ',' after the root, if the
+    root closed at an earlier unit.  ``stack`` and ``args`` are the loop's open
+    terms and innermost arguments.  Builds nothing.
     """
-    toks = _TOKEN.findall(text)
-    if toks and toks[-1][0] not in _STARTS and toks[-1] != "->":
-        stray = toks[-1]
-        raise TermSyntaxError(f"unexpected character {stray[0]!r} at position {len(text) - len(stray)}")
-    toks.append("")  # end of input
-    sort_names = graph._sort_names if graph is not None else _ANY_NAME
-    feature_names = graph._feature_names if graph is not None else _ANY_NAME
-    # A token's first character tells its kind: names sort from 'a' up, tags from
-    # 'A' up, punctuation below 'A', the end below all.  ``depth`` counts open terms.
-    depth = i = 0
-    while True:
-        # A term: its head, then '(' or the end of the term.
-        tok, i = toks[i], i + 1
-        if tok >= "a":
-            if tok[-1] == ">":  # a sort leaf then '->', which no rule accepts; an unknown sort fails first
-                sort_names[tok[:-2].rstrip()]
-                if depth:
-                    raise _expected("',' or ')'", "->")
-                raise TermSyntaxError("trailing input after term: '->'")
-            if toks[i] == ":":
-                raise TermSyntaxError(f"tags start with an uppercase letter or '_': {tok!r}")
-            sort_names[tok]
-        elif tok >= "A":
-            sort = tok.partition(":")[2].lstrip()
-            if sort:
-                sort_names[sort]
-            elif ":" in tok:
-                if not toks[i]:
-                    raise TermSyntaxError("unexpected end of input; expected a sort name")
-                raise TermSyntaxError(f"expected a sort name after ':', found {_LEAD.match(toks[i])[0]!r}")
-        else:
-            raise _expected("a term", tok)
-        if toks[i] == "(":
-            i += 1
-            depth += 1
-        else:
-            # A finished term closes every open term whose ')' follows it.
-            while depth and toks[i] == ")":
-                i += 1
-                depth -= 1
-            if not depth:
-                if toks[i]:
-                    raise TermSyntaxError(f"trailing input after term: {_LEAD.match(toks[i])[0]!r}")
-                raise AssertionError(f"{text!r} is one term")
-            if toks[i] != ",":
-                raise _expected("',' or ')'", toks[i])
-            i += 1
-        # A feature and its arrow.
-        tok, i = toks[i], i + 1
-        if tok < "a":
-            raise _expected("a feature name", tok)
-        feature_names[tok[:-2].rstrip() if tok[-1] == ">" else tok]
-        if tok[-1] != ">":
-            raise _expected("'->'", toks[i])
+    stray = _STRAY.search(text)
+    if stray:
+        raise TermSyntaxError(f"unexpected character {stray[0]!r} at position {stray.start()}")
+    if unit is None:
+        raise _expected("a term", after)
+    _, sort, bare, link, feature_text, tail, _ = unit
+    root = stack[0][3] if stack else args  # the root's one entry, once it is closed
+    if root and (error or stack or feature_text or len(root) > 1):
+        # The root closed and the loop read on: past a ')' after the one that
+        # closed it at this unit, or else past a ',' after it.
+        mark = ")" if isinstance(error, IndexError) and len(root) == 1 else ","
+        raise TermSyntaxError(f"trailing input after term: {mark!r}")
+    lead = _LEAD.match(after)[0]
+    if lead == ":" and not (sort or link or tail):
+        if bare:
+            raise TermSyntaxError(f"tags start with an uppercase letter or '_': {bare!r}")
+        after = after[1:].lstrip()
+        if not after:
+            raise TermSyntaxError("unexpected end of input; expected a sort name")
+        raise TermSyntaxError(f"expected a sort name after ':', found {_LEAD.match(after)[0]!r}")
+    if error:
+        raise error
+    if feature_text:  # the text ends, or a mark follows, where a term was expected
+        raise _expected("a term", after)
+    if lead == "(" and not tail or lead == "," and stack:
+        # A feature that lacks its arrow, or none.
+        after = after[1:].lstrip()
+        name = _LEAD.match(after)[0]
+        if name < "a":
+            raise _expected("a feature name", after)
+        feature_names[name]
+        raise _expected("'->'", after[len(name):].lstrip())
+    if stack:
+        raise _expected("',' or ')'", after)
+    raise TermSyntaxError(f"trailing input after term: {lead!r}")
 
 
-def _expected(what: str, tok: str) -> TermSyntaxError:
-    if not tok:
+def _expected(what: str, after: str) -> TermSyntaxError:
+    if not after:
         return TermSyntaxError(f"unexpected end of input; expected {what}")
-    return TermSyntaxError(f"expected {what}, found {_LEAD.match(tok)[0]!r}")
+    return TermSyntaxError(f"expected {what}, found {_LEAD.match(after)[0]!r}")
 
 
-_ATOM_SORT_RE = re.compile(r"\s*([A-Z_]\w*)\s*:\s*([a-z]\w*)\s*\Z")
-_ATOM_FEAT_RE = re.compile(r"\s*([A-Z_]\w*)\s*\.\s*([a-z]\w*)\s*(?:≐|=)\s*([A-Z_]\w*)\s*\Z")
-_ATOM_EQ_RE = re.compile(r"\s*([A-Z_]\w*)\s*(?:≐|=)\s*([A-Z_]\w*)\s*\Z")
+# Clause atoms, with the tags and names of terms.
+_ATOM_SORT_RE = re.compile(rf"\s*({_TAG})\s*:\s*({_NAME})\s*\Z")
+_ATOM_FEAT_RE = re.compile(rf"\s*({_TAG})\s*\.\s*({_NAME})\s*(?:≐|=)\s*({_TAG})\s*\Z")
+_ATOM_EQ_RE = re.compile(rf"\s*({_TAG})\s*(?:≐|=)\s*({_TAG})\s*\Z")
 
 
 def parse_clause(text: str, graph: SortGraph | None) -> Clause:

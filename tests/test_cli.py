@@ -199,6 +199,21 @@ def test_normalize_accepts_terms_too(capsys, chain_file):
     assert "X:u" in out and "X.f ≐ Y" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # text with no '&', '=' or '≐' is a term, and keeps the term's own error
+        ("X: a b", "trailing input after term: 'b'"),
+        ("Xé: a", "unexpected character 'é' at position 1"),
+        # clause tags are ASCII, as term tags are
+        ("X١: a & X١.f = Y", "cannot parse constraint: 'X١: a'"),
+    ],
+)
+def test_normalize_reports_the_error_of_the_syntax_it_reads(capsys, tmp_ontology, text, message):
+    ontology = tmp_ontology("sort a b\nfeature f\n")
+    assert run(capsys, "--ontology", ontology, "normalize", text) == (1, "", f"error: {message}\n")
+
+
 def test_normalize_json(capsys, chain_file):
     code, out, _ = run(
         capsys, "--ontology", chain_file, "--json", "normalize", "X: u & X: v & X = Y"

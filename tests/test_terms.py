@@ -7,6 +7,7 @@ import hashlib
 import pickle
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -178,6 +179,43 @@ def test_parse_glued_and_spaced_units(sig, text, explicit):
 )
 def test_parse_edge_cases_without_a_signature(text, explicit):
     assert format_term(parse_term(text, None)) == explicit
+
+
+def _lines_run(call, *args) -> int:
+    """The line events Python traces while ``call(*args)`` runs, whether it
+    returns or raises a parse error."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        call(*args)
+    except TermSyntaxError:
+        pass
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_parse_cost_is_linear_and_an_error_at_the_end_is_not_read_twice(sig):
+    # Chains X0: s(f -> X1: s(... f -> Xn-1: s(g -> Y)...)), parsed as they are
+    # and with one error after the last node.  Line counts differ between
+    # Python versions, so only their ratios are asserted.
+    errors = [" Z", ")", ", g -> Z"]
+    counts = {}
+    for n in (1000, 2000, 4000):
+        text = "".join(f"X{i}: s(f -> " for i in range(n - 1)) + f"X{n - 1}: s(g -> Y)" + ")" * (n - 1)
+        counts[n] = [_lines_run(parse_term, text + error, sig) for error in ["", *errors]]
+    for n in (1000, 2000):
+        for small, large in zip(counts[n], counts[2 * n]):
+            assert large <= 2.3 * small
+    accepted, *rejected = counts[4000]
+    for count in rejected:
+        assert count <= 1.1 * accepted
 
 
 def _shape(t: Term) -> tuple:
@@ -526,8 +564,16 @@ def test_clause_roundtrip_is_identity(bundle):
     [
         ("X: zork", UnknownSort, "unknown sort: zork"),
         ("X: p & X.zork = Y", UnknownFeature, "unknown feature: zork"),
+        # a signature's names are ASCII, and so are clause tags, as in terms
+        ("Xé: p", TermSyntaxError, "cannot parse constraint: 'Xé: p'"),
+        ("X: p & X.f = Y١", TermSyntaxError, "cannot parse constraint: 'X.f = Y١'"),
+        ("X ≐ Ｙ", TermSyntaxError, "cannot parse constraint: 'X ≐ Ｙ'"),
+        ("X: pé", TermSyntaxError, "cannot parse constraint: 'X: pé'"),
+        ("X: p١", TermSyntaxError, "cannot parse constraint: 'X: p١'"),
+        ("X.fé = Y", TermSyntaxError, "cannot parse constraint: 'X.fé = Y'"),
     ],
-    ids=["unknown-sort", "unknown-feature"],
+    ids=["unknown-sort", "unknown-feature", "non-ascii-tag", "non-ascii-target",
+         "fullwidth-tag", "non-ascii-sort", "non-ascii-digit", "non-ascii-feature"],
 )
 def test_parse_clause_rejects_names_outside_the_signature(text, error, message):
     graph = SortGraph(["p"], ["f"], [])
