@@ -369,11 +369,11 @@ def _reject(text: str, unit: tuple | None, after: str, error: Exception | None,
     """Raise the first error in ``text``, which is not one term.
 
     A stray character outranks all.  Otherwise the first error in reading
-    order is at ``unit``, where :func:`parse_term`'s loop stopped (on
-    ``error``, or after a node that is not the last one of a term), or in
-    ``after``, the text right after it; or else at a ',' after the root, if the
-    root closed at an earlier unit.  ``stack`` and ``args`` are the loop's open
-    terms and innermost arguments.  Builds nothing.
+    order is a ',' after the root, if the loop read on past one, or else it
+    lies at ``unit``, where :func:`parse_term`'s loop stopped (on ``error``,
+    at a node that no feature follows, or at the last node), or in ``after``,
+    the text right after it.  ``stack`` and ``args`` are the loop's open terms
+    and innermost arguments.  Builds nothing.
     """
     stray = _STRAY.search(text)
     if stray:
@@ -383,8 +383,8 @@ def _reject(text: str, unit: tuple | None, after: str, error: Exception | None,
     _, sort, bare, link, feature_text, tail, _ = unit
     root = stack[0][3] if stack else args  # the root's one entry, once it is closed
     if root and (error or stack or feature_text or len(root) > 1):
-        # The root closed and the loop read on: past a ')' after the one that
-        # closed it at this unit, or else past a ',' after it.
+        # The root closed: at this unit, with one ')' too many, or else
+        # before a ',' that the loop read on past.
         mark = ")" if isinstance(error, IndexError) and len(root) == 1 else ","
         raise TermSyntaxError(f"trailing input after term: {mark!r}")
     lead = _LEAD.match(after)[0]
