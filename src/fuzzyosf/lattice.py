@@ -104,8 +104,8 @@ class SortGraph:
     Construction runs the linear structural checks (name syntax and
     uniqueness, degree ranges, acyclicity including the implicit bot/top
     bounds).  The unique-GLB property is checked separately by
-    :meth:`SortLattice.validate`, because it is quadratic in the number of
-    branching sorts.
+    :meth:`SortLattice.validate`, because it is quadratic in the sorts above
+    two join sorts.
     """
 
     def __init__(
@@ -167,10 +167,8 @@ class SortGraph:
             (self.sorts[i], self.sorts[j], d) for (i, j), d in combined.items()
         ]
         self._succ: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self._pred: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for (i, j), d in combined.items():
             self._succ[i].append((j, d))
-            self._pred[j].append((i, d))
 
         self._topo: list[int] = self._toposort()
 
@@ -224,7 +222,8 @@ class SortLattice:
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
     AND, and the GLB exists iff the sort at its highest bit has exactly that
-    down-set.  ``validate()`` reads only sorts above two join sorts.
+    down-set.  ``validate()`` reads only the pairs of sorts above two join
+    sorts, once.
     """
 
     def __init__(self, graph: SortGraph):
@@ -235,15 +234,13 @@ class SortLattice:
         order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
         down = [0] * len(order)
         for bit, u in enumerate(order):
-            down[u] = 1 << bit | 1
-            for v, _ in graph._pred[u]:
-                down[u] |= down[v]
+            down[u] |= 1 << bit | 1
+            for v, _ in graph._succ[u]:
+                down[v] |= down[u]
         down[top] = (1 << len(order)) - 1
         # As ints, down-sets grow strictly along every edge: a linear extension.
         self._down: list[int] = down
-        self._below: dict[str, int] = dict(zip(graph.sorts, down))
-        self._bit_sort: list[str] = [graph.sorts[u] for u in order]
-        self._bit_below: list[int] = [down[u] for u in order]
+        self._order: list[int] = order  # the sort number at each bit
         self._validated = False
 
     # -- closure ---------------------------------------------------------
@@ -306,47 +303,34 @@ class SortLattice:
     def _maximal(self, common: int) -> list[str]:
         """Sorted names of the maximal sorts in a down-closed bitset."""
         # From the highest bit down: maximal iff below no maximal sort seen.
+        down, order = self._down, self._order
         out, covered = [], 0
         for bit in _bits(common):
             if not covered >> bit & 1:
-                out.append(self._bit_sort[bit])
-                covered |= self._bit_below[bit]
+                u = order[bit]
+                out.append(self.graph.sorts[u])
+                covered |= down[u]
         return sorted(out)
 
     def glb(self, s: str, t: str) -> str:
         """Greatest lower bound on the crisp support; raises NotALattice."""
-        below = self._below
-        if s not in below:
+        idx = self.graph._index
+        if s not in idx:
             raise UnknownSort(s)
-        if t not in below:
+        if t not in idx:
             raise UnknownSort(t)
-        common = below[s] & below[t]
-        high = common.bit_length() - 1
-        if self._bit_below[high] != common:
+        down = self._down
+        common = down[idx[s]] & down[idx[t]]
+        high = self._order[common.bit_length() - 1]
+        if down[high] != common:
             raise NotALattice(s, t, self._maximal(common))
-        return self._bit_sort[high]
-
-    def _first_failure(self, indices: list[int]) -> tuple[int, int] | None:
-        """The first pair of sort ``indices``, in order, with no unique GLB."""
-        # If (a, b) has maximal common lower bounds m1 != m2, so has (a', b') for
-        # a' <= a, b' <= b minimal above both: incomparable, and each has two
-        # declared lower covers, one above m1 and one above m2, so both branch.
-        downs = self._down
-        by_bit = self._bit_below
-        for i, a in enumerate(indices):
-            da = downs[a]
-            for b in indices[i + 1 :]:
-                common = da & downs[b]
-                if common != da and common != downs[b] and by_bit[common.bit_length() - 1] != common:
-                    return a, b
-        return None
+        return self.graph.sorts[high]
 
     def validate(self) -> "SortLattice":
         """Check that every sort pair has a unique GLB; raises NotALattice.
 
-        Both sorts of a failing pair lie above two join sorts, so only those
-        sorts are read: the pairs of them with two or more declared subsorts
-        give the verdict, and all of them, in declaration order, the first
+        Both sorts of a failing pair lie above two join sorts, so one scan of
+        the pairs of those sorts, in declaration order, meets the first
         failing pair.
         """
         if not self._validated:
@@ -354,16 +338,19 @@ class SortLattice:
             # A maximal common lower bound m of a failing pair is a join sort:
             # not bot, with two declared supersorts; with one, that supersort
             # would lie below both sorts and above m.
-            downs = self._down
+            down, order = self._down, self._order
             bot = g._index[BOT]
             joins = 0
             for u, ups in enumerate(g._succ):
                 if len(ups) >= 2 and u != bot:
-                    joins |= 1 << downs[u].bit_length() - 1
-            above = [u for u, down in enumerate(downs) if (x := down & joins) & (x - 1)]
-            if self._first_failure([u for u in above if len(g._pred[u]) >= 2]) is not None:
-                a, b = self._first_failure(above)
-                self.glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
+                    joins |= 1 << down[u].bit_length() - 1
+            above = [u for u, du in enumerate(down) if (x := du & joins) & (x - 1)]
+            for i, a in enumerate(above):
+                da = down[a]
+                for b in above[i + 1 :]:
+                    common = da & down[b]
+                    if common != da and common != down[b] and down[order[common.bit_length() - 1]] != common:
+                        self.glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
             self._validated = True
         return self
 
@@ -431,8 +418,8 @@ def enrich_from_similarity(
     down = [1 << i for i in range(len(graph.sorts))]
     up = list(down)
     for u in graph._topo:
-        for v, _ in graph._pred[u]:
-            down[u] |= down[v]
+        for v, _ in graph._succ[u]:
+            down[v] |= down[u]
     for u in reversed(graph._topo):
         for v, _ in graph._succ[u]:
             up[u] |= up[v]

@@ -190,7 +190,7 @@ def _certified(positive: dict[int, float], lattice: SortLattice) -> bool:
         for v, w in succ[u]:
             if positive.get(v, 0.0) < (du if du < w else w):
                 return False
-    return lattice.graph._index[lattice._bit_sort[common.bit_length() - 1]] in positive
+    return lattice._order[common.bit_length() - 1] in positive
 
 
 # -- interpretation text format ----------------------------------------------
@@ -909,7 +909,7 @@ def check_theorems(
                 composed = {
                     e: m2.mapping[img]
                     for e, img in m.mapping.items()
-                    if not sub.is_trivial(e) and img in m2.mapping
+                    if img in m2.mapping
                 }
                 got = morphism_max_beta(sub, second, composed, lattice)
                 if got < min(m.max_beta, m2.max_beta):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -484,6 +485,58 @@ def test_validate_reports_a_broken_diamond_in_a_generated_hierarchy_quickly():
     assert str(exc.value) == (
         "no unique greatest lower bound for (zc, zd); maximal common lower bounds: za, zb"
     )
+
+
+def test_validate_time_on_a_dense_grid():
+    # A 40x40 grid, g{i}_{j} below g{i+1}_{j} and g{i}_{j+1}: every GLB is
+    # unique, and all 1,600 sorts but g0_0 lie above two join sorts, so this
+    # is the quadratic worst case of the scan, about 1.3 million pairs.
+    names = [f"g{i}_{j}" for i in range(40) for j in range(40)]
+    edges = [(f"g{i}_{j}", f"g{i + 1}_{j}", 1.0) for i in range(39) for j in range(40)]
+    edges += [(f"g{i}_{j}", f"g{i}_{j + 1}", 1.0) for i in range(40) for j in range(39)]
+    lattice = SortLattice(SortGraph(names, [], edges))
+    start = time.perf_counter()
+    assert lattice.validate() is lattice
+    assert time.perf_counter() - start < 1.0
+    assert lattice.glb("g3_17", "g25_4") == "g3_4"
+
+
+def _validate_line_events(names: list[str], edges: list[tuple[str, str, float]]) -> int:
+    """The number of lines validate() executes, counted by a tracer."""
+    lattice = SortLattice(SortGraph(names, [], edges))
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        lattice.validate()
+    except NotALattice:
+        pass
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_validate_line_count_on_generated_hierarchies():
+    # Executed lines, not time: a count does not drift with the machine.
+    diamond = [(a, b, 1.0) for a in ("za", "zb") for b in ("zc", "zd")]
+    valid, invalid = [], []
+    for n in (1_000, 2_000, 4_000):
+        names, edges = _generated_hierarchy(n)
+        valid.append(_validate_line_events(names, edges))
+        invalid.append(_validate_line_events(names + ["za", "zb", "zc", "zd"], edges + diamond))
+    for counts in (valid, invalid):
+        for small, large in zip(counts, counts[1:]):
+            # The pairs of sorts above two join sorts are read in a quadratic
+            # loop; the count grows 2.7-2.9x per doubling.
+            assert large <= 3.5 * small, counts
+    # A failing hierarchy costs one scan, as a valid one does.
+    assert invalid[-1] <= 1.1 * valid[-1], (valid, invalid)
 
 
 @settings(max_examples=100, deadline=None)
