@@ -232,9 +232,14 @@ class SortLattice:
         # Pin bot and top to the ends: graph._topo may put leaves before bot.
         bot, top = graph._index[BOT], graph._index[TOP]
         order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
+        # Each down-set starts at its full width, so a push replaces an int by
+        # one of the same size; ints that grew by pushes left heap holes too
+        # small for the wider ones after them (162 MB against 107 MB peak RSS
+        # at 32,000 sorts).
         down = [0] * len(order)
         for bit, u in enumerate(order):
-            down[u] |= 1 << bit | 1
+            down[u] = 1 << bit | 1
+        for u in order:
             for v, _ in graph._succ[u]:
                 down[v] |= down[u]
         down[top] = (1 << len(order)) - 1
