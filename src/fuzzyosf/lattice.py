@@ -232,10 +232,8 @@ class SortLattice:
         # Pin bot and top to the ends: graph._topo may put leaves before bot.
         bot, top = graph._index[BOT], graph._index[TOP]
         order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
-        # Each down-set starts at its full width, so a push replaces an int by
-        # one of the same size; ints that grew by pushes left heap holes too
-        # small for the wider ones after them (162 MB against 107 MB peak RSS
-        # at 32,000 sorts).
+        # Each down-set starts at its full width: an int that grew by pushes
+        # would leave a heap hole too small for the wider ints after it.
         down = [0] * len(order)
         for bit, u in enumerate(order):
             down[u] = 1 << bit | 1
