@@ -550,17 +550,29 @@ def random_interpretation(
     max-min transitivity, and meets stay positive because p lies below every
     sort d belongs to.
     """
-    m = rng.randint(1, max_domain)
-    elements = [f"d{i}" for i in range(m)]
     sorts = [s for s in lattice.graph.sorts if s != BOT]
+    principals = [
+        (f"d{i}", rng.choice(sorts), rng.choice(DEGREE_PALETTE))
+        for i in range(rng.randint(1, max_domain))
+    ]
+    elements = [e for e, _, _ in principals]
+    return _random_model(rng, lattice, elements, _principal_table(lattice, principals))
+
+
+def _principal_table(
+    lattice: SortLattice, principals: list[tuple[str, str, float]]
+) -> dict[tuple[str, str], float]:
+    """The sort table of elements given as ``(element, principal sort, cap)``.
+
+    The element holds each sort s other than top and bot at
+    ``min(cap, degree(principal, s))``, where that is positive.
+    """
     table: dict[tuple[str, str], float] = {}
-    for e in elements:
-        principal = rng.choice(sorts)
-        cap = rng.choice(DEGREE_PALETTE)
+    for e, principal, cap in principals:
         for s, d in lattice._above(principal):
-            if s != TOP:
+            if s != TOP and s != BOT:
                 table[(s, e)] = min(cap, d)
-    return _random_model(rng, lattice, elements, table)
+    return table
 
 
 def random_repaired_interpretation(
@@ -680,6 +692,14 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.failures
 
+    def case(self, failure: str | bool | None) -> bool:
+        """Count one case and say whether it failed: ``failure`` is its
+        message if it did, else false (``cond and message`` reads both)."""
+        self.cases += 1
+        if failure:
+            self.failures.append(failure)
+        return bool(failure)
+
 
 @dataclass
 class TheoremReport:
@@ -705,7 +725,10 @@ class TheoremReport:
 
 
 def _all_assignments(tags: list[str], elements: list[str]):
-    """Every total assignment of elements to tags (elements^tags of them)."""
+    """Every total assignment of elements to tags, or none when there are
+    more than 200 of them (elements^tags), which keeps exhaustive checks small."""
+    if len(elements) ** len(tags) > 200:
+        return
     for combo in itertools.product(elements, repeat=len(tags)):
         yield dict(zip(tags, combo))
 
@@ -733,11 +756,8 @@ def check_theorems(
 
     # ---- fixed checks on the sample model --------------------------------
 
-    c = check("sample interpretation is valid")
-    c.cases += 1
     problems = validate_interpretation(interp, movie)
-    if problems:
-        c.failures.append("; ".join(problems))
+    check("sample interpretation is valid").case("; ".join(problems))
 
     c = check("sample denotation degrees")
     t_thriller = parse_term("X: thriller(directed_by -> Y: director)", movie.graph)
@@ -747,57 +767,48 @@ def check_theorems(
         ("hitchcock", 0.0),
         ("null", 0.0),
     ]:
-        c.cases += 1
         got = best_denotation(t_thriller, interp, element)
-        if got != expected:
-            c.failures.append(f"best degree at {element}: {got:g} != {expected:g}")
-    c.cases += 1
+        c.case(got != expected and f"best degree at {element}: {got:g} != {expected:g}")
     alpha = {"X": "halloween", "Y": "carpenter"}
-    if denote(t_thriller, interp, alpha) != 0.5:
-        c.failures.append("assignment-level degree at halloween is not 0.5")
+    c.case(
+        denote(t_thriller, interp, alpha) != 0.5
+        and "assignment-level degree at halloween is not 0.5"
+    )
     # A term demanding the same feature lead to both a director and a string,
     # through a second tag or through Y again, denotes 0 everywhere (the
     # sorts share no positive member).
     for second in ("Y2", "Y"):
         t = parse_term(f"X: movie(directed_by -> Y: director, directed_by -> {second}: string)", movie.graph)
         for element in interp.elements:
-            c.cases += 1
-            if best_denotation(t, interp, element) != 0.0:
-                c.failures.append(f"clashing term has positive degree at {element}")
+            got = best_denotation(t, interp, element)
+            c.case(got != 0.0 and f"clashing term has positive degree at {element}")
 
     c = check("sample satisfaction thresholds")
     clause = parse_clause("X: thriller", movie.graph)
     for beta, expected in [(0.5, True), (0.6, False), (0.0, True)]:
-        c.cases += 1
         got = satisfies(clause, interp, {"X": "halloween"}, beta)
-        if got != expected:
-            c.failures.append(f"threshold {beta:g}: {got} != {expected}")
+        c.case(got != expected and f"threshold {beta:g}: {got} != {expected}")
 
-    c = check("sample morphism degree")
-    c.cases += 1
     canon = CanonicalAlgebra.from_graph(term_to_graph(t_thriller), movie)
     m = find_morphism(canon, interp, ("X", "halloween"), movie)
-    if m is None or m.max_beta != 0.5:
-        c.failures.append(f"expected max degree 0.5, got {m.max_beta if m else None}")
+    check("sample morphism degree").case(
+        (m is None or m.max_beta != 0.5)
+        and f"expected max degree 0.5, got {m.max_beta if m else None}"
+    )
 
     c = check("sample generated subalgebra")
-    c.cases += 1
     sub = generated_subalgebra(interp, ["halloween"])
-    if sub.elements != ["halloween", "carpenter", "halloween_title", "null"]:
-        c.failures.append(f"from halloween: {sub.elements}")
-    c.cases += 1
-    if generated_subalgebra(interp, ["null"]).elements != ["null"]:
-        c.failures.append("from null: expected just null")
+    expected = ["halloween", "carpenter", "halloween_title", "null"]
+    c.case(sub.elements != expected and f"from halloween: {sub.elements}")
+    sub = generated_subalgebra(interp, ["null"])
+    c.case(sub.elements != ["null"] and "from null: expected just null")
 
-    c = check("negative control: corrupted model is flagged")
-    c.cases += 1
     broken_table = dict(interp.sort_table)
     broken_table[("thriller", "halloween")] = 0.3  # below the slasher-forced 0.5
-    broken = Interpretation(
-        interp.elements, broken_table, interp.features, interp.feature_names
+    broken = Interpretation(interp.elements, broken_table, interp.features, interp.feature_names)
+    check("negative control: corrupted model is flagged").case(
+        not validate_interpretation(broken, movie) and "validator accepted a membership gap"
     )
-    if not validate_interpretation(broken, movie):
-        c.failures.append("validator accepted a membership gap")
 
     # ---- randomized checks ------------------------------------------------
 
@@ -820,11 +831,8 @@ def check_theorems(
             random_repaired_interpretation(rng, lattice, max_domain),
         ]
         for model in models:
-            gen_check.cases += 1
             problems = validate_interpretation(model, lattice)
-            if problems:
-                gen_check.failures.append(problems[0])
-                continue
+            gen_check.case(problems[0] if problems else None)
 
         model = models[rng.randrange(len(models))]
 
@@ -832,49 +840,35 @@ def check_theorems(
         for _ in range(3):
             t = random_normal_term(rng, lattice, 3)
             phi = term_to_clause(t)
-            tags = phi.tags()
-            if len(model.elements) ** len(tags) > 200:
-                continue
-            for alpha in _all_assignments(tags, model.elements):
-                deno_check.cases += 1
+            for alpha in _all_assignments(phi.tags(), model.elements):
                 lhs = denote(t, model, alpha)
                 rhs = satisfaction_degree(phi, model, alpha)
-                if lhs != rhs:
-                    deno_check.failures.append(
-                        f"{t}: assignment {alpha}: {lhs:g} != {rhs:g}"
-                    )
+                deno_check.case(lhs != rhs and f"{t}: assignment {alpha}: {lhs:g} != {rhs:g}")
 
         # Normalization preserves solutions (support level).
         for _ in range(2):
             phi = random_clause(rng, lattice, 3)
-            tags = phi.tags()
-            if len(model.elements) ** len(tags) > 200:
-                continue
             nf = normalize(phi, lattice)
-            for alpha in _all_assignments(tags, model.elements):
-                norm_check.cases += 1
+            rebuilt = None if isinstance(nf, Inconsistent) else Clause(
+                nf.solved.constraints + tuple(EqualityConstraint(a, b) for a, b in nf.equalities)
+            )
+            for alpha in _all_assignments(phi.tags(), model.elements):
                 before = satisfaction_degree(phi, model, alpha) > 0.0
-                if isinstance(nf, Inconsistent):
-                    after = False
-                else:
-                    rebuilt = Clause(
-                        nf.solved.constraints
-                        + tuple(EqualityConstraint(a, b) for a, b in nf.equalities)
-                    )
-                    after = satisfaction_degree(rebuilt, model, alpha) > 0.0
-                if before != after:
-                    norm_check.failures.append(
-                        f"{phi}: assignment {alpha}: {before} vs {after} after normalization"
-                    )
+                after = rebuilt is not None and satisfaction_degree(rebuilt, model, alpha) > 0.0
+                norm_check.case(
+                    before != after
+                    and f"{phi}: assignment {alpha}: {before} vs {after} after normalization"
+                )
 
         # A solved clause holds in its canonical shape at degree 1.
         t = random_normal_term(rng, lattice, 4)
         phi = term_to_clause(t)
-        canon_check.cases += 1
         canon = CanonicalAlgebra.from_clause(phi, lattice)
         identity = {tag: tag for tag in phi.tags()}
-        if satisfaction_degree(phi, canon, identity) != 1.0:
-            canon_check.failures.append(f"{t} does not hold in its own shape at 1")
+        canon_check.case(
+            satisfaction_degree(phi, canon, identity) != 1.0
+            and f"{t} does not hold in its own shape at 1"
+        )
 
         # Extending and composing solutions through morphisms.
         second = random_interpretation(rng, lattice, max_domain)
@@ -884,8 +878,7 @@ def check_theorems(
             m = find_morphism(sub, second, (d, d2), lattice)
             if m is None or m.max_beta <= 0.0:
                 continue
-            t = random_normal_term(rng, lattice, 2)
-            phi = term_to_clause(t)
+            phi = term_to_clause(random_normal_term(rng, lattice, 2))
             tags = phi.tags()
             if len(sub.elements) ** len(tags) > 100:
                 break
@@ -893,34 +886,27 @@ def check_theorems(
                 beta = satisfaction_degree(phi, sub, alpha)
                 if beta <= 0.0:
                     continue
-                extend_check.cases += 1
                 carried = {x: m.mapping[e] for x, e in alpha.items()}
                 target = min(beta, m.max_beta)
-                if not satisfies(phi, second, carried, target):
-                    extend_check.failures.append(
-                        f"{phi}: solution at {beta:g} did not carry at {target:g}"
-                    )
+                extend_check.case(
+                    not satisfies(phi, second, carried, target)
+                    and f"{phi}: solution at {beta:g} did not carry at {target:g}"
+                )
             # Composition: chase a second hop when one exists.
             d3 = rng.choice(second.elements)
             mid = generated_subalgebra(second, [m.mapping[d]])
             m2 = find_morphism(mid, second, (m.mapping[d], d3), lattice)
             if m2 is not None and m2.max_beta > 0.0:
-                compose_check.cases += 1
-                composed = {
-                    e: m2.mapping[img]
-                    for e, img in m.mapping.items()
-                    if img in m2.mapping
-                }
+                composed = {e: m2.mapping[i] for e, i in m.mapping.items() if i in m2.mapping}
                 got = morphism_max_beta(sub, second, composed, lattice)
-                if got < min(m.max_beta, m2.max_beta):
-                    compose_check.failures.append(
-                        f"composition degree {got:g} < min({m.max_beta:g}, {m2.max_beta:g})"
-                    )
+                compose_check.case(
+                    got < min(m.max_beta, m2.max_beta)
+                    and f"composition degree {got:g} < min({m.max_beta:g}, {m2.max_beta:g})"
+                )
             break
 
         # Extracting solutions: each solution of a solved clause is a morphism.
-        t = random_normal_term(rng, lattice, 2)
-        phi = term_to_clause(t)
+        phi = term_to_clause(random_normal_term(rng, lattice, 2))
         tags = phi.tags()
         canon = CanonicalAlgebra.from_clause(phi, lattice)
         if len(model.elements) ** len(tags) <= 100:
@@ -928,97 +914,70 @@ def check_theorems(
                 beta = satisfaction_degree(phi, model, alpha)
                 if beta <= 0.0:
                     continue
-                extract_check.cases += 1
                 got = morphism_max_beta(canon, model, dict(alpha), lattice)
-                if got < beta:
-                    extract_check.failures.append(
-                        f"{phi}: solution at {beta:g} maps at only {got:g}"
-                    )
+                extract_check.case(
+                    got < beta and f"{phi}: solution at {beta:g} maps at only {got:g}"
+                )
 
         # Denotation equals the anchored morphism's degree.
         t = random_normal_term(rng, lattice, 3)
         canon = CanonicalAlgebra.from_graph(term_to_graph(t), lattice)
         for element in model.elements:
-            via_check.cases += 1
             m = find_morphism(canon, model, (t.tag, element), lattice)
             via = m.max_beta if m is not None else 0.0
             direct = best_denotation(t, model, element)
-            if via != direct:
-                via_check.failures.append(
-                    f"{t} at {element}: morphism {via:g} != denotation {direct:g}"
-                )
+            via_check.case(
+                via != direct and f"{t} at {element}: morphism {via:g} != denotation {direct:g}"
+            )
 
         # Subalgebra transparency.
-        seeds = [rng.choice(model.elements)]
-        sub = generated_subalgebra(model, seeds)
+        sub = generated_subalgebra(model, [rng.choice(model.elements)])
         t = random_normal_term(rng, lattice, 2)
         for element in sub.elements:
-            sub_check.cases += 1
-            if best_denotation(t, sub, element) != best_denotation(t, model, element):
-                sub_check.failures.append(f"{t} at {element}: subalgebra changed the degree")
-
-        # Weak finality: the principal-sort target absorbs the model.
-        final_check.cases += 1
-        try:
-            target_sorts: dict[str, str] = {}
-            for e in model.elements:
-                positive = [
-                    s
-                    for s in lattice.graph.sorts
-                    if s != TOP and model.sort_degree(s, e) > 0.0
-                ]
-                target_sorts[e] = functools.reduce(lattice.glb, positive) if positive else TOP
-        except NotALattice as err:
-            final_check.failures.append(str(err))
-        else:
-            j_elements = [f"q_{e}" for e in model.elements]
-            j_table = {
-                (s, f"q_{e}"): lattice.degree(target_sorts[e], s)
-                for e in model.elements
-                for s in lattice.graph.sorts
-                if s not in (TOP, BOT) and lattice.degree(target_sorts[e], s) > 0.0
-            }
-            j_features = {
-                (f, f"q_{e}"): f"q_{model.feature_image(f, e)}"
-                for f in model.feature_names
-                for e in model.elements
-            }
-            target = Interpretation(
-                j_elements, j_table, j_features, list(model.feature_names)
+            sub_check.case(
+                best_denotation(t, sub, element) != best_denotation(t, model, element)
+                and f"{t} at {element}: subalgebra changed the degree"
             )
+
+        # Weak finality: each element's principal sort, the meet of the sorts
+        # it holds, gives a target model that the model maps into.
+        mapping = {e: f"q_{e}" for e in model.elements}
+        try:
+            principals = []
+            for e, q in mapping.items():
+                held = [s for s in lattice.graph.sorts if model.sort_degree(s, e) > 0.0]
+                principals.append((q, functools.reduce(lattice.glb, held), 1.0))
+        except NotALattice as err:
+            final_check.case(str(err))
+        else:
+            names = model.feature_names
+            features = {
+                (f, mapping[e]): mapping[model.feature_image(f, e)] for f in names for e in mapping
+            }
+            table = _principal_table(lattice, principals)
+            target = Interpretation(list(mapping.values()), table, features, names)
             problems = validate_interpretation(target, lattice)
-            if problems:
-                final_check.failures.append(f"target invalid: {problems[0]}")
-            else:
-                mapping = {e: f"q_{e}" for e in model.elements}
-                commutes = all(
-                    mapping[model.feature_image(f, e)]
-                    == target.feature_image(f, mapping[e])
-                    for f in model.feature_names
-                    for e in model.elements
+            final_check.case(
+                f"target invalid: {problems[0]}" if problems
+                else "quotient map does not commute" if not all(
+                    mapping[model.feature_image(f, e)] == target.feature_image(f, q)
+                    for f in names
+                    for e, q in mapping.items()
                 )
-                degree = morphism_max_beta(model, target, mapping, lattice)
-                if not commutes:
-                    final_check.failures.append("quotient map does not commute")
-                elif degree <= 0.0:
-                    final_check.failures.append("quotient map works at no positive degree")
+                else "quotient map works at no positive degree"
+                if morphism_max_beta(model, target, mapping, lattice) <= 0.0 else None
+            )
 
         # Approximation degree: completion route vs morphism route.
         t0 = random_normal_term(rng, lattice, 3)
         t1 = random_normal_term(rng, lattice, 3)
         g0, g1 = term_to_graph(t0), term_to_graph(t1)
-        approx_check.cases += 1
         route_a = approximation_degree(g0, g1, lattice)
-        m = find_morphism(
-            CanonicalAlgebra.from_graph(g0, lattice),
-            CanonicalAlgebra.from_graph(g1, lattice),
-            (g0.root, g1.root),
-            lattice,
-        )
+        canon0, canon1 = (CanonicalAlgebra.from_graph(g, lattice) for g in (g0, g1))
+        m = find_morphism(canon0, canon1, (g0.root, g1.root), lattice)
         route_b = m.max_beta if m is not None else 0.0
-        if route_a != route_b:
-            approx_check.failures.append(
-                f"{t0} vs {t1}: completion {route_a:g} != morphism {route_b:g}"
-            )
+        approx_check.case(
+            route_a != route_b and f"{t0} vs {t1}: completion {route_a:g} != morphism {route_b:g}"
+        )
 
     return report

@@ -715,6 +715,14 @@ def test_theorem_harness_passes_and_reports():
     assert "all checks passed" in summary
 
 
+def test_check_result_counts_every_case_and_keeps_failure_messages():
+    c = semantics.CheckResult("c")
+    assert [c.case(None), c.case(False), c.case(""), c.case("boom"), c.case(1 > 0 and "bang")] == [
+        False, False, False, True, True,
+    ]
+    assert (c.cases, c.failures, c.passed) == (5, ["boom", "bang"], False)
+
+
 def test_theorem_harness_is_seed_deterministic():
     a = check_theorems(seed=3, max_domain=3, max_sorts=4, rounds=5)
     b = check_theorems(seed=3, max_domain=3, max_sorts=4, rounds=5)
