@@ -25,6 +25,7 @@ import sys
 from .lattice import (
     OntologyError,
     SortLattice,
+    _fmt,
     enrich_from_similarity,
     format_ontology,
     load_ontology,
@@ -104,10 +105,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload))
     else:
         print(text)
-
-
-def _fmt(degree: float) -> str:
-    return f"{degree:g}"
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -205,7 +205,7 @@ class SortGraph:
         for name in self.sorts:
             lines.append(f'  "{name}";')
         for sub, sup, d in self.edges:
-            lines.append(f'  "{sub}" -> "{sup}" [label="{d:g}"];')
+            lines.append(f'  "{sub}" -> "{sup}" [label="{_fmt(d)}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -382,7 +382,7 @@ def _add_similarity(table: dict[tuple[str, str], float], a: str, b: str, d: floa
         if key in table and table[key] != float(d):
             raise OntologyError(
                 f"conflicting similarity degrees for ({key[0]}, {key[1]}): "
-                f"{table[key]:g} vs {d:g}"
+                f"{_fmt(table[key])} vs {_fmt(d)}"
             )
         table[key] = float(d)
 
@@ -467,6 +467,19 @@ def enrich_from_similarity(
 # -- ontology text format ---------------------------------------------------
 
 
+def _read_degree(field: str) -> float:
+    """A degree field in ASCII float syntax without ``_``; ValueError otherwise."""
+    if field.isascii() and "_" not in field:
+        return float(field)
+    raise ValueError(field)
+
+
+def _fmt(degree: float) -> str:
+    """A degree as ``%g`` where that reads back as the same float, else its repr."""
+    text = f"{degree:g}"
+    return text if float(text) == degree else repr(degree)
+
+
 def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
     """Parse the line-oriented ontology format.
 
@@ -520,7 +533,7 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             if len(parts) != 4:
                 fail(lineno, "expected: edge <sub> <sup> <degree>")
             try:
-                d = float(parts[3])
+                d = _read_degree(parts[3])
             except ValueError:
                 fail(lineno, f"bad degree: {parts[3]!r}")
             if not 0.0 < d <= 1.0:
@@ -533,7 +546,7 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             if len(parts) != 4:
                 fail(lineno, "expected: sim <a> <b> <degree>")
             try:
-                d = float(parts[3])
+                d = _read_degree(parts[3])
             except ValueError:
                 fail(lineno, f"bad degree: {parts[3]!r}")
             if not 0.0 <= d <= 1.0:
@@ -571,9 +584,9 @@ def format_ontology(
     for f in graph.features:
         lines.append(f"feature {f}")
     for sub, sup, d in graph.edges:
-        lines.append(f"edge {sub} {sup} {d:g}")
+        lines.append(f"edge {sub} {sup} {_fmt(d)}")
     if sim:
         for (a, b), d in sorted(sim.items()):
             if a <= b:
-                lines.append(f"sim {a} {b} {d:g}")
+                lines.append(f"sim {a} {b} {_fmt(d)}")
     return "\n".join(lines) + "\n"

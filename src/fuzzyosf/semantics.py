@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .lattice import BOT, TOP, NotALattice, OntologyError, SortGraph, SortLattice
+from .lattice import _fmt, _read_degree
 from .terms import (
     Clause,
     EqualityConstraint,
@@ -247,14 +248,14 @@ def load_interpretation(text: str, graph: SortGraph) -> Interpretation:
             if e not in elements:
                 fail(lineno, f"undeclared element: {e}")
             try:
-                d = float(value)
+                d = _read_degree(value)
             except ValueError:
                 fail(lineno, f"bad degree: {value!r}")
             if not 0.0 <= d <= 1.0:
                 fail(lineno, f"degree must lie in [0, 1]: {value}")
             old = sort_table.get((s, e), d)
             if old != d:
-                fail(lineno, f"conflicting degrees for ({s}, {e}): {old:g} vs {d:g}")
+                fail(lineno, f"conflicting degrees for ({s}, {e}): {_fmt(old)} vs {_fmt(d)}")
             sort_table[(s, e)] = d
         elif kind == "elem":
             if len(parts) < 2:
@@ -761,12 +762,8 @@ def check_theorems(
 
     c = check("sample denotation degrees")
     t_thriller = parse_term("X: thriller(directed_by -> Y: director)", movie.graph)
-    for element, expected in [
-        ("halloween", 0.5),
-        ("psycho", 1.0),
-        ("hitchcock", 0.0),
-        ("null", 0.0),
-    ]:
+    degrees = {"halloween": 0.5, "psycho": 1.0, "hitchcock": 0.0, "null": 0.0}
+    for element, expected in degrees.items():
         got = best_denotation(t_thriller, interp, element)
         c.case(got != expected and f"best degree at {element}: {got:g} != {expected:g}")
     alpha = {"X": "halloween", "Y": "carpenter"}

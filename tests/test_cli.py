@@ -427,6 +427,15 @@ def test_enrich_emits_a_valid_ontology(capsys, tmp_ontology):
     assert "# dropped truck car 0.8 (cycle)" in out
 
 
+def test_enrich_and_degree_write_every_digit(capsys, tmp_ontology):
+    path = tmp_ontology("sort a b c\nedge a c 1\nedge b c 1\nsim a b 0.1234567\n", "sim.txt")
+    code, out, _ = run(capsys, "--ontology", path, "enrich")
+    assert code == 0 and "edge a b 0.1234567\n" in out
+    enriched = tmp_ontology(out, "enriched.txt")
+    assert run(capsys, "--ontology", enriched, "degree", "a", "b") == (0, "0.1234567\n", "")
+    assert run(capsys, "--ontology", enriched, "degree", "a", "c") == (0, "1\n", "")
+
+
 def test_dot_ontology_and_term(capsys, chain_file):
     code, out, _ = run(capsys, "--ontology", chain_file, "dot")
     assert code == 0 and out.startswith("digraph")

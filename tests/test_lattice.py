@@ -759,6 +759,11 @@ def test_load_ontology_roundtrip():
         ("sort", "line 1"),
         ("edge a b", "line 1"),
         ("edge a b nope", "bad degree"),
+        ("edge a b ０.５", "line 1: bad degree: '０.５'"),
+        ("sort a\nedge a b 1_0e-1", "line 2: bad degree: '1_0e-1'"),
+        ("edge a b nan", "line 1: edge degree must lie in (0, 1]: nan"),
+        ("edge a b inf", "line 1: edge degree must lie in (0, 1]: inf"),
+        ("edge a b -0.5", "line 1: edge degree must lie in (0, 1]: -0.5"),
         ("hedge a b 1", "unknown directive"),
         ("sort a\nedge a b 2", "line 2"),
         ("sort top", "line 1: top is implicit"),
@@ -792,6 +797,25 @@ def test_format_parse_roundtrip_random(dag):
     assert list(again.features) == ["f0"]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_format_parse_roundtrip_keeps_every_degree(edge, sim):
+    # Every degree reads back as the same float; one that %g already writes
+    # exactly keeps those bytes.
+    graph = SortGraph(["a", "b"], [], [("a", "b", edge)])
+    text = format_ontology(graph, build_similarity([("a", "b", sim)]))
+    again, sim_again = load_ontology(text)
+    assert again.edges == [("a", "b", edge)]
+    assert sim_again == {("a", "b"): sim, ("b", "a"): sim}
+    for d in (edge, sim):
+        if float(f"{d:g}") == d:
+            assert f" {d:g}\n" in text
+    assert f'[label="{format_ontology(graph).split()[-1]}"]' in graph.to_dot()
+
+
 # -- input boundaries ------------------------------------------------------------------
 
 
@@ -818,8 +842,18 @@ def test_sort_graph_rejects_bad_declarations(sorts, features, edges, error, mess
         ("sort a b\nsim a b high", "line 2: bad degree: 'high'"),
         ("sort a b\nsim a b 1.5", "line 2: sim degree must lie in [0, 1]: 1.5"),
         ("sort a b\nsim a b -0.5", "line 2: sim degree must lie in [0, 1]: -0.5"),
+        ("sort a b\nsim a b ١", "line 2: bad degree: '١'"),
+        ("sort a b\nsim a b 1_0e-1", "line 2: bad degree: '1_0e-1'"),
+        ("sort a b\nsim a b nan", "line 2: sim degree must lie in [0, 1]: nan"),
+        (
+            "sort a b\nsim a b 0.1234567\nsim b a 0.1234568",
+            "line 3: conflicting similarity degrees for (b, a): 0.1234567 vs 0.1234568",
+        ),
     ],
-    ids=["bad-degree", "above-one", "below-zero"],
+    ids=[
+        "bad-degree", "above-one", "below-zero", "arabic-digit", "underscore", "nan",
+        "conflict-in-seventh-digit",
+    ],
 )
 def test_load_ontology_rejects_bad_sim_degrees(text, message):
     with pytest.raises(OntologyError) as exc:

@@ -788,24 +788,39 @@ def test_validate_interpretation_reports_structural_problems(elements, table, fe
     [
         ("elem", "line 1: expected: elem <name>..."),
         ("elem a\ndeg p a high", "line 2: bad degree: 'high'"),
+        ("elem a\ndeg p a ０.５", "line 2: bad degree: '０.５'"),
+        ("elem a\ndeg p a ١", "line 2: bad degree: '١'"),
+        ("elem a\ndeg p a 1_0e-1", "line 2: bad degree: '1_0e-1'"),
+        ("elem a\ndeg p a nan", "line 2: degree must lie in [0, 1]: nan"),
+        ("elem a\ndeg p a -0.5", "line 2: degree must lie in [0, 1]: -0.5"),
         ("elem a\ndeg p a 1.5", "line 2: degree must lie in [0, 1]: 1.5"),
         ("elem a\nfun f b a", "line 2: undeclared element: b"),
         ("elem a\nfun f a b", "line 2: undeclared element: b"),
         ("elem a\nfun f a", "line 2: expected: fun <feature> <elem|*> <elem>"),
         ("elem a\ndeg p b 1", "line 2: undeclared element: b"),
         ("elem a b\ndeg p a 1\ndeg p a 0.2", "line 3: conflicting degrees for (p, a): 1 vs 0.2"),
+        (
+            "elem a\ndeg p a 0.1234567\ndeg p a 0.1234568",
+            "line 3: conflicting degrees for (p, a): 0.1234567 vs 0.1234568",
+        ),
         ("elem a b\nfun f a a\nfun f a b", "line 3: conflicting images for (f, a): a vs b"),
         ("elem a b\nfun f * a\nfun f b b\nfun f * b", "line 4: conflicting images for (f, *): a vs b"),
     ],
     ids=[
         "elem-without-names",
         "bad-degree",
+        "fullwidth-digits",
+        "arabic-digit",
+        "underscore",
+        "nan",
+        "below-zero",
         "degree-out-of-range",
         "undeclared-source",
         "undeclared-image",
         "fun-with-three-fields",
         "degree-at-undeclared-element",
         "conflicting-degree",
+        "conflict-in-seventh-digit",
         "conflicting-image",
         "conflicting-default",
     ],
