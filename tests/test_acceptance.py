@@ -9,6 +9,7 @@ budgets as constants below.
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import oracles
@@ -17,6 +18,8 @@ from oracles import canonical_normal_form, clause_constraints, normalize_small_s
 from fuzzyosf import (
     BOT,
     TOP,
+    Clause,
+    EqualityConstraint,
     Inconsistent,
     NotALattice,
     SortGraph,
@@ -342,8 +345,8 @@ def test_criterion_8_theorem_harness(capsys):
 # -- criterion 9: performance envelope ----------------------------------------------
 
 
-def _chain_term(prefix: str, depth: int) -> Term:
-    node = Term(f"{prefix}{depth - 1}", "s", ())
+def _chain_term(prefix: str, depth: int, tail: tuple = ()) -> Term:
+    node = Term(f"{prefix}{depth - 1}", "s", tail)
     for i in range(depth - 2, -1, -1):
         node = Term(f"{prefix}{i}", "s", (("f", node),))
     return node
@@ -388,6 +391,57 @@ def test_criterion_9_performance_envelope(capsys):
         capsys,
         f"PASS criterion 9: 10,000-tag unify {chain_elapsed:.2f} s;"
         f" 5,000-sort degree query {query_elapsed * 1000:.1f} ms",
+    )
+
+
+def _line_events(call, *args) -> int:
+    """The line events Python traces while ``call(*args)`` runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_criterion_9_line_counts_grow_linearly(capsys):
+    # Executed lines, not time, on 1,000-, 2,000- and 4,000-tag chains: unify
+    # and subsumption on two chains, normalize on both chains' clauses with
+    # their roots equated, and unify of a cycle with a self-loop, which merges
+    # every tag into one class.  Counts differ between Python versions, so
+    # only their ratios are asserted.
+    tiny = SortLattice(SortGraph(["s"], ["f"], [])).validate()
+    loop = Term("L", "s", (("f", Term("L", TOP, ())),))
+    counts = []
+    for n in (1000, 2000, 4000):
+        left, right = _chain_term("A", n), _chain_term("B", n)
+        cycle = _chain_term("C", n, (("f", Term("C0", TOP, ())),))
+        phi = Clause(
+            term_to_clause(left).constraints
+            + term_to_clause(right).constraints
+            + (EqualityConstraint("A0", "B0"),)
+        )
+        assert len(unify(cycle, loop, tiny).tag_classes) == 1
+        counts.append([
+            _line_events(unify, left, right, tiny),
+            _line_events(subsumption_witness, left, right, tiny),
+            _line_events(normalize, phi, tiny),
+            _line_events(unify, cycle, loop, tiny),
+        ])
+    for small, large in zip(counts, counts[1:]):
+        for a, b in zip(small, large):
+            assert b <= 2.3 * a, counts
+    _report(
+        capsys,
+        "PASS criterion 9: unify, subsumption_witness, normalize and a merging"
+        f" cycle unify run {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 tags",
     )
 
 
