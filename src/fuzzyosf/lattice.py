@@ -188,14 +188,21 @@ class SortGraph:
                 if indeg[v] == 0:
                     order.append(v)
         if len(order) < n:
+            # Walk along successors that are left; a sort with none reaches no
+            # cycle, so drop it and step back.
             leftover = {i for i in range(n) if indeg[i] > 0}
-            start = min(leftover)
-            trail, node = [], start
+            trail, node = [], min(leftover)
             on_trail: set[int] = set()
             while node not in on_trail:
-                on_trail.add(node)
-                trail.append(node)
-                node = next(v for v, _ in self._succ[node] if v in leftover)
+                step = next((v for v, _ in self._succ[node] if v in leftover), None)
+                if step is None:
+                    leftover.discard(node)
+                    node = trail.pop() if trail else min(leftover)
+                    on_trail.discard(node)
+                else:
+                    on_trail.add(node)
+                    trail.append(node)
+                    node = step
             cycle = trail[trail.index(node) :] + [node]
             raise CycleDetected([self.sorts[i] for i in cycle])
         return order

@@ -132,6 +132,18 @@ def test_cycle_detected_with_witness():
     assert set(exc.value.cycle) <= {"a", "b", "c"}
 
 
+def test_cycle_witness_steps_back_from_sorts_that_reach_no_cycle():
+    # c, d and y are left over by the topological sort, but they lie above a
+    # cycle and reach none; the witness walk drops them and steps back.
+    with pytest.raises(CycleDetected) as exc:
+        SortGraph(["c", "d", "a", "b"], [], [("c", "d", 1.0), ("a", "b", 1.0), ("b", "a", 1.0), ("a", "c", 1.0)])
+    assert exc.value.cycle == ["a", "b", "a"]
+    edges = [("p", "q", 1.0), ("q", "p", 1.0), ("p", "x", 1.0), ("x", "y", 1.0), ("x", "z", 1.0), ("z", "p", 1.0)]
+    with pytest.raises(CycleDetected) as exc:
+        SortGraph(["x", "y", "z", "p", "q"], [], edges)
+    assert exc.value.cycle == ["p", "q", "p"]
+
+
 def test_self_edge_rejected():
     with pytest.raises(CycleDetected):
         SortGraph(["a"], [], [("a", "a", 1.0)])
@@ -777,6 +789,7 @@ def test_load_ontology_roundtrip():
         ("sim a b 0.5\n# note\nsim b a 0.6", "line 3: conflicting similarity degrees"),
         ("edge c d 1\nedge b a 1\nedge a b 1", "line 2: subsumption cycle: b -> a -> b"),
         ("sort x\nedge x bot 1", "line 2: subsumption cycle"),
+        ("edge c d 1\nedge a b 1\nedge b a 1\nedge a c 1", "line 2: subsumption cycle: a -> b -> a"),
     ],
 )
 def test_load_ontology_reports_line_numbers(text, fragment):
