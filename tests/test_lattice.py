@@ -790,6 +790,10 @@ def test_load_ontology_roundtrip():
         ("edge c d 1\nedge b a 1\nedge a b 1", "line 2: subsumption cycle: b -> a -> b"),
         ("sort x\nedge x bot 1", "line 2: subsumption cycle"),
         ("edge c d 1\nedge a b 1\nedge b a 1\nedge a c 1", "line 2: subsumption cycle: a -> b -> a"),
+        ("sort a\nedge a b 2\nsort Bad", "line 2: edge degree must lie in (0, 1]: 2"),
+        ("edge a b 1\nedge b a 1\nsort Bad", "line 3: bad sort name: 'Bad'"),
+        ("sort a b\nsim a b 0\nedge a b 0", "line 3: edge degree must lie in (0, 1]: 0"),
+        ("edge a b 0.5\nsim a b 1.5\nedge b c 1.5", "line 2: sim degree must lie in [0, 1]: 1.5"),
     ],
 )
 def test_load_ontology_reports_line_numbers(text, fragment):
@@ -797,6 +801,104 @@ def test_load_ontology_reports_line_numbers(text, fragment):
         graph, _ = load_ontology(text)
         SortLattice(graph).validate()
     assert fragment in str(exc.value)
+
+
+def _loader_mutation(rng, names, features, edges, sim):
+    """One ontology line, valid or not, over a hierarchy's own names."""
+    a, b = rng.choice(names), rng.choice(names)
+    bad_name = rng.choice(["Bad", "9a", "a-b", "é", "_a"])
+    bad_degree = rng.choice(["nope", "０.５", "1_0", "0", "1.5", "-0.5", "nan", "inf", "2", "0x1", "1e0"])
+    lines = [
+        f"sort {a} {bad_name}", f"edge {a} {bad_name} 1", f"sim {bad_name} {a} 0.5",
+        f"feature {bad_name}", f"edge {a} {b} {bad_degree}", f"sim {a} {b} {bad_degree}",
+        f"sort {rng.choice([BOT, TOP])}", f"sort {a} {TOP} {b}",
+        f"edge {a} {a} 0.5", f"edge {a} {BOT} 1", f"edge {TOP} {a} 0.8",
+        f"edge {BOT} {a} 0.5", f"edge {a} {TOP} 0.3",
+        f"sim {a} {b} {rng.choice(['0', '0.3', '1'])}", f"sim {a} {a} 0.5",
+        f"feature {a}", f"feature f{rng.randrange(3)}", f"sort f{rng.randrange(3)}",
+        f"edge f0 {a} 1", f"sort {a}", f"sort new{rng.randrange(3)}",
+        f"edge new{rng.randrange(3)} {a} 0.8", f"edge {a} new{rng.randrange(3)} 1",
+        rng.choice(["hedge a b 1", "Sort a", "edges", "sort", "feature", "edge a b", "sim a b 1 1"]),
+    ]
+    if edges:
+        sub, sup, _ = rng.choice(edges)
+        lines += [f"edge {sup} {sub} 1", f"edge {sub} {sup} {rng.choice(['0.25', '0.8', '1'])}"]
+    if sim:
+        a, b = rng.choice(list(sim))
+        lines.append(f"sim {b} {a} {rng.choice(['0', '0.3', '0.5'])}")
+    return rng.choice(lines)
+
+
+def test_load_ontology_outcomes_are_frozen():
+    # A sha256 of what load_ontology makes of 300 seeded hierarchies written
+    # by format_ontology, with comments, blank lines and odd spacing mixed
+    # in, sometimes with the sort lines left out, each as it is and with one
+    # and two lines changed or inserted: the graph and sims read back, or the
+    # error's type and message.  The same hierarchies, changed through the
+    # API, go to SortGraph directly.  A change to how the loader checks its
+    # lines must leave every outcome, and which error comes first, as it is.
+    rng = random.Random(3030)
+    digest = hashlib.sha256()
+
+    def outcome(build):
+        try:
+            graph, sim = build()
+        except OntologyError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return format_ontology(graph, sim) + repr((graph._succ, graph._topo))
+
+    for _ in range(300):
+        sorts, edges = strategies.random_dag(
+            rng, max_sorts=rng.choice([2, 5, 12, 30, 80]), edge_prob=rng.choice([0.1, 0.3])
+        )
+        edges = [(a, b, rng.choice([0.25, 0.5, 0.8, 1.0, 0.1234567])) for a, b, _ in edges]
+        rng.shuffle(sorts)
+        features = [f"f{k}" for k in range(rng.randrange(3))]
+        graph = SortGraph(sorts, features, edges)
+        pairs = list(itertools.combinations(sorts, 2))
+        sim = build_similarity(
+            [(a, b, rng.choice([0.0, 0.3, 0.5])) for a, b in rng.sample(pairs, min(len(pairs), rng.randrange(3)))]
+        )
+        lines = format_ontology(graph, sim).splitlines()
+        if rng.random() < 0.3:
+            lines = [line for line in lines if not line.startswith("sort ")]
+        for _ in range(rng.randrange(4)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "   ", "\t# x # y"]))
+        lines = [
+            line + rng.choice(["", " # c", "#c", "  "]) if rng.random() < 0.2 else line for line in lines
+        ]
+        lines = [line.replace(" ", rng.choice([" ", "  ", "\t"])) for line in lines]
+        texts = [lines]
+        for count in (1, 2):
+            changed = list(lines)
+            for _ in range(count):
+                line = _loader_mutation(rng, sorts, features, edges, sim)
+                at = rng.randrange(len(changed) + 1)
+                changed[at : at + rng.randrange(2)] = [line]
+            texts.append(changed)
+        for text in texts:
+            digest.update(outcome(lambda: load_ontology("\n".join(text))).encode() + b"\n\n")
+
+        names, feats, links = list(sorts), list(features), list(edges)
+        for _ in range(rng.randrange(3)):
+            a, b = rng.choice(sorts), rng.choice(sorts)
+            change = rng.randrange(6)
+            if change == 0:
+                names.insert(rng.randrange(len(names) + 1), rng.choice(["Bad", BOT, TOP, a]))
+            elif change == 1:
+                feats.append(rng.choice(["Bad", a, "f0"]))
+            elif change == 2:
+                links.insert(rng.randrange(len(links) + 1), (rng.choice([a, "zork"]), rng.choice([b, "zork"]), 1.0))
+            elif change == 3:
+                degree = rng.choice([True, "0.5", 0, 1, 1.5, float("nan"), -0.5, 0.5])
+                links.insert(rng.randrange(len(links) + 1), (a, b, degree))
+            elif change == 4:
+                links.insert(rng.randrange(len(links) + 1), rng.choice([(a, a, 1.0), (a, BOT, 1.0), (TOP, a, 1.0), (BOT, a, 0.5), (a, TOP, 0.5)]))
+            elif links:
+                sub, sup, _ = rng.choice(links)
+                links.insert(rng.randrange(len(links) + 1), rng.choice([(sup, sub, 1.0), (sub, sup, 0.9)]))
+        digest.update(outcome(lambda: (SortGraph(names, feats, links), None)).encode() + b"\n\n")
+    assert digest.hexdigest() == "ab518476f5a5be37b209c766e0fc6904b95751e862fc71577a95f3cafd027da6"
 
 
 @settings(max_examples=60, deadline=None)
