@@ -81,7 +81,8 @@ class _Names(dict):
     """Names of one kind, each mapped to itself so that parsed terms share the
     signature's strings; another name raises ``unknown`` or, if None, is kept."""
 
-    def __init__(self, unknown: type[OntologyError] | None = None):
+    def __init__(self, unknown: type[OntologyError] | None = None, names=()):
+        super().__init__(zip(names, names))
         self.unknown = unknown
 
     def __missing__(self, name: str) -> str:
@@ -118,71 +119,72 @@ class SortGraph:
         for name in (BOT, TOP):
             if name not in declared:
                 declared.append(name)
-        seen = self._sort_names = _Names(UnknownSort)
+        index: dict[str, int] = {}
         for name in declared:
             if not _SORT_RE.match(name):
                 raise OntologyError(f"bad sort name: {name!r}")
-            if name in seen:
+            if name in index:
                 raise DuplicateName(f"sort declared twice: {name}")
-            seen[name] = name
-        self.sorts: list[str] = declared
-
-        feats = self._feature_names = _Names(UnknownFeature)
+            index[name] = len(index)
+        feats: set[str] = set()
         for name in features:
             if not _FEATURE_RE.match(name):
                 raise OntologyError(f"bad feature name: {name!r}")
             if name in feats:
                 raise DuplicateName(f"feature declared twice: {name}")
-            if name in seen:
+            if name in index:
                 raise DuplicateName(f"name used as both sort and feature: {name}")
-            feats[name] = name
-        self.features: list[str] = list(features)
+            feats.add(name)
+        checked: list[tuple[str, str, float]] = []
+        for sub, sup, degree in edges:
+            if sub not in index:
+                raise UnknownSort(sub)
+            if sup not in index:
+                raise UnknownSort(sup)
+            if isinstance(degree, bool) or not (isinstance(degree, (int, float)) and 0.0 < degree <= 1.0):
+                raise DegreeOutOfRange(f"edge degree must lie in (0, 1]: {sub} -> {sup} @ {degree!r}")
+            checked.append((sub, sup, float(degree)))
+            if sub == sup or sup == BOT or sub == TOP:
+                break  # _build raises this edge's cycle before any later error
+        self._build(index, list(features), checked)
 
-        self._index: dict[str, int] = {name: i for i, name in enumerate(self.sorts)}
-        n = len(self.sorts)
+    def _build(
+        self, index: dict[str, int], features: list[str], edges: list[tuple[str, str, float]]
+    ) -> None:
+        """The tables from checked names, numbered with bot and top last, and
+        checked edges; a repeated edge keeps its largest degree at its first place."""
+        self._index = index
+        self.sorts: list[str] = list(index)
+        self.features: list[str] = features
+        self._sort_names = _Names(UnknownSort, index)
+        self._feature_names = _Names(UnknownFeature, features)
+        bot, top = index[BOT], index[TOP]
         combined: dict[tuple[int, int], float] = {}
         for sub, sup, degree in edges:
-            if sub not in self._index:
-                raise UnknownSort(sub)
-            if sup not in self._index:
-                raise UnknownSort(sup)
-            if isinstance(degree, bool) or not (
-                isinstance(degree, (int, float)) and 0.0 < degree <= 1.0
-            ):
-                raise DegreeOutOfRange(
-                    f"edge degree must lie in (0, 1]: {sub} -> {sup} @ {degree!r}"
-                )
-            if sub == sup:
+            key = i, j = index[sub], index[sup]
+            if i == j:
                 raise CycleDetected([sub, sup])
-            if sup == BOT:
+            if j == bot:
                 # sub <= bot plus the implicit bot <= sub would force sub = bot.
                 raise CycleDetected([BOT, sub, BOT])
-            if sub == TOP:
+            if i == top:
                 raise CycleDetected([TOP, sup, TOP])
-            key = (self._index[sub], self._index[sup])
-            if key not in combined or degree > combined[key]:
-                combined[key] = float(degree)
+            if combined.get(key, 0.0) < degree:
+                combined[key] = degree
 
-        self.edges: list[tuple[str, str, float]] = [
-            (self.sorts[i], self.sorts[j], d) for (i, j), d in combined.items()
-        ]
-        self._succ: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        sorts = self.sorts
+        self.edges = [(sorts[i], sorts[j], d) for (i, j), d in combined.items()]
+        self._succ: list[list[tuple[int, float]]] = [[] for _ in sorts]
+        indeg = [0] * len(sorts)
         for (i, j), d in combined.items():
             self._succ[i].append((j, d))
+            indeg[j] += 1
+        self._topo: list[int] = self._toposort(indeg)
 
-        self._topo: list[int] = self._toposort()
-
-    def _toposort(self) -> list[int]:
+    def _toposort(self, indeg: list[int]) -> list[int]:
         n = len(self.sorts)
-        indeg = [0] * n
-        for i in range(n):
-            for j, _ in self._succ[i]:
-                indeg[j] += 1
         order = [i for i in range(n) if indeg[i] == 0]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
+        for u in order:  # grows as it goes
             for v, _ in self._succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
@@ -494,88 +496,99 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
     ``edge <sub> <sup> <degree>``, ``sim <a> <b> <degree>``; ``#`` starts a
     comment; blank lines are ignored.  Sorts referenced by edges or sims are
     declared implicitly.  Every error names the line of the offending item;
-    for a cycle, that is the line of its first declared edge.
+    for a cycle, that is the line of its first declared edge.  Each line is
+    checked once, and the checked names and edges go to the graph's builder.
     """
-    sorts: dict[str, None] = {BOT: None, TOP: None}
+    # Sorts numbered at their first mention; bot and top move last at the end.
+    index: dict[str, int] = {BOT: -1, TOP: -1}
     features: dict[str, None] = {}
-    edge_line: dict[tuple[str, str], int] = {}
     edges: list[tuple[str, str, float]] = []
     sim: dict[tuple[str, str], float] = {}
+    degrees: dict[str, float] = {}  # each degree field read once
 
     def fail(lineno: int, msg: str, kind: type[OntologyError] = OntologyError) -> None:
         raise kind(f"line {lineno}: {msg}")
 
     def add_sort(lineno: int, name: str) -> None:
-        if name in sorts:  # checked at its first mention
-            return
         if not _SORT_RE.match(name):
             fail(lineno, f"bad sort name: {name!r}")
         if name in features:
             fail(lineno, f"name used as both sort and feature: {name}", DuplicateName)
-        sorts[name] = None
+        index[name] = len(index) - 2
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    def read(lineno: int, field: str) -> float:
+        try:
+            d = degrees[field] = _read_degree(field)
+        except ValueError:
+            fail(lineno, f"bad degree: {field!r}")
+        return d
+
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
-        if kind == "sort":
+        if kind == "edge":
+            if len(parts) != 4:
+                fail(lineno, "expected: edge <sub> <sup> <degree>")
+            _, sub, sup, field = parts
+            d = degrees[field] if field in degrees else read(lineno, field)
+            if not 0.0 < d <= 1.0:
+                fail(lineno, f"edge degree must lie in (0, 1]: {field}")
+            if sub not in index:
+                add_sort(lineno, sub)
+            if sup not in index:
+                add_sort(lineno, sup)
+            edges.append((sub, sup, d))
+        elif kind == "sort":
             if len(parts) < 2:
                 fail(lineno, "expected: sort <name>...")
             for name in parts[1:]:
-                if name in (BOT, TOP):
+                if name not in index:
+                    add_sort(lineno, name)
+                elif name in (BOT, TOP):
                     fail(lineno, f"{name} is implicit and cannot be declared")
-                add_sort(lineno, name)
         elif kind == "feature":
             if len(parts) < 2:
                 fail(lineno, "expected: feature <name>...")
             for name in parts[1:]:
                 if not _FEATURE_RE.match(name):
                     fail(lineno, f"bad feature name: {name!r}")
-                if name in sorts:
+                if name in index:
                     fail(lineno, f"name used as both sort and feature: {name}", DuplicateName)
                 features[name] = None
-        elif kind == "edge":
-            if len(parts) != 4:
-                fail(lineno, "expected: edge <sub> <sup> <degree>")
-            try:
-                d = _read_degree(parts[3])
-            except ValueError:
-                fail(lineno, f"bad degree: {parts[3]!r}")
-            if not 0.0 < d <= 1.0:
-                fail(lineno, f"edge degree must lie in (0, 1]: {parts[3]}")
-            add_sort(lineno, parts[1])
-            add_sort(lineno, parts[2])
-            edge_line.setdefault((parts[1], parts[2]), lineno)
-            edges.append((parts[1], parts[2], d))
         elif kind == "sim":
             if len(parts) != 4:
                 fail(lineno, "expected: sim <a> <b> <degree>")
-            try:
-                d = _read_degree(parts[3])
-            except ValueError:
-                fail(lineno, f"bad degree: {parts[3]!r}")
+            _, a, b, field = parts
+            d = degrees[field] if field in degrees else read(lineno, field)
             if not 0.0 <= d <= 1.0:
-                fail(lineno, f"sim degree must lie in [0, 1]: {parts[3]}")
-            add_sort(lineno, parts[1])
-            add_sort(lineno, parts[2])
+                fail(lineno, f"sim degree must lie in [0, 1]: {field}")
+            if a not in index:
+                add_sort(lineno, a)
+            if b not in index:
+                add_sort(lineno, b)
             try:
-                _add_similarity(sim, parts[1], parts[2], d)
+                _add_similarity(sim, a, b, d)
             except OntologyError as err:
                 err.args = (f"line {lineno}: {err}",)
                 raise
         else:
             fail(lineno, f"unknown directive: {kind!r}")
 
+    del index[BOT], index[TOP]
+    index.update({BOT: len(index), TOP: len(index) + 1})
+    graph = SortGraph.__new__(SortGraph)
     try:
-        graph = SortGraph(
-            [s for s in sorts if s not in (BOT, TOP)], list(features), edges
-        )
+        graph._build(index, list(features), edges)
     except CycleDetected as err:
-        steps = zip(err.cycle, err.cycle[1:])
-        first = next(edge_line[step] for step in steps if step in edge_line)
-        err.args = (f"line {first}: {err}",)
+        # Read the lines again for the first one that declares a step.
+        first = {tuple(line.split("#", 1)[0].split()[:3]): n for n, line in reversed(list(enumerate(lines, 1)))}
+        steps = (("edge", sub, sup) for sub, sup in zip(err.cycle, err.cycle[1:]))
+        err.args = (f"line {next(first[step] for step in steps if step in first)}: {err}",)
         raise
     return graph, sim
 
