@@ -108,9 +108,9 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
         if not 0.0 <= d <= 1.0:
             problems.append(f"degree out of range: {s}({e}) = {d!r}")
         if s == TOP and d != 1.0:
-            problems.append(f"top must hold of {e} at 1, not {d:g}")
+            problems.append(f"top must hold of {e} at 1, not {_fmt(d)}")
         if s == BOT and d != 0.0:
-            problems.append(f"bot must hold of {e} at 0, not {d:g}")
+            problems.append(f"bot must hold of {e} at 0, not {_fmt(d)}")
         if d > 0.0:
             stated[e][index[s]] = d
 
@@ -150,9 +150,9 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
                 bound = min(d0, d)
                 if bound > positive.get(s1, 0.0):
                     problems.append(
-                        f"membership gap: {s0}({e})={d0:g} and "
-                        f"degree({s0},{s1})={d:g} force "
-                        f"{s1}({e}) >= {bound:g}, found {model.sort_degree(s1, e):g}"
+                        f"membership gap: {s0}({e})={_fmt(d0)} and "
+                        f"degree({s0},{s1})={_fmt(d)} force "
+                        f"{s1}({e}) >= {_fmt(bound)}, found {_fmt(model.sort_degree(s1, e))}"
                     )
     # Meet consistency: jointly positive sorts need a positive meet.
     for e, positive in failing:

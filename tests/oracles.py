@@ -426,6 +426,13 @@ def best_denotation(term, model, element: str) -> float:
 # -- model validity ---------------------------------------------------------------
 
 
+def exact(degree: float) -> str:
+    """A degree written so that it reads back as the same float: its ``%g``
+    text where that is enough, else its shortest round-trip text."""
+    short = f"{degree:g}"
+    return short if float(short) == degree else repr(degree)
+
+
 def lattice_problems(model, sorts: list[str], edges: list[tuple[str, str, float]]) -> list[str]:
     """Membership and meet gaps of a well-formed model, by a dense scan.
 
@@ -447,9 +454,9 @@ def lattice_problems(model, sorts: list[str], edges: list[tuple[str, str, float]
                 bound = min(d0, d)
                 if d > 0.0 and bound > model.sort_degree(s1, e):
                     problems.append(
-                        f"membership gap: {s0}({e})={d0:g} and "
-                        f"degree({s0},{s1})={d:g} force "
-                        f"{s1}({e}) >= {bound:g}, found {model.sort_degree(s1, e):g}"
+                        f"membership gap: {s0}({e})={exact(d0)} and "
+                        f"degree({s0},{s1})={exact(d)} force "
+                        f"{s1}({e}) >= {exact(bound)}, found {exact(model.sort_degree(s1, e))}"
                     )
     for e in model.elements:
         positive = [s for s in sorts if model.sort_degree(s, e) > 0.0]

@@ -542,6 +542,19 @@ def test_eval_invalid_model_is_semantic_failure(capsys, movies_file, tmp_path):
     assert out == ""
 
 
+def test_eval_names_membership_gap_degrees_exactly(capsys, tmp_ontology, tmp_path):
+    # Written with %g, both sides of this gap read 0.123457.
+    path = tmp_ontology("sort a b\nedge a b 1\n", "ab.txt")
+    interp = tmp_path / "m.interp"
+    interp.write_text("elem x\ndeg a x 0.1234568\ndeg b x 0.1234567\n", encoding="utf-8")
+    code, out, err = run(capsys, "--ontology", path, "eval", "--interp", str(interp), "X: a")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        "invalid interpretation: membership gap: a(x)=0.1234568 and degree(a,b)=1 "
+        "force b(x) >= 0.1234568, found 0.1234567"
+    )
+
+
 # -- theorems --------------------------------------------------------------------------
 
 
