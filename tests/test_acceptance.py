@@ -30,10 +30,13 @@ from fuzzyosf import (
     clause_to_term,
     crisp_subsumes,
     enrich_from_similarity,
+    format_ontology,
     format_term,
     fuzzy_subsumption_degree,
     graph_equivalent,
     graph_to_term,
+    load_interpretation,
+    load_ontology,
     normalize,
     parse_term,
     subsumption_witness,
@@ -442,6 +445,37 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
         capsys,
         "PASS criterion 9: unify, subsumption_witness, normalize and a merging"
         f" cycle unify run {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 tags",
+    )
+
+
+def test_criterion_9_loading_line_counts_grow_linearly(capsys):
+    # Executed lines of load_ontology, of SortGraph given the same sorts and
+    # edges, and of load_interpretation, on 1,000, 2,000 and 4,000 sorts: a
+    # random tree with one feature and a sim on every tenth sort, and a model
+    # with an element per ten sorts, one degree and one image each.
+    counts = []
+    for n in (1000, 2000, 4000):
+        rng = random.Random(n)
+        names = [f"s{i}" for i in range(n)]
+        edges = [(names[i], names[rng.randrange(i)], rng.choice([0.5, 1.0])) for i in range(1, n)]
+        graph = SortGraph(names, ["f"], edges)
+        sim = build_similarity([(names[i], names[i + 1], 0.5) for i in range(0, n - 1, 10)])
+        elements = [f"e{i}" for i in range(n // 10)]
+        model = "elem " + " ".join(elements) + "\n" + "".join(
+            f"deg {rng.choice(names)} {e} 0.5\nfun f {e} {rng.choice(elements)}\n" for e in elements
+        )
+        counts.append([
+            _line_events(load_ontology, format_ontology(graph, sim)),
+            _line_events(SortGraph, names, ["f"], edges),
+            _line_events(load_interpretation, model, graph),
+        ])
+    for small, large in zip(counts, counts[1:]):
+        for a, b in zip(small, large):
+            assert b <= 2.3 * a, counts
+    _report(
+        capsys,
+        "PASS criterion 9: load_ontology, SortGraph and load_interpretation run"
+        f" {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 sorts",
     )
 
 
