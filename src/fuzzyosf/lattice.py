@@ -15,7 +15,7 @@ their out-edges, not the whole hierarchy.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 BOT = "bot"
@@ -81,7 +81,7 @@ class _Names(dict):
     """Names of one kind, each mapped to itself so that parsed terms share the
     signature's strings; another name raises ``unknown`` or, if None, is kept."""
 
-    def __init__(self, unknown: type[OntologyError] | None = None, names=()):
+    def __init__(self, unknown: type[OntologyError] | None = None, names: Iterable[str] = ()):
         super().__init__(zip(names, names))
         self.unknown = unknown
 
@@ -151,8 +151,8 @@ class SortGraph:
     def _build(
         self, index: dict[str, int], features: list[str], edges: list[tuple[str, str, float]]
     ) -> None:
-        """The tables from checked names, numbered with bot and top last, and
-        checked edges; a repeated edge keeps its largest degree at its first place."""
+        """Build the tables from checked names, numbered with bot and top last,
+        and checked edges; a repeated edge keeps its largest degree at its first place."""
         self._index = index
         self.sorts: list[str] = list(index)
         self.features: list[str] = features
