@@ -43,6 +43,7 @@ from fuzzyosf.samples import movie_lattice
 from fuzzyosf.semantics import (
     random_interpretation,
     random_lattice,
+    random_normal_term,
     random_repaired_interpretation,
 )
 
@@ -523,6 +524,34 @@ def test_no_morphism_when_features_disagree(movies, movie_model, query):
     assert find_morphism(canon, movie_model, ("X", "null"), movies) is None or (
         find_morphism(canon, movie_model, ("X", "null"), movies).max_beta == 0.0
     )
+
+
+def test_morphism_outcomes_are_frozen():
+    # A sha256 of find_morphism's outcome (None, or the mapping in repr order
+    # and max_beta) between every ordered pair of four models per seed: two
+    # random interpretations and the canonical algebras of a random term's
+    # graph and clause, anchored at the first three elements of each side.
+    digest = hashlib.sha256()
+    outcomes = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        lattice = random_lattice(rng, 5, 2)
+        models = [
+            random_interpretation(rng, lattice, 4),
+            random_repaired_interpretation(rng, lattice, 4),
+            CanonicalAlgebra.from_graph(term_to_graph(random_normal_term(rng, lattice, 4)), lattice),
+            CanonicalAlgebra.from_clause(term_to_clause(random_normal_term(rng, lattice, 4)), lattice),
+        ]
+        for source in models:
+            for target in models:
+                for d0 in source.elements[:3]:
+                    for d1 in target.elements[:3]:
+                        m = find_morphism(source, target, (d0, d1), lattice)
+                        outcome = m and (sorted(m.mapping.items(), key=repr), m.max_beta)
+                        digest.update(repr(outcome).encode() + b"\n")
+                        outcomes += 1
+    assert outcomes == 82_612
+    assert digest.hexdigest() == "8637371c965973c5d800a36738b84322f6af2d0a12c7a54ea99596379485a3a8"
 
 
 # -- approximation and subalgebras --------------------------------------------------------
