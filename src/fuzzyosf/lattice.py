@@ -121,14 +121,14 @@ class SortGraph:
                 declared.append(name)
         index: dict[str, int] = {}
         for name in declared:
-            if not _SORT_RE.match(name):
+            if not isinstance(name, str) or not _SORT_RE.match(name):
                 raise OntologyError(f"bad sort name: {name!r}")
             if name in index:
                 raise DuplicateName(f"sort declared twice: {name}")
             index[name] = len(index)
         feats: set[str] = set()
         for name in features:
-            if not _FEATURE_RE.match(name):
+            if not isinstance(name, str) or not _FEATURE_RE.match(name):
                 raise OntologyError(f"bad feature name: {name!r}")
             if name in feats:
                 raise DuplicateName(f"feature declared twice: {name}")

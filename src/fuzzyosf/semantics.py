@@ -51,7 +51,8 @@ class Interpretation:
     ``sort_table`` holds explicit degrees per (sort, element); lookups
     default to 0, except top (always 1) and bot (always 0).  ``features``
     maps (feature, element) to an element and must be total over
-    ``feature_names``.
+    ``feature_names``.  The tables are read at construction: each element's
+    positive sorts are indexed then, so later edits to them are not seen.
     """
 
     def __init__(
@@ -65,6 +66,10 @@ class Interpretation:
         self.sort_table: dict[tuple[str, str], float] = dict(sort_table)
         self.features: dict[tuple[str, str], str] = dict(features)
         self.feature_names: list[str] = list(feature_names)
+        self._positive: dict[str, dict[str, float]] = {e: {TOP: 1.0} for e in self.elements}
+        for (s, e), d in self.sort_table.items():
+            if d > 0.0 and s != TOP and s != BOT and e in self._positive:
+                self._positive[e][s] = d
 
     def sort_degree(self, sort: str, element) -> float:
         if sort == TOP:
@@ -72,6 +77,9 @@ class Interpretation:
         if sort == BOT:
             return 0.0
         return self.sort_table.get((sort, element), 0.0)
+
+    def positive_sorts(self, element) -> dict[str, float]:
+        return self._positive[element]
 
     def feature_image(self, feature: str, element):
         return self.features[(feature, element)]
@@ -91,13 +99,6 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
         problems.append("domain is empty")
     domain = set(model.elements)
     index = lattice.graph._index
-
-    # Both conditions below bind only where a sort holds positively, so each
-    # element's positive sorts are its stated positive degrees plus top, by
-    # sort number.  They are read only when the checks here find nothing, and
-    # then every table sort is known, every table element is in the domain and
-    # every top/bot entry equals its fixed degree.
-    stated: dict[str, dict[int, float]] = {e: {index[TOP]: 1.0} for e in model.elements}
     for (s, e), d in model.sort_table.items():
         if s not in index:
             problems.append(f"unknown sort in table: {s}")
@@ -111,8 +112,6 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
             problems.append(f"top must hold of {e} at 1, not {_fmt(d)}")
         if s == BOT and d != 0.0:
             problems.append(f"bot must hold of {e} at 0, not {_fmt(d)}")
-        if d > 0.0:
-            stated[e][index[s]] = d
 
     for f in model.feature_names:
         for e in model.elements:
@@ -131,12 +130,14 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     if problems:
         return problems
 
-    # The scan keeps domain order; it covers every element of an unvalidated lattice.
-    sorts = lattice.graph.sorts
+    # Both conditions below bind only where a sort holds positively.  Every
+    # table sort is known here, so the scans read each element's positive
+    # sorts by sort number.  The scan keeps domain order; it covers every
+    # element of an unvalidated lattice.
     failing = [
-        (e, {sorts[u]: d for u, d in sorted(stated[e].items())})
+        (e, dict(sorted(model.positive_sorts(e).items(), key=lambda sd: index[sd[0]])))
         for e in model.elements
-        if not (lattice._validated and _certified(stated[e], lattice))
+        if not (lattice._validated and _certified(model.positive_sorts(e), lattice))
     ]
 
     # Graded-subsumption compatibility (condition on every sort pair).  All
@@ -170,11 +171,11 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     return problems
 
 
-def _certified(positive: dict[int, float], lattice: SortLattice) -> bool:
+def _certified(positive: dict[str, float], lattice: SortLattice) -> bool:
     """Whether two linear checks prove one element free of gaps.
 
-    ``positive`` maps the element's positive sorts (by number, top included)
-    to their degrees; ``lattice`` has been validated.  Edge check: each
+    ``positive`` maps the element's positive sorts (top included) to their
+    degrees; ``lattice`` has been validated.  Edge check: each
     declared edge ``u -> v`` at degree w out of a positive sort has
     ``d(v) >= min(d(u), w)``.  By induction along a best path, this gives
     every closure pair's bound, so every sort above a positive sort is
@@ -184,14 +185,15 @@ def _certified(positive: dict[int, float], lattice: SortLattice) -> bool:
     valid element has a least positive sort (two minimal ones would meet at
     a positive sort below both), so only an element with a gap fails here.
     """
-    succ, down = lattice.graph._succ, lattice._down
+    g, down = lattice.graph, lattice._down
     common = -1
-    for u, du in positive.items():
+    for s, ds in positive.items():
+        u = g._index[s]
         common &= down[u]
-        for v, w in succ[u]:
-            if positive.get(v, 0.0) < (du if du < w else w):
+        for v, w in g._succ[u]:
+            if positive.get(g.sorts[v], 0.0) < (ds if ds < w else w):
                 return False
-    return lattice._order[common.bit_length() - 1] in positive
+    return g.sorts[lattice._order[common.bit_length() - 1]] in positive
 
 
 # -- interpretation text format ----------------------------------------------
@@ -314,6 +316,11 @@ class CanonicalAlgebra:
         if isinstance(element, tuple):
             return 1.0 if sort == TOP else 0.0
         return self.lattice.degree(self.node_sorts[element], sort)
+
+    def positive_sorts(self, element) -> dict[str, float]:
+        if isinstance(element, tuple):
+            return {TOP: 1.0}
+        return dict(self.lattice._above(self.node_sorts[element]))
 
     def feature_image(self, feature: str, element):
         edges = {} if isinstance(element, tuple) else self.node_out.get(element, {})
@@ -447,26 +454,22 @@ class Morphism:
     max_beta: float
 
 
-def morphism_max_beta(model_from, model_to, mapping, lattice: SortLattice) -> float:
-    """Best degree for a given feature-commuting map (1 if nothing drops)."""
+def morphism_max_beta(model_from, model_to, mapping) -> float:
+    """Best degree for a given feature-commuting map (1 if nothing drops).
+
+    A membership can drop only where it is positive in the source, so only
+    each source element's positive sorts are read.
+    """
     worst = 1.0
     for e, img in mapping.items():
-        if model_from.is_trivial(e):
-            continue
-        for s in lattice.graph.sorts:
-            fd = model_from.sort_degree(s, e)
+        for s, fd in model_from.positive_sorts(e).items():
             td = model_to.sort_degree(s, img)
             if fd > td and td < worst:
                 worst = td
     return worst
 
 
-def find_morphism(
-    model_from,
-    model_to,
-    anchor: tuple,
-    lattice: SortLattice,
-) -> Morphism | None:
+def find_morphism(model_from, model_to, anchor: tuple) -> Morphism | None:
     """The unique graded morphism with ``anchor[0] -> anchor[1]``, if any.
 
     The map is forced along feature images from the anchor, so it covers the
@@ -491,7 +494,7 @@ def find_morphism(
                 queue.append(e2)
             elif prev != i2:
                 return None
-    return Morphism(mapping=mapping, max_beta=morphism_max_beta(model_from, model_to, mapping, lattice))
+    return Morphism(mapping=mapping, max_beta=morphism_max_beta(model_from, model_to, mapping))
 
 
 def approximation_degree(g0: OsfGraph, g1: OsfGraph, lattice: SortLattice) -> float:
@@ -787,7 +790,7 @@ def check_theorems(
         c.case(got != expected and f"threshold {beta:g}: {got} != {expected}")
 
     canon = CanonicalAlgebra.from_graph(term_to_graph(t_thriller), movie)
-    m = find_morphism(canon, interp, ("X", "halloween"), movie)
+    m = find_morphism(canon, interp, ("X", "halloween"))
     check("sample morphism degree").case(
         (m is None or m.max_beta != 0.5)
         and f"expected max degree 0.5, got {m.max_beta if m else None}"
@@ -872,7 +875,7 @@ def check_theorems(
         d = rng.choice(model.elements)
         sub = generated_subalgebra(model, [d])
         for d2 in second.elements:
-            m = find_morphism(sub, second, (d, d2), lattice)
+            m = find_morphism(sub, second, (d, d2))
             if m is None or m.max_beta <= 0.0:
                 continue
             phi = term_to_clause(random_normal_term(rng, lattice, 2))
@@ -892,10 +895,10 @@ def check_theorems(
             # Composition: chase a second hop when one exists.
             d3 = rng.choice(second.elements)
             mid = generated_subalgebra(second, [m.mapping[d]])
-            m2 = find_morphism(mid, second, (m.mapping[d], d3), lattice)
+            m2 = find_morphism(mid, second, (m.mapping[d], d3))
             if m2 is not None and m2.max_beta > 0.0:
                 composed = {e: m2.mapping[i] for e, i in m.mapping.items() if i in m2.mapping}
-                got = morphism_max_beta(sub, second, composed, lattice)
+                got = morphism_max_beta(sub, second, composed)
                 compose_check.case(
                     got < min(m.max_beta, m2.max_beta)
                     and f"composition degree {got:g} < min({m.max_beta:g}, {m2.max_beta:g})"
@@ -911,7 +914,7 @@ def check_theorems(
                 beta = satisfaction_degree(phi, model, alpha)
                 if beta <= 0.0:
                     continue
-                got = morphism_max_beta(canon, model, dict(alpha), lattice)
+                got = morphism_max_beta(canon, model, dict(alpha))
                 extract_check.case(
                     got < beta and f"{phi}: solution at {beta:g} maps at only {got:g}"
                 )
@@ -920,7 +923,7 @@ def check_theorems(
         t = random_normal_term(rng, lattice, 3)
         canon = CanonicalAlgebra.from_graph(term_to_graph(t), lattice)
         for element in model.elements:
-            m = find_morphism(canon, model, (t.tag, element), lattice)
+            m = find_morphism(canon, model, (t.tag, element))
             via = m.max_beta if m is not None else 0.0
             direct = best_denotation(t, model, element)
             via_check.case(
@@ -942,8 +945,7 @@ def check_theorems(
         mapping = {e: f"q_{e}" for e in model.elements}
         principals = []
         for e, q in mapping.items():
-            held = [s for s in lattice.graph.sorts if model.sort_degree(s, e) > 0.0]
-            principals.append((q, functools.reduce(lattice.glb, held), 1.0))
+            principals.append((q, functools.reduce(lattice.glb, model.positive_sorts(e)), 1.0))
         names = model.feature_names
         features = {(f, mapping[e]): mapping[model.feature_image(f, e)] for f in names for e in mapping}
         target = Interpretation(list(mapping.values()), _principal_table(lattice, principals), features, names)
@@ -951,7 +953,7 @@ def check_theorems(
         final_check.case(
             f"target invalid: {problems[0]}" if problems
             else "quotient map works at no positive degree"
-            if morphism_max_beta(model, target, mapping, lattice) <= 0.0 else None
+            if morphism_max_beta(model, target, mapping) <= 0.0 else None
         )
 
         # Approximation degree: completion route vs morphism route.
@@ -960,7 +962,7 @@ def check_theorems(
         g0, g1 = term_to_graph(t0), term_to_graph(t1)
         route_a = approximation_degree(g0, g1, lattice)
         canon0, canon1 = (CanonicalAlgebra.from_graph(g, lattice) for g in (g0, g1))
-        m = find_morphism(canon0, canon1, (g0.root, g1.root), lattice)
+        m = find_morphism(canon0, canon1, (g0.root, g1.root))
         route_b = m.max_beta if m is not None else 0.0
         approx_check.case(
             route_a != route_b and f"{t0} vs {t1}: completion {route_a:g} != morphism {route_b:g}"

@@ -21,6 +21,7 @@ from fuzzyosf import (
     Clause,
     EqualityConstraint,
     Inconsistent,
+    Interpretation,
     NotALattice,
     SortGraph,
     SortLattice,
@@ -30,6 +31,7 @@ from fuzzyosf import (
     clause_to_term,
     crisp_subsumes,
     enrich_from_similarity,
+    find_morphism,
     format_ontology,
     format_term,
     fuzzy_subsumption_degree,
@@ -43,6 +45,7 @@ from fuzzyosf import (
     term_to_clause,
     term_to_graph,
     unify,
+    validate_interpretation,
 )
 from fuzzyosf.semantics import random_clause, random_lattice, random_normal_term
 
@@ -52,6 +55,7 @@ CHAIN_UNIFY_BUDGET = 2.0  # seconds, single run on two 10,000-tag chains
 QUERY_BUDGET = 0.050  # seconds, one degree query on the 5,000-sort ontology
 HARNESS_BUDGET = 60.0  # seconds, full semantic harness
 ENRICH_BUDGET = 2.0  # seconds, single run on the 4,000-sort forest
+MORPHISM_BUDGET = 0.5  # seconds, find_morphism on the 20,000-element ring model
 
 DAG_COUNT = 1000  # criterion 4
 CLAUSE_COUNT = 500  # criterion 5
@@ -477,6 +481,58 @@ def test_criterion_9_loading_line_counts_grow_linearly(capsys):
         "PASS criterion 9: load_ontology, SortGraph and load_interpretation run"
         f" {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 sorts",
     )
+
+
+def _ring_model(n: int, gap: bool = False) -> tuple[SortLattice, Interpretation]:
+    """n unrelated sorts s_i and n elements e_i in a ring, f: e_i -> e_{i+1},
+    each e_i holding s_i at 0.5; with ``gap``, e0 holds s1 too, and the two
+    meet at bot."""
+    names = [f"s{i}" for i in range(n)]
+    lattice = SortLattice(SortGraph(names, ["f"], [])).validate()
+    elements = [f"e{i}" for i in range(n)]
+    table = {(names[i], elements[i]): 0.5 for i in range(n)}
+    if gap:
+        table[("s1", "e0")] = 0.5
+    features = {("f", elements[i]): elements[(i + 1) % n] for i in range(n)}
+    return lattice, Interpretation(elements, table, features, ["f"])
+
+
+def test_criterion_9_model_line_counts_grow_linearly(capsys):
+    # Executed lines of find_morphism from the ring model into itself, and of
+    # validate_interpretation on it, valid and with one meet gap, at 1,000,
+    # 2,000 and 4,000 elements and sorts.
+    counts = []
+    for n in (1000, 2000, 4000):
+        lattice, model = _ring_model(n)
+        _, broken = _ring_model(n, gap=True)
+        assert validate_interpretation(broken, lattice) == [
+            "meet gap: s0 and s1 both hold of e0 but glb bot does not"
+        ]
+        counts.append([
+            _line_events(find_morphism, model, model, ("e0", "e0")),
+            _line_events(validate_interpretation, model, lattice),
+            _line_events(validate_interpretation, broken, lattice),
+        ])
+    for small, large in zip(counts, counts[1:]):
+        for a, b in zip(small, large):
+            assert b <= 2.3 * a, counts
+    _report(
+        capsys,
+        "PASS criterion 9: find_morphism and validate_interpretation, valid and with"
+        f" a gap, run {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 elements",
+    )
+
+
+def test_criterion_9_morphism_envelope(capsys):
+    # The ring model at 20,000 elements and sorts.  A morphism that asks every
+    # sort at every element is quadratic: 0.9 s at 2,000 elements here.
+    _, model = _ring_model(20_000)
+    start = time.perf_counter()
+    m = find_morphism(model, model, ("e0", "e0"))
+    elapsed = time.perf_counter() - start
+    assert (len(m.mapping), m.max_beta) == (20_000, 1.0)
+    assert elapsed < MORPHISM_BUDGET, f"find_morphism took {elapsed:.2f} s"
+    _report(capsys, f"PASS criterion 9: find_morphism on a 20,000-element ring {elapsed * 1000:.1f} ms")
 
 
 def test_criterion_9_enrichment_envelope(capsys):

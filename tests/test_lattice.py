@@ -957,11 +957,21 @@ def test_format_parse_roundtrip_keeps_every_degree(edge, sim):
     [
         (["Bad"], [], [], OntologyError, "bad sort name: 'Bad'"),
         (["a"], ["Bad"], [], OntologyError, "bad feature name: 'Bad'"),
+        ([3], [], [], OntologyError, "bad sort name: 3"),
+        (["a"], [None], [], OntologyError, "bad feature name: None"),
         (["a"], ["f", "f"], [], DuplicateName, "feature declared twice: f"),
         (["a"], [], [("zork", "a", 1.0)], UnknownSort, "unknown sort: zork"),
         (["a"], [], [("a", "zork", 1.0)], UnknownSort, "unknown sort: zork"),
     ],
-    ids=["bad-sort-name", "bad-feature-name", "duplicate-feature", "unknown-sub", "unknown-sup"],
+    ids=[
+        "bad-sort-name",
+        "bad-feature-name",
+        "non-string-sort",
+        "non-string-feature",
+        "duplicate-feature",
+        "unknown-sub",
+        "unknown-sup",
+    ],
 )
 def test_sort_graph_rejects_bad_declarations(sorts, features, edges, error, message):
     with pytest.raises(OntologyError) as exc:

@@ -223,7 +223,8 @@ def test_no_unused_public_names():
 def test_no_unread_function_parameters():
     # A parameter that a module-level function never reads is an input callers
     # must supply for nothing.  Methods are exempt: a model's sort_degree,
-    # feature_image and is_trivial take what the protocol passes, needed or not.
+    # positive_sorts, feature_image and is_trivial take what the protocol
+    # passes, needed or not.
     unread = []
     for path in sorted(Path(fuzzyosf.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
