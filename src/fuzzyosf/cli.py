@@ -34,15 +34,15 @@ from .terms import (
     Clause,
     format_clause,
     format_term,
+    graph_to_dot,
     parse_clause,
     parse_term,
     term_tags,
     term_to_clause,
+    term_to_graph,
 )
-from .normalize import Inconsistent, normalize
-from .graphs import graph_to_dot, term_to_graph
+from .normalize import Inconsistent, normalize, unify
 from .subsumption import subsumption_witness
-from .unify import unify
 from .semantics import (
     best_denotation,
     check_theorems,

@@ -338,6 +338,36 @@ class SortLattice:
             raise NotALattice(s, t, self._maximal(common))
         return self.graph.sorts[high]
 
+    def _meet(self, sorts: Iterable[str]) -> str:
+        """The highest sort in the AND of the down-sets of ``sorts`` (one or
+        more): on a validated lattice, their meet."""
+        index, down = self.graph._index, self._down
+        common = -1
+        for s in sorts:
+            common &= down[index[s]]
+        return self.graph.sorts[self._order[common.bit_length() - 1]]
+
+    def _certified(self, positive: dict[str, float]) -> bool:
+        """Whether two linear checks prove a model's element free of gaps;
+        only a validated lattice certifies.
+
+        ``positive`` maps the element's positive sorts (top included) to their
+        degrees.  Edge check: each declared edge ``u -> v`` at degree w out of
+        a positive sort has ``d(v) >= min(d(u), w)``.  By induction along a
+        best path, this gives every closure pair's bound, so every sort above
+        a positive sort is positive.  Meet check: the meet of all the positive
+        sorts is positive.  It lies below the meet of any two of them, which
+        is therefore positive too.  Conversely, a valid element has a least
+        positive sort (two minimal ones would meet at a positive sort below
+        both), so only an element with a gap fails here.
+        """
+        g = self.graph
+        for s, ds in positive.items():
+            for v, w in g._succ[g._index[s]]:
+                if positive.get(g.sorts[v], 0.0) < (ds if ds < w else w):
+                    return False
+        return self._validated and self._meet(positive) in positive
+
     def validate(self) -> "SortLattice":
         """Check that every sort pair has a unique GLB; raises NotALattice.
 

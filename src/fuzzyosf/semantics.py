@@ -21,10 +21,10 @@ sample models and randomized ones.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .lattice import BOT, TOP, NotALattice, OntologyError, SortGraph, SortLattice
 from .lattice import _fmt, _read_degree
@@ -32,17 +32,22 @@ from .terms import (
     Clause,
     EqualityConstraint,
     FeatureConstraint,
+    OsfGraph,
     SortConstraint,
     Term,
     _solved_structure,
+    graph_to_term,
     parse_clause,
     parse_term,
     term_tags,
     term_to_clause,
+    term_to_graph,
 )
 from .normalize import Inconsistent, normalize
-from .graphs import OsfGraph, term_to_graph, graph_to_term
 from .subsumption import fuzzy_subsumption_degree
+
+if TYPE_CHECKING:
+    import random
 
 
 class Interpretation:
@@ -51,8 +56,9 @@ class Interpretation:
     ``sort_table`` holds explicit degrees per (sort, element); lookups
     default to 0, except top (always 1) and bot (always 0).  ``features``
     maps (feature, element) to an element and must be total over
-    ``feature_names``.  The tables are read at construction: each element's
-    positive sorts are indexed then, so later edits to them are not seen.
+    ``feature_names``.  Both tables are read-only views of copies taken at
+    construction, when each element's positive sorts are indexed; build a
+    new model to change them.
     """
 
     def __init__(
@@ -63,11 +69,13 @@ class Interpretation:
         feature_names: list[str],
     ):
         self.elements: list[str] = list(elements)
-        self.sort_table: dict[tuple[str, str], float] = dict(sort_table)
-        self.features: dict[tuple[str, str], str] = dict(features)
+        self._sort_table = dict(sort_table)
+        self._features = dict(features)
+        self.sort_table = MappingProxyType(self._sort_table)
+        self.features = MappingProxyType(self._features)
         self.feature_names: list[str] = list(feature_names)
         self._positive: dict[str, dict[str, float]] = {e: {TOP: 1.0} for e in self.elements}
-        for (s, e), d in self.sort_table.items():
+        for (s, e), d in self._sort_table.items():
             if d > 0.0 and s != TOP and s != BOT and e in self._positive:
                 self._positive[e][s] = d
 
@@ -76,13 +84,13 @@ class Interpretation:
             return 1.0
         if sort == BOT:
             return 0.0
-        return self.sort_table.get((sort, element), 0.0)
+        return self._sort_table.get((sort, element), 0.0)
 
     def positive_sorts(self, element) -> dict[str, float]:
         return self._positive[element]
 
     def feature_image(self, feature: str, element):
-        return self.features[(feature, element)]
+        return self._features[(feature, element)]
 
     def is_trivial(self, element) -> bool:
         return False
@@ -91,8 +99,8 @@ class Interpretation:
 def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list[str]:
     """All validity violations, exhaustively (empty list means valid).
 
-    Each element is decided on its own: on a validated lattice, one that
-    :func:`_certified` accepts has no gap, so only the others are scanned.
+    Each element is decided on its own: one that the lattice certifies
+    (``SortLattice._certified``) has no gap, so only the others are scanned.
     """
     problems: list[str] = []
     if not model.elements:
@@ -137,7 +145,7 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
     failing = [
         (e, dict(sorted(model.positive_sorts(e).items(), key=lambda sd: index[sd[0]])))
         for e in model.elements
-        if not (lattice._validated and _certified(model.positive_sorts(e), lattice))
+        if not lattice._certified(model.positive_sorts(e))
     ]
 
     # Graded-subsumption compatibility (condition on every sort pair).  All
@@ -169,31 +177,6 @@ def validate_interpretation(model: Interpretation, lattice: SortLattice) -> list
                     f"glb {meet} does not"
                 )
     return problems
-
-
-def _certified(positive: dict[str, float], lattice: SortLattice) -> bool:
-    """Whether two linear checks prove one element free of gaps.
-
-    ``positive`` maps the element's positive sorts (top included) to their
-    degrees; ``lattice`` has been validated.  Edge check: each
-    declared edge ``u -> v`` at degree w out of a positive sort has
-    ``d(v) >= min(d(u), w)``.  By induction along a best path, this gives
-    every closure pair's bound, so every sort above a positive sort is
-    positive.  Meet check: the meet of all the positive sorts, the highest
-    sort in the AND of their down-sets, is positive.  It lies below the meet
-    of any two of them, which is therefore positive too.  Conversely, a
-    valid element has a least positive sort (two minimal ones would meet at
-    a positive sort below both), so only an element with a gap fails here.
-    """
-    g, down = lattice.graph, lattice._down
-    common = -1
-    for s, ds in positive.items():
-        u = g._index[s]
-        common &= down[u]
-        for v, w in g._succ[u]:
-            if positive.get(g.sorts[v], 0.0) < (ds if ds < w else w):
-                return False
-    return g.sorts[lattice._order[common.bit_length() - 1]] in positive
 
 
 # -- interpretation text format ----------------------------------------------
@@ -745,6 +728,8 @@ def check_theorems(
     rounds: int = 40,
 ) -> TheoremReport:
     """Run every semantic self-check; see the module docstring for the claims."""
+    import random  # here, not at module level: only the harness draws
+
     from . import samples
 
     rng = random.Random(seed)
@@ -945,7 +930,7 @@ def check_theorems(
         mapping = {e: f"q_{e}" for e in model.elements}
         principals = []
         for e, q in mapping.items():
-            principals.append((q, functools.reduce(lattice.glb, model.positive_sorts(e)), 1.0))
+            principals.append((q, lattice._meet(model.positive_sorts(e)), 1.0))
         names = model.feature_names
         features = {(f, mapping[e]): mapping[model.feature_image(f, e)] for f in names for e in mapping}
         target = Interpretation(list(mapping.values()), _principal_table(lattice, principals), features, names)

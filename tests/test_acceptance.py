@@ -27,6 +27,7 @@ from fuzzyosf import (
     SortLattice,
     Term,
     build_similarity,
+    check_normal,
     check_theorems,
     clause_to_term,
     crisp_subsumes,
@@ -422,8 +423,10 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
     # Executed lines, not time, on 1,000-, 2,000- and 4,000-tag chains: unify
     # and subsumption on two chains, normalize on both chains' clauses with
     # their roots equated, and unify of a cycle with a self-loop, which merges
-    # every tag into one class.  Counts differ between Python versions, so
-    # only their ratios are asserted.
+    # every tag into one class; then printing, the normal-form check, both
+    # directions of term <-> clause and term <-> graph, and graph equivalence
+    # of the two chains.  Counts differ between Python versions, so only their
+    # ratios are asserted.
     tiny = SortLattice(SortGraph(["s"], ["f"], [])).validate()
     loop = Term("L", "s", (("f", Term("L", TOP, ())),))
     counts = []
@@ -436,19 +439,29 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
             + (EqualityConstraint("A0", "B0"),)
         )
         assert len(unify(cycle, loop, tiny).tag_classes) == 1
+        g0, g1 = term_to_graph(left), term_to_graph(right)
         counts.append([
             _line_events(unify, left, right, tiny),
             _line_events(subsumption_witness, left, right, tiny),
             _line_events(normalize, phi, tiny),
             _line_events(unify, cycle, loop, tiny),
+            _line_events(format_term, left),
+            _line_events(check_normal, left),
+            _line_events(term_to_clause, left),
+            _line_events(clause_to_term, term_to_clause(left)),
+            _line_events(term_to_graph, left),
+            _line_events(graph_to_term, g0),
+            _line_events(graph_equivalent, g0, g1),
         ])
     for small, large in zip(counts, counts[1:]):
         for a, b in zip(small, large):
             assert b <= 2.3 * a, counts
     _report(
         capsys,
-        "PASS criterion 9: unify, subsumption_witness, normalize and a merging"
-        f" cycle unify run {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 tags",
+        "PASS criterion 9: unify, subsumption_witness, normalize, a merging cycle"
+        " unify, format_term, check_normal, term_to_clause, clause_to_term,"
+        " term_to_graph, graph_to_term and graph_equivalent run"
+        f" {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 tags",
     )
 
 

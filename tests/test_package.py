@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -80,16 +82,14 @@ EXPORTS = [
 # Each module's module-level ``from .x import`` edges.  A new edge is a new
 # dependency between layers: it must come with an edit here.
 MODULE_IMPORTS = {
-    "__init__": {"graphs", "lattice", "normalize", "semantics", "subsumption", "terms", "unify"},
-    "cli": {"graphs", "lattice", "normalize", "semantics", "subsumption", "terms", "unify"},
-    "graphs": {"lattice", "terms"},
+    "__init__": {"lattice", "normalize", "semantics", "subsumption", "terms"},
+    "cli": {"lattice", "normalize", "semantics", "subsumption", "terms"},
     "lattice": set(),
     "normalize": {"lattice", "terms"},
     "samples": {"lattice", "semantics"},
-    "semantics": {"graphs", "lattice", "normalize", "subsumption", "terms"},
+    "semantics": {"lattice", "normalize", "subsumption", "terms"},
     "subsumption": {"lattice", "terms"},
     "terms": {"lattice"},
-    "unify": {"lattice", "normalize", "terms"},
 }
 
 
@@ -125,6 +125,15 @@ def test_module_imports_are_frozen():
             stmt.module for stmt in body if isinstance(stmt, ast.ImportFrom) and stmt.level == 1
         }
     assert found == MODULE_IMPORTS
+
+
+def test_the_cli_does_not_import_random():
+    # Only the harness draws, and it imports random itself.  -S keeps site
+    # out: a .pth file can import random before the package is read.
+    parent = str(Path(fuzzyosf.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {parent!r}); import fuzzyosf.cli; print('random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_no_unused_imports():

@@ -39,7 +39,7 @@ from fuzzyosf import (
     validate_interpretation,
 )
 from fuzzyosf import semantics
-from fuzzyosf.samples import movie_lattice
+from fuzzyosf.samples import movie_interpretation, movie_lattice
 from fuzzyosf.semantics import (
     random_interpretation,
     random_lattice,
@@ -58,6 +58,19 @@ def query(movies):
 
 def test_movie_model_is_valid(movies, movie_model):
     assert validate_interpretation(movie_model, movies) == []
+
+
+def test_model_tables_are_read_only(movies):
+    # positive_sorts answers from an index built at construction, so an edit
+    # to a table afterwards would split it from sort_degree.
+    model = movie_interpretation()
+    with pytest.raises(TypeError):
+        del model.sort_table[("movie", "halloween")]
+    with pytest.raises(TypeError):
+        model.features[("title", "halloween")] = "null"
+    for e in model.elements:
+        held = {s: model.sort_degree(s, e) for s in movies.graph.sorts}
+        assert model.positive_sorts(e) == {s: d for s, d in held.items() if d > 0.0}
 
 
 def test_membership_gap_is_flagged(movies, movie_model):
