@@ -581,14 +581,16 @@ def canonical_normal_form(nf) -> tuple:
 
     ``nf`` is a form of :func:`normalize_small_step`, or the library's
     ``Normalized`` or ``Inconsistent``, read through ``.solved.constraints``
-    and ``.equalities`` only.  The fingerprint is ``("inconsistent",)`` for
-    a collapsed clause; otherwise ``("normalized", constraints,
-    partition)``: the solved constraints as a set of tuples over canonical
-    tags, and the equality classes with more than one member.
+    and ``.equalities`` only.  A collapsed form is told by its shape: None,
+    or a ``tag`` and no ``solved``, whatever its class (a named tuple too).
+    The fingerprint is ``("inconsistent",)`` for a collapsed clause;
+    otherwise ``("normalized", constraints, partition)``: the solved
+    constraints as a set of tuples over canonical tags, and the equality
+    classes with more than one member.
     """
     if hasattr(nf, "solved"):
         nf = clause_constraints(nf.solved), nf.equalities
-    elif not isinstance(nf, tuple):
+    elif nf is None or hasattr(nf, "tag"):
         return ("inconsistent",)
     solved, equalities = nf
     classes: dict[str, frozenset] = {}
