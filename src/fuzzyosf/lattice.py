@@ -222,11 +222,12 @@ class SortGraph:
 class SortLattice:
     """Query layer over a :class:`SortGraph`: closure degrees and GLBs.
 
-    Closure degrees are computed lazily, one source at a time: a DFS finds the
-    sorts above the source, one relaxation pass over just those in
-    topological order fills a dict of the positive degrees — O(a log a + e)
-    per distinct source for a sorts above it with e out-edges among them,
-    memoized.
+    Closure degrees are computed lazily, one source at a time, and memoized: a
+    DFS finds the sorts above the source, up to those whose rows are memoized
+    already, one relaxation pass over just those in topological order fills a
+    dict of the positive degrees, and the memoized rows merge in — O(a log a +
+    e + r) per distinct source for a sorts searched with e out-edges among
+    them and r entries in the memoized rows met.
     GLBs live on the crisp support, as bit vectors (Aït-Kaci, Boyer, Lincoln
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
@@ -237,7 +238,7 @@ class SortLattice:
 
     def __init__(self, graph: SortGraph):
         self.graph = graph
-        self._rows: dict[int, dict[int, float]] = {}
+        self._rows: dict[int, dict[int, float]] = {}  # closure rows, each with top at 1
         # Pin bot and top to the ends: graph._topo may put leaves before bot.
         bot, top = graph._index[BOT], graph._index[TOP]
         order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
@@ -253,6 +254,7 @@ class SortLattice:
         # As ints, down-sets grow strictly along every edge: a linear extension.
         self._down: list[int] = down
         self._order: list[int] = order  # the sort number at each bit
+        self._top = top
         self._validated = False
 
     # -- closure ---------------------------------------------------------
@@ -261,24 +263,44 @@ class SortLattice:
         row = self._rows.get(src)
         if row is not None:
             return row
-        succ = self.graph._succ
-        reach, stack = {src}, [src]
+        # Search up from src, stopping at sorts whose rows are memoized.
+        succ, rows = self.graph._succ, self._rows
+        reach, stack, memoized = {src}, [src], []
         while stack:
             for v, _ in succ[stack.pop()]:
                 if v not in reach:
                     reach.add(v)
-                    stack.append(v)
-        # Relax the reachable sorts only, by down-set (a topological order);
-        # every one of them has a positive degree by the time it is reached.
-        row = {src: 1.0}
-        for u in sorted(reach, key=self._down.__getitem__):
+                    if v in rows:
+                        memoized.append(v)
+                    else:
+                        stack.append(v)
+        # Relax the sorts searched, by down-set (a topological order); every
+        # one of them has a positive degree by the time it is reached.  A path
+        # through a memoized sort v is a path to v followed by one in v's row.
+        row = {src: 1.0, self._top: 1.0}
+        for u in sorted(reach.difference(memoized), key=self._down.__getitem__):
             du = row[u]
             for v, w in succ[u]:
                 d = du if du < w else w
                 if d > row.get(v, 0.0):
                     row[v] = d
-        self._rows[src] = row
+        for v in memoized:
+            dv = row[v]
+            for u, w in rows[v].items():
+                d = dv if dv < w else w
+                if d > row.get(u, 0.0):
+                    row[u] = d
+        rows[src] = row
         return row
+
+    def _degree(self, s: str, t: str) -> float:
+        """:meth:`degree` of two sorts of the signature, unchecked."""
+        if s == t or s == BOT:
+            return 1.0
+        idx = self.graph._index
+        i = idx[s]
+        row = self._rows.get(i) or self._row(i)
+        return row.get(idx[t], 0.0)
 
     def degree(self, s: str, t: str) -> float:
         """Graded subsumption s below t: max over paths of min edge degree."""
@@ -287,24 +309,15 @@ class SortLattice:
             raise UnknownSort(s)
         if t not in idx:
             raise UnknownSort(t)
-        if s == t:
-            return 1.0
-        if s == BOT or t == TOP:
-            return 1.0
-        if s == TOP or t == BOT:
-            return 0.0
-        i, j = idx[s], idx[t]
-        row = self._rows.get(i) or self._row(i)
-        return row[j] if j in row else 0.0
+        return self._degree(s, t)
 
     def _above(self, s: str) -> list[tuple[str, float]]:
         """Every ``(t, degree(s, t))`` with a positive degree, in sort order."""
         g = self.graph
         if s == BOT:
             return [(t, 1.0) for t in g.sorts]
-        top = g._index[TOP]
         row = self._row(g._index[s])
-        return [(g.sorts[j], 1.0 if j == top else row[j]) for j in sorted({*row, top})]
+        return [(g.sorts[j], row[j]) for j in sorted(row)]
 
     def closure_pairs(self) -> list[tuple[str, str, float]]:
         """All positive closure entries, including implicit bounds and reflexivity."""
@@ -324,6 +337,15 @@ class SortLattice:
                 covered |= down[u]
         return sorted(out)
 
+    def _glb(self, s: str, t: str) -> str:
+        """:meth:`glb` of two sorts of the signature, unchecked."""
+        idx, down = self.graph._index, self._down
+        common = down[idx[s]] & down[idx[t]]
+        high = self._order[common.bit_length() - 1]
+        if down[high] != common:
+            raise NotALattice(s, t, self._maximal(common))
+        return self.graph.sorts[high]
+
     def glb(self, s: str, t: str) -> str:
         """Greatest lower bound on the crisp support; raises NotALattice."""
         idx = self.graph._index
@@ -331,12 +353,16 @@ class SortLattice:
             raise UnknownSort(s)
         if t not in idx:
             raise UnknownSort(t)
-        down = self._down
-        common = down[idx[s]] & down[idx[t]]
-        high = self._order[common.bit_length() - 1]
-        if down[high] != common:
-            raise NotALattice(s, t, self._maximal(common))
-        return self.graph.sorts[high]
+        return self._glb(s, t)
+
+    def _kernels(self) -> tuple:
+        """The unchecked :meth:`glb` and :meth:`degree`, for sorts already
+        checked against the signature.  A subclass that wraps the checked
+        queries (to trace them, say) gets them back, so it sees every query."""
+        cls = type(self)
+        if cls.glb is SortLattice.glb and cls.degree is SortLattice.degree:
+            return self._glb, self._degree
+        return self.glb, self.degree
 
     def _meet(self, sorts: Iterable[str]) -> str:
         """The highest sort in the AND of the down-sets of ``sorts`` (one or
@@ -392,7 +418,7 @@ class SortLattice:
                 for b in above[i + 1 :]:
                     common = da & down[b]
                     if common != da and common != down[b] and down[order[common.bit_length() - 1]] != common:
-                        self.glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
+                        self._glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
             self._validated = True
         return self
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 from .lattice import BOT, SortLattice
 from .terms import Clause, Constraint, FeatureConstraint, SortConstraint, Term, _expand, _gate, fresh_tags
@@ -76,13 +76,14 @@ class _Solver:
     feature (``feats``, feature to tag number), both at the class's root.
     A caller may fill these tables up front; constraints land through
     :meth:`add_sort` and :meth:`add_feats`; equalities queue on ``pending``
-    and :meth:`drain` merges them, queueing the feature merges they force.
-    A bot sort raises ``_Collapse``.  With ``trace`` set, every rule firing
-    is logged.
+    and :meth:`drain` merges them, meeting the two classes' sorts through
+    ``meet`` (the lattice's unchecked GLB) and queueing the feature merges
+    they force.  A bot sort raises ``_Collapse``.  With ``trace`` set, every
+    rule firing is logged.
     """
 
-    def __init__(self, lattice: SortLattice, names: list[str], trace: bool = False):
-        self.lattice = lattice
+    def __init__(self, meet: Callable[[str, str], str], names: list[str], trace: bool = False):
+        self.meet = meet
         self.trace = trace
         self.names = names
         self.parent = list(range(len(names)))
@@ -110,7 +111,7 @@ class _Solver:
     def add_sort(self, rep: int, sort: str) -> None:
         cur = self.sort[rep]
         if cur is not None:
-            meet = cur if cur == sort else self.lattice.glb(cur, sort)
+            meet = cur if cur == sort else self.meet(cur, sort)
             if self.trace:
                 self.log.append(f"sort-intersection: {self.names[rep]} : glb({cur}, {sort}) = {meet}")
             sort = meet
@@ -136,9 +137,15 @@ class _Solver:
                 self.pending.append((existing, target))
 
     def drain(self) -> None:
-        """Merge queued equalities until none is left."""
+        """Merge queued equalities until none is left.
+
+        Without ``trace``, a merge meets the sorts and pairs up the features
+        in place; a forced pair whose tags already share a class is queued
+        anyway, and skipped when it comes up.  With ``trace``, the merge goes
+        through :meth:`add_sort` and :meth:`add_feats`, which log.
+        """
         pending, find, parent, rank = self.pending, self.find, self.parent, self.rank
-        sort, feats = self.sort, self.feats
+        sort, feats, meet, trace = self.sort, self.feats, self.meet, self.trace
         while pending:
             x, y = pending.popleft()
             winner = x if parent[x] == x else find(x)
@@ -151,16 +158,35 @@ class _Solver:
             elif rank_w == rank_l:
                 rank[winner] = rank_w + 1
             parent[loser] = winner
-            if self.trace:
+            if trace:
                 self.log.append(f"tag-elimination: {self.names[loser]} -> {self.names[winner]}")
-            lost_sort = sort[loser]
-            if lost_sort is not None:
+            # A stored sort is never bot: add_sort raises before storing one.
+            lost = sort[loser]
+            if lost is not None:
                 sort[loser] = None
-                self.add_sort(winner, lost_sort)
+                kept = sort[winner]
+                if kept is None:
+                    sort[winner] = lost
+                elif trace:
+                    self.add_sort(winner, lost)
+                elif kept != lost:
+                    kept = meet(kept, lost)
+                    if kept == BOT:
+                        raise _Collapse(winner)
+                    sort[winner] = kept
             lost_feats = feats[loser]
             if lost_feats is not None:
                 feats[loser] = None
-                self.add_feats(winner, lost_feats)
+                bucket = feats[winner]
+                if bucket is None:
+                    feats[winner] = lost_feats
+                elif trace:
+                    self.add_feats(winner, lost_feats)
+                else:
+                    for feature, target in lost_feats.items():
+                        existing = bucket.setdefault(feature, target)
+                        if existing != target:
+                            pending.append((existing, target))
 
 
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
@@ -187,17 +213,18 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
             x = number.setdefault(c.left, len(number))
             steps.append((x, None, number.setdefault(c.right, len(number))))
     names = list(number)
-    solver = _Solver(lattice, names, trace)
-    find = solver.find
+    solver = _Solver(lattice._kernels()[0], names, trace)
+    find, pending = solver.find, solver.pending
     try:
         for x, name, y in steps:
             if y is None:
                 solver.add_sort(find(x), name)
             elif name is None:
-                solver.pending.append((x, y))
+                pending.append((x, y))
             else:
                 solver.add_feats(find(x), {name: y})
-            solver.drain()
+            if pending:
+                solver.drain()
     except _Collapse as stop:
         return Inconsistent(tag=names[stop.tag], trace=solver.log)
 
@@ -258,6 +285,9 @@ def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     return mapping
 
 
+_CLASS_NAMES: list[str] = []  # "_Z0", "_Z1", ...: unify's class names, grown on demand
+
+
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
     tags1, own1, edges1 = _gate(t1, lattice.graph)
@@ -270,7 +300,8 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     # tables, term 2's shifted past term 1's.
     n1 = len(tags1)
     names = tags1 + [renamed.get(tag, tag) for tag in tags2] if renamed else tags1 + tags2
-    solver = _Solver(lattice, names)
+    meet, degree = lattice._kernels()
+    solver = _Solver(meet, names)
     solver.sort = sort = own1 + own2
     feats = solver.feats
     # Class names follow the combined clause's first mentions of the tags:
@@ -296,8 +327,14 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
 
     # Classes get fresh names in first-mention order; each class's features
     # then point at class roots, and the unifier expands from the tables.
+    # Only an input tag that starts with "_Z" can clash with a shared name.
     roots = solver.roots()
-    fresh = fresh_tags(set(names), prefix="_Z")
+    if "_Z" in "".join(names):
+        fresh = fresh_tags(set(names), prefix="_Z")
+    else:
+        if len(_CLASS_NAMES) < len(names):
+            _CLASS_NAMES.extend(f"_Z{n}" for n in range(len(_CLASS_NAMES), len(names)))
+        fresh = iter(_CLASS_NAMES)
     class_name: list[str | None] = [None] * len(names)  # per class root
     classes: dict[str, list[str]] = {}  # each class's members, in first-mention order
     for x in dict.fromkeys(mention):
@@ -316,9 +353,16 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
 
     # Each tag's degree, term 1's tags first, each term's in walk order; a tag
     # whose class kept its own sort has degree 1 by reflexivity.
-    degree = lattice.degree
-    degrees = [1.0 if s == t else degree(s, t) for s, t in zip(map(sort.__getitem__, roots), own1 + own2)]
-    beta1, beta2 = min(degrees[:n1]), min(degrees[n1:])
+    beta1 = beta2 = 1.0
+    for x, (rep, own) in enumerate(zip(roots, own1 + own2)):
+        s = sort[rep]
+        if s != own:
+            d = degree(s, own)
+            if x < n1:
+                if d < beta1:
+                    beta1 = d
+            elif d < beta2:
+                beta2 = d
     return UnifyResult(
         unifier=unifier,
         beta1=beta1,

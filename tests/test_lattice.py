@@ -273,6 +273,47 @@ def test_sparse_rows_match_the_oracle(dag):
     assert SortLattice(graph).closure_pairs() == expected
 
 
+@st.composite
+def dags_and_source_orders(draw, max_sorts: int = 10):
+    """A random DAG with :func:`bounded_dags`' shapes, a chain, or a stack of
+    diamonds (d{i} below l{i} and r{i}, both below d{i+1}), plus every sort as
+    a source in a random order: each row is built on whichever rows above it
+    were memoized first."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = rng.choice(("dag", "chain", "diamonds"))
+    if shape == "dag":
+        sorts, edges = draw(bounded_dags(max_sorts=max_sorts))
+    elif shape == "chain":
+        sorts = [f"c{i}" for i in range(rng.randint(2, max_sorts))]
+        edges = [(a, b, rng.choice(strategies.DEGREES)) for a, b in zip(sorts, sorts[1:])]
+    else:
+        k = rng.randint(1, 3)
+        sorts = [f"{p}{i}" for i in range(k) for p in "dlr"] + [f"d{k}"]
+        edges = [
+            (a, b, rng.choice(strategies.DEGREES))
+            for i in range(k)
+            for a, b in ((f"d{i}", f"l{i}"), (f"d{i}", f"r{i}"), (f"l{i}", f"d{i + 1}"), (f"r{i}", f"d{i + 1}"))
+        ]
+    sources = [*{BOT: None, TOP: None, **dict.fromkeys(sorts)}]
+    rng.shuffle(sources)
+    return sorts, edges, sources
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_and_source_orders())
+def test_rows_built_on_memoized_rows_match_the_oracle(case):
+    sorts, edges, sources = case
+    table = oracles.closure_table(sorts, edges)
+    graph = SortGraph(sorts, [], edges)
+    lattice = SortLattice(graph)
+    for s in sources:
+        for t in graph.sorts:
+            assert lattice.degree(s, t) == table[(s, t)], (s, t)
+    names = graph.sorts
+    expected = [(s, t, table[(s, t)]) for s in names for t in names if table[(s, t)] > 0.0]
+    assert lattice.closure_pairs() == expected
+
+
 def test_closure_pairs_time_is_linear_in_the_rows():
     # A 3,000-sort binary tree: each row holds about a dozen sorts, so a
     # closure that scans the whole hierarchy for every source takes seconds.
@@ -515,9 +556,9 @@ def test_validate_time_on_a_dense_grid():
     assert lattice.glb("g3_17", "g25_4") == "g3_4"
 
 
-def _validate_line_events(names: list[str], edges: list[tuple[str, str, float]]) -> int:
-    """The number of lines validate() executes, counted by a tracer."""
-    lattice = SortLattice(SortGraph(names, [], edges))
+def _line_events(call, *args) -> int:
+    """The number of lines ``call(*args)`` executes, counted by a tracer; a
+    NotALattice it raises ends the count."""
     count = 0
 
     def trace(frame, event, arg):
@@ -528,12 +569,17 @@ def _validate_line_events(names: list[str], edges: list[tuple[str, str, float]])
     old = sys.gettrace()
     sys.settrace(trace)
     try:
-        lattice.validate()
+        call(*args)
     except NotALattice:
         pass
     finally:
         sys.settrace(old)
     return count
+
+
+def _validate_line_events(names: list[str], edges: list[tuple[str, str, float]]) -> int:
+    """The number of lines validate() executes."""
+    return _line_events(SortLattice(SortGraph(names, [], edges)).validate)
 
 
 def test_validate_line_count_on_generated_hierarchies():
@@ -551,6 +597,41 @@ def test_validate_line_count_on_generated_hierarchies():
             assert large <= 3.5 * small, counts
     # A failing hierarchy costs one scan, as a valid one does.
     assert invalid[-1] <= 1.1 * valid[-1], (valid, invalid)
+
+
+def _row_line_events(names: list[str], edges: list[tuple[str, str, float]], src: str, memoized: str | None) -> int:
+    """The number of lines one closure row executes, on a fresh lattice with
+    only the row of ``memoized`` (if given) built beforehand."""
+    lattice = SortLattice(SortGraph(names, [], edges))
+    index = lattice.graph._index
+    if memoized is not None:
+        lattice._row(index[memoized])
+    return _line_events(lattice._row, index[src])
+
+
+def test_one_row_line_count_grows_linearly():
+    # One row, cold and with its source's first parent's row memoized: that of
+    # a chain's bottom, which holds every sort, and that of the sort with the
+    # most sorts above it in a generated hierarchy.  A row that memoized every
+    # sort it searched, or merged each memoized row once per sort below it,
+    # grows quadratically on the chain.
+    counts = []
+    for n in (1_000, 2_000, 4_000):
+        chain = [f"c{i}" for i in range(n)]
+        links = [(a, b, strategies.DEGREES[i % 10]) for i, (a, b) in enumerate(zip(chain, chain[1:]))]
+        names, edges = _generated_hierarchy(n)
+        every_row = SortLattice(SortGraph(names, [], edges))
+        deep = max(names, key=lambda s: len(every_row._above(s)))
+        parent = next(sup for sub, sup, _ in edges if sub == deep)
+        counts.append([
+            _row_line_events(chain, links, "c0", None),
+            _row_line_events(chain, links, "c0", "c1"),
+            _row_line_events(names, edges, deep, None),
+            _row_line_events(names, edges, deep, parent),
+        ])
+    for small, large in zip(counts, counts[1:]):
+        for a, b in zip(small, large):
+            assert b <= 2.3 * a, counts
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from oracles import canonical_normal_form, clause_constraints, normalize_small_step, step_bound
@@ -207,6 +209,43 @@ def test_normalize_is_idempotent(bundle):
         )
 
 
+@st.composite
+def clauses_that_merge_features(draw):
+    """A harness clause, then feature constraints and equalities among three
+    of its tags, so that merged classes often both carry a feature."""
+    lattice, clause = draw(strategies.lattice_and_clause(max_tags=6) | strategies.diamond_and_clause(max_tags=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    tags, features = clause.tags()[:3], lattice.graph.features
+    extra = [FeatureConstraint(rng.choice(tags), rng.choice(features), rng.choice(tags)) for _ in range(rng.randint(0, 4))]
+    extra += [EqualityConstraint(rng.choice(tags), rng.choice(tags)) for _ in range(rng.randint(1, 3))]
+    return lattice, Clause(clause.constraints + tuple(extra))
+
+
+def _assert_trace_keeps_the_normal_form(clause: Clause, lattice) -> None:
+    plain, traced = normalize(clause, lattice), normalize(clause, lattice, trace=True)
+    assert type(plain) is type(traced) and plain.trace == []
+    if isinstance(plain, Inconsistent):
+        assert plain.tag == traced.tag
+    else:
+        assert (plain.solved, plain.equalities) == (traced.solved, traced.equalities)
+
+
+def test_trace_does_not_change_a_forced_equality(chain_lattice):
+    # X = Z merges two classes with an f value each: Y = W is forced.
+    clause = parse_clause("X.f = Y & Z.f = W & X = Z & X.g = Z", chain_lattice.graph)
+    assert normalize(clause, chain_lattice).equalities == (("X", "Z"), ("Y", "W"))
+    _assert_trace_keeps_the_normal_form(clause, chain_lattice)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clauses_that_merge_features())
+def test_trace_does_not_change_the_normal_form(bundle):
+    # With trace on, merges go through the logging rule methods; without it,
+    # the solver merges in place and queues pairs already in one class too.
+    lattice, clause = bundle
+    _assert_trace_keeps_the_normal_form(clause, lattice)
+
+
 # -- the randomized small-step engine ------------------------------------------------
 
 
@@ -220,6 +259,15 @@ def test_small_step_agrees_with_production(bundle):
         nf, steps = normalize_small_step(constraints, lattice.glb, rng=random.Random(seed))
         assert canonical_normal_form(nf) == expected
         assert steps <= step_bound(constraints)
+
+
+def test_a_collapsed_form_is_told_by_its_shape():
+    # An Inconsistent that is a named tuple is not read as (solved, equalities).
+    Collapsed = collections.namedtuple("Collapsed", "tag trace")
+    assert canonical_normal_form(Collapsed("X", [])) == ("inconsistent",)
+    assert canonical_normal_form(Inconsistent("X")) == ("inconsistent",)
+    assert canonical_normal_form(None) == ("inconsistent",)
+    assert canonical_normal_form(((), ())) == ("normalized", frozenset(), frozenset())
 
 
 def test_small_step_deterministic_without_rng(chain_lattice):

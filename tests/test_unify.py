@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -27,6 +28,7 @@ from fuzzyosf import (
     unify,
 )
 from fuzzyosf.semantics import random_lattice, random_normal_term
+from fuzzyosf.terms import term_tags
 
 
 # -- the cyclic flagship pair ---------------------------------------------------------
@@ -220,8 +222,73 @@ def test_unify_frozen_when_a_back_reference_comes_first(
     assert result.renamed == {"X": "X_"}
 
 
+# -- fresh class names ---------------------------------------------------------------
+
+
+def _assert_class_names_are_fresh(result, t1: Term, t2: Term) -> None:
+    """The classes are named _Z0, _Z1, ... in order, skipping every input tag
+    (term 2's after renaming)."""
+    used = set(term_tags(t1)) | {result.renamed.get(tag, tag) for tag in term_tags(t2)}
+    fresh = (f"_Z{n}" for n in itertools.count())
+    expected = list(itertools.islice((name for name in fresh if name not in used), len(result.tag_classes)))
+    assert list(result.tag_classes) == expected
+
+
+def test_class_names_skip_input_tags_named_like_them(chain_lattice):
+    # t2's untagged t is parsed as _Z0, which t1 also uses, so it is renamed _Z0_.
+    g = chain_lattice.graph
+    t1 = parse_term("_Z0: s(f -> _Z1: u(g -> _Z3: v))", g)
+    t2 = parse_term("_Z1: s(f -> X: u, h -> t)", g)
+    result = unify(t1, t2, chain_lattice)
+    assert format_term(result.unifier) == "_Z2: s(f -> _Z4: u(g -> _Z5: v), h -> _Z6: t)"
+    assert result.tag_classes == {
+        "_Z2": ("_Z0", "_Z1_"), "_Z4": ("_Z1", "X"), "_Z5": ("_Z3",), "_Z6": ("_Z0_",),
+    }
+    assert result.renamed == {"_Z1": "_Z1_", "_Z0": "_Z0_"}
+    _assert_class_names_are_fresh(result, t1, t2)
+
+
+def _chain(prefix: str, depth: int) -> Term:
+    node = Term(f"{prefix}{depth - 1}", "s", ())
+    for i in range(depth - 2, -1, -1):
+        node = Term(f"{prefix}{i}", "s", (("f", node),))
+    return node
+
+
+def test_class_names_outgrow_the_shared_table(chain_lattice):
+    # Two chains of equal length unify into one class per depth: more classes
+    # than unify has named so far in this process.
+    from fuzzyosf.normalize import _CLASS_NAMES
+
+    depth = len(_CLASS_NAMES) + 40
+    result = unify(_chain("A", depth), _chain("B", depth), chain_lattice)
+    assert list(result.tag_classes) == [f"_Z{n}" for n in range(depth)]
+    assert len(_CLASS_NAMES) >= depth
+    _assert_class_names_are_fresh(result, _chain("A", depth), _chain("B", depth))
+    # Input tags past the end of the table are skipped too.
+    t1, t2 = _chain("A", depth + 20), _chain("_Z", depth + 20)
+    result = unify(t1, t2, chain_lattice)
+    assert len(result.tag_classes) == depth + 20
+    assert not set(result.tag_classes) & set(term_tags(t2))
+    _assert_class_names_are_fresh(result, t1, t2)
+
+
 class _RecordingLattice(SortLattice):
-    """Records every glb and degree call made through the lattice object."""
+    """Records every call to the unchecked glb and degree kernels, which the
+    solver asks for sorts it has already checked."""
+
+    def _glb(self, s, t):
+        self.calls.append(("glb", s, t))
+        return super()._glb(s, t)
+
+    def _degree(self, s, t):
+        self.calls.append(("degree", s, t))
+        return super()._degree(s, t)
+
+
+class _WrappingLattice(SortLattice):
+    """Records every call to the checked glb and degree, as an instrumented
+    lattice that wraps them does."""
 
     def glb(self, s, t):
         self.calls.append(("glb", s, t))
@@ -232,8 +299,8 @@ class _RecordingLattice(SortLattice):
         return super().degree(s, t)
 
 
-def _recording(lattice: SortLattice) -> _RecordingLattice:
-    rec = _RecordingLattice(lattice.graph).validate()
+def _recording(lattice: SortLattice, kind: type[SortLattice] = _RecordingLattice) -> SortLattice:
+    rec = kind(lattice.graph).validate()
     rec.calls = []
     return rec
 
@@ -258,6 +325,13 @@ def test_unify_lattice_calls_on_the_movie_pair(movies, movie_terms):
         ("degree", "director", "person"), ("degree", "slasher", "thriller"),
         ("degree", "slasher", "horror"),
     ]
+
+
+def test_a_lattice_that_wraps_the_checked_queries_sees_every_call(chain_lattice, cyclic_pair):
+    # The solver asks a subclass's own glb and degree, not the kernels under them.
+    kernels, wrapped = _recording(chain_lattice), _recording(chain_lattice, _WrappingLattice)
+    assert unify(*cyclic_pair, kernels) == unify(*cyclic_pair, wrapped)
+    assert wrapped.calls == kernels.calls and len(kernels.calls) == 8
 
 
 def test_unify_lattice_calls_on_a_bottom_pair(chain_lattice):
