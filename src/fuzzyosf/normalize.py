@@ -285,7 +285,7 @@ def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     return mapping
 
 
-_CLASS_NAMES: list[str] = []  # "_Z0", "_Z1", ...: unify's class names, grown on demand
+_CLASS_NAMES: list[str] = []  # "_Z0", "_Z1", ...: unify's class names, grown to the most tags seen
 
 
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
@@ -327,7 +327,8 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
 
     # Classes get fresh names in first-mention order; each class's features
     # then point at class roots, and the unifier expands from the tables.
-    # Only an input tag that starts with "_Z" can clash with a shared name.
+    # Only an input tag that starts with "_Z" can clash with a shared name,
+    # and a "_Z" nowhere in the joined tags rules that out.
     roots = solver.roots()
     if "_Z" in "".join(names):
         fresh = fresh_tags(set(names), prefix="_Z")
