@@ -294,7 +294,7 @@ def dags_and_source_orders(draw, max_sorts: int = 10):
             for i in range(k)
             for a, b in ((f"d{i}", f"l{i}"), (f"d{i}", f"r{i}"), (f"l{i}", f"d{i + 1}"), (f"r{i}", f"d{i + 1}"))
         ]
-    sources = [*{BOT: None, TOP: None, **dict.fromkeys(sorts)}]
+    sources = list(dict.fromkeys([BOT, TOP, *sorts]))  # bounded_dags may declare bot and top
     rng.shuffle(sources)
     return sorts, edges, sources
 
@@ -612,9 +612,9 @@ def _row_line_events(names: list[str], edges: list[tuple[str, str, float]], src:
 def test_one_row_line_count_grows_linearly():
     # One row, cold and with its source's first parent's row memoized: that of
     # a chain's bottom, which holds every sort, and that of the sort with the
-    # most sorts above it in a generated hierarchy.  A row that memoized every
-    # sort it searched, or merged each memoized row once per sort below it,
-    # grows quadratically on the chain.
+    # most sorts above it in a generated hierarchy.  A row that built and
+    # memoized the row of every sort it searched would grow quadratically on
+    # the chain.
     counts = []
     for n in (1_000, 2_000, 4_000):
         chain = [f"c{i}" for i in range(n)]

@@ -27,6 +27,7 @@ from fuzzyosf import (
     term_to_graph,
     unify,
 )
+from fuzzyosf.normalize import _CLASS_NAMES
 from fuzzyosf.semantics import random_lattice, random_normal_term
 from fuzzyosf.terms import term_tags
 
@@ -258,8 +259,6 @@ def _chain(prefix: str, depth: int) -> Term:
 def test_class_names_outgrow_the_shared_table(chain_lattice):
     # Two chains of equal length unify into one class per depth: more classes
     # than unify has named so far in this process.
-    from fuzzyosf.normalize import _CLASS_NAMES
-
     depth = len(_CLASS_NAMES) + 40
     result = unify(_chain("A", depth), _chain("B", depth), chain_lattice)
     assert list(result.tag_classes) == [f"_Z{n}" for n in range(depth)]
