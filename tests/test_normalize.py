@@ -216,7 +216,10 @@ def clauses_that_merge_features(draw):
     lattice, clause = draw(strategies.lattice_and_clause(max_tags=6) | strategies.diamond_and_clause(max_tags=6))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     tags, features = clause.tags()[:3], lattice.graph.features
-    extra = [FeatureConstraint(rng.choice(tags), rng.choice(features), rng.choice(tags)) for _ in range(rng.randint(0, 4))]
+    extra = [
+        FeatureConstraint(rng.choice(tags), rng.choice(features), rng.choice(tags))
+        for _ in range(rng.randint(0, 4))
+    ]
     extra += [EqualityConstraint(rng.choice(tags), rng.choice(tags)) for _ in range(rng.randint(1, 3))]
     return lattice, Clause(clause.constraints + tuple(extra))
 
