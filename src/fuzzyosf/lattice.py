@@ -222,12 +222,11 @@ class SortGraph:
 class SortLattice:
     """Query layer over a :class:`SortGraph`: closure degrees and GLBs.
 
-    Closure degrees are computed lazily, one source at a time, and memoized: a
-    DFS finds the sorts above the source, up to those whose rows are memoized
-    already, one relaxation pass over just those in topological order fills a
-    dict of the positive degrees, and the memoized rows merge in — O(a log a +
-    e + r) per distinct source for a sorts searched with e out-edges among
-    them and r entries in the memoized rows met.
+    Closure degrees are computed lazily, one source at a time: a DFS finds the
+    sorts above the source, one relaxation pass over just those in
+    topological order fills a dict of the positive degrees — O(a log a + e)
+    per distinct source for a sorts above it with e out-edges among them,
+    memoized.
     GLBs live on the crisp support, as bit vectors (Aït-Kaci, Boyer, Lincoln
     & Nasr, TOPLAS 1989): each sort's down-set is an ``int`` over a linear
     extension with ``bot`` at bit 0, two sorts' common lower bounds are the
@@ -238,7 +237,7 @@ class SortLattice:
 
     def __init__(self, graph: SortGraph):
         self.graph = graph
-        self._rows: dict[int, dict[int, float]] = {}  # closure rows, each with top at 1
+        self._rows: dict[int, dict[int, float]] = {}
         # Pin bot and top to the ends: graph._topo may put leaves before bot.
         bot, top = graph._index[BOT], graph._index[TOP]
         order = [bot] + [u for u in graph._topo if u != bot and u != top] + [top]
@@ -254,7 +253,6 @@ class SortLattice:
         # As ints, down-sets grow strictly along every edge: a linear extension.
         self._down: list[int] = down
         self._order: list[int] = order  # the sort number at each bit
-        self._top = top
         self._validated = False
 
     # -- closure ---------------------------------------------------------
@@ -263,40 +261,31 @@ class SortLattice:
         row = self._rows.get(src)
         if row is not None:
             return row
-        # Search up from src, stopping at sorts whose rows are memoized.
-        succ, rows = self.graph._succ, self._rows
-        reach, stack, memoized = {src}, [src], []
+        succ = self.graph._succ
+        reach, stack = {src}, [src]
         while stack:
             for v, _ in succ[stack.pop()]:
                 if v not in reach:
                     reach.add(v)
-                    if v in rows:
-                        memoized.append(v)
-                    else:
-                        stack.append(v)
-        # Relax the sorts searched, by down-set (a topological order); every
-        # one of them has a positive degree by the time it is reached.  A path
-        # through a memoized sort v is a path to v followed by one in v's row.
-        row = {src: 1.0, self._top: 1.0}
-        for u in sorted(reach.difference(memoized), key=self._down.__getitem__):
+                    stack.append(v)
+        # Relax the reachable sorts only, by down-set (a topological order);
+        # every one of them has a positive degree by the time it is reached.
+        row = {src: 1.0}
+        for u in sorted(reach, key=self._down.__getitem__):
             du = row[u]
             for v, w in succ[u]:
                 d = du if du < w else w
                 if d > row.get(v, 0.0):
                     row[v] = d
-        for v in memoized:
-            dv = row[v]
-            for u, w in rows[v].items():
-                d = dv if dv < w else w
-                if d > row.get(u, 0.0):
-                    row[u] = d
-        rows[src] = row
+        self._rows[src] = row
         return row
 
     def _degree(self, s: str, t: str) -> float:
         """:meth:`degree` of two sorts of the signature, unchecked."""
-        if s == t or s == BOT:
+        if s == t or s == BOT or t == TOP:
             return 1.0
+        if s == TOP or t == BOT:
+            return 0.0
         idx = self.graph._index
         i = idx[s]
         row = self._rows.get(i) or self._row(i)
@@ -309,15 +298,24 @@ class SortLattice:
             raise UnknownSort(s)
         if t not in idx:
             raise UnknownSort(t)
-        return self._degree(s, t)
+        if s == t:
+            return 1.0
+        if s == BOT or t == TOP:
+            return 1.0
+        if s == TOP or t == BOT:
+            return 0.0
+        i, j = idx[s], idx[t]
+        row = self._rows.get(i) or self._row(i)
+        return row[j] if j in row else 0.0
 
     def _above(self, s: str) -> list[tuple[str, float]]:
         """Every ``(t, degree(s, t))`` with a positive degree, in sort order."""
         g = self.graph
         if s == BOT:
             return [(t, 1.0) for t in g.sorts]
+        top = g._index[TOP]
         row = self._row(g._index[s])
-        return [(g.sorts[j], row[j]) for j in sorted(row)]
+        return [(g.sorts[j], 1.0 if j == top else row[j]) for j in sorted({*row, top})]
 
     def closure_pairs(self) -> list[tuple[str, str, float]]:
         """All positive closure entries, including implicit bounds and reflexivity."""

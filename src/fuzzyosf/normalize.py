@@ -139,13 +139,13 @@ class _Solver:
     def drain(self) -> None:
         """Merge queued equalities until none is left.
 
-        Without ``trace``, a merge meets the sorts and pairs up the features
-        in place; a forced pair whose tags already share a class is queued
-        anyway, and skipped when it comes up.  With ``trace``, the merge goes
-        through :meth:`add_sort` and :meth:`add_feats`, which log.
+        A merge meets the two classes' sorts and pairs up their features in
+        place.  A forced pair whose tags already share a class is queued
+        anyway, and skipped unlogged when it comes up, so the trace is the
+        one :meth:`add_sort` and :meth:`add_feats` would write.
         """
         pending, find, parent, rank = self.pending, self.find, self.parent, self.rank
-        sort, feats, meet, trace = self.sort, self.feats, self.meet, self.trace
+        sort, feats, meet, trace, names = self.sort, self.feats, self.meet, self.trace, self.names
         while pending:
             x, y = pending.popleft()
             winner = x if parent[x] == x else find(x)
@@ -159,7 +159,7 @@ class _Solver:
                 rank[winner] = rank_w + 1
             parent[loser] = winner
             if trace:
-                self.log.append(f"tag-elimination: {self.names[loser]} -> {self.names[winner]}")
+                self.log.append(f"tag-elimination: {names[loser]} -> {names[winner]}")
             # A stored sort is never bot: add_sort raises before storing one.
             lost = sort[loser]
             if lost is not None:
@@ -167,26 +167,29 @@ class _Solver:
                 kept = sort[winner]
                 if kept is None:
                     sort[winner] = lost
-                elif trace:
-                    self.add_sort(winner, lost)
-                elif kept != lost:
-                    kept = meet(kept, lost)
-                    if kept == BOT:
+                else:
+                    met = kept if kept == lost else meet(kept, lost)
+                    if trace:
+                        self.log.append(f"sort-intersection: {names[winner]} : glb({kept}, {lost}) = {met}")
+                    if met == BOT:
+                        if trace:
+                            self.log.append(f"inconsistent-sort: {names[winner]} is {BOT}")
                         raise _Collapse(winner)
-                    sort[winner] = kept
+                    sort[winner] = met
             lost_feats = feats[loser]
             if lost_feats is not None:
                 feats[loser] = None
                 bucket = feats[winner]
                 if bucket is None:
                     feats[winner] = lost_feats
-                elif trace:
-                    self.add_feats(winner, lost_feats)
-                else:
-                    for feature, target in lost_feats.items():
-                        existing = bucket.setdefault(feature, target)
-                        if existing != target:
-                            pending.append((existing, target))
+                    continue
+                for feature, target in lost_feats.items():
+                    existing = bucket.setdefault(feature, target)
+                    if existing != target:
+                        if trace and find(existing) != find(target):
+                            forced = f"{names[existing]} = {names[target]}"
+                            self.log.append(f"feature-functionality: {names[winner]}.{feature} forces {forced}")
+                        pending.append((existing, target))
 
 
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
@@ -285,9 +288,6 @@ def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     return mapping
 
 
-_CLASS_NAMES: list[str] = []  # "_Z0", "_Z1", ...: unify's class names, grown to the most tags seen
-
-
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
     tags1, own1, edges1 = _gate(t1, lattice.graph)
@@ -327,15 +327,9 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
 
     # Classes get fresh names in first-mention order; each class's features
     # then point at class roots, and the unifier expands from the tables.
-    # Only an input tag that starts with "_Z" can clash with a shared name,
-    # and a "_Z" nowhere in the joined tags rules that out.
+    # Only an input tag that contains "_Z" can clash with a fresh name.
     roots = solver.roots()
-    if "_Z" in "".join(names):
-        fresh = fresh_tags(set(names), prefix="_Z")
-    else:
-        if len(_CLASS_NAMES) < len(names):
-            _CLASS_NAMES.extend(f"_Z{n}" for n in range(len(_CLASS_NAMES), len(names)))
-        fresh = iter(_CLASS_NAMES)
+    fresh = fresh_tags(set(names) if "_Z" in "".join(names) else set(), prefix="_Z")
     class_name: list[str | None] = [None] * len(names)  # per class root
     classes: dict[str, list[str]] = {}  # each class's members, in first-mention order
     for x in dict.fromkeys(mention):

@@ -277,8 +277,8 @@ def test_sparse_rows_match_the_oracle(dag):
 def dags_and_source_orders(draw, max_sorts: int = 10):
     """A random DAG with :func:`bounded_dags`' shapes, a chain, or a stack of
     diamonds (d{i} below l{i} and r{i}, both below d{i+1}), plus every sort as
-    a source in a random order: each row is built on whichever rows above it
-    were memoized first."""
+    a source in a random order, so that each row is asked for with a
+    different set of rows memoized before it."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     shape = rng.choice(("dag", "chain", "diamonds"))
     if shape == "dag":
@@ -301,7 +301,7 @@ def dags_and_source_orders(draw, max_sorts: int = 10):
 
 @settings(max_examples=300, deadline=None)
 @given(dags_and_source_orders())
-def test_rows_built_on_memoized_rows_match_the_oracle(case):
+def test_degrees_in_any_source_order_match_the_oracle(case):
     sorts, edges, sources = case
     table = oracles.closure_table(sorts, edges)
     graph = SortGraph(sorts, [], edges)
@@ -632,6 +632,23 @@ def test_one_row_line_count_grows_linearly():
     for small, large in zip(counts, counts[1:]):
         for a, b in zip(small, large):
             assert b <= 2.3 * a, counts
+
+
+def test_row_line_count_with_every_row_above_memoized():
+    # A sort with an edge to every sort of a chain, every chain row memoized:
+    # a row that merged each memoized row it met would read n rows of up to
+    # n entries each.
+    counts = []
+    for n in (100, 200, 400):
+        chain = [f"c{i}" for i in range(n)]
+        edges = [(a, b, 0.9) for a, b in zip(chain, chain[1:])] + [("s", c, 0.5) for c in chain]
+        lattice = SortLattice(SortGraph([*chain, "s"], [], edges))
+        index = lattice.graph._index
+        for c in chain:
+            lattice._row(index[c])
+        counts.append(_line_events(lattice._row, index["s"]))
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.3 * small, counts
 
 
 @settings(max_examples=100, deadline=None)

@@ -132,6 +132,14 @@ def test_inconsistent_trace_and_tag_frozen(chain_lattice):
     ]
 
 
+def test_trace_skips_a_forced_pair_already_in_one_class(chain_lattice):
+    # X = Z pairs up f's values Y and W, which Y = W has already merged.
+    clause = parse_clause("X.f = Y & Z.f = W & Y = W & X = Z", chain_lattice.graph)
+    nf = normalize(clause, chain_lattice, trace=True)
+    assert nf.trace == ["tag-elimination: W -> Y", "tag-elimination: Z -> X"]
+    assert nf.equalities == (("X", "Z"), ("Y", "W"))
+
+
 def test_normalize_keeps_the_root(chain_lattice):
     clause = parse_clause("X = Y & Y: s", chain_lattice.graph)
     clause = Clause(clause.constraints, root="Y")
@@ -224,29 +232,16 @@ def clauses_that_merge_features(draw):
     return lattice, Clause(clause.constraints + tuple(extra))
 
 
-def _assert_trace_keeps_the_normal_form(clause: Clause, lattice) -> None:
+@settings(max_examples=300, deadline=None)
+@given(clauses_that_merge_features())
+def test_trace_does_not_change_the_normal_form(bundle):
+    lattice, clause = bundle
     plain, traced = normalize(clause, lattice), normalize(clause, lattice, trace=True)
     assert type(plain) is type(traced) and plain.trace == []
     if isinstance(plain, Inconsistent):
         assert plain.tag == traced.tag
     else:
         assert (plain.solved, plain.equalities) == (traced.solved, traced.equalities)
-
-
-def test_trace_does_not_change_a_forced_equality(chain_lattice):
-    # X = Z merges two classes with an f value each: Y = W is forced.
-    clause = parse_clause("X.f = Y & Z.f = W & X = Z & X.g = Z", chain_lattice.graph)
-    assert normalize(clause, chain_lattice).equalities == (("X", "Z"), ("Y", "W"))
-    _assert_trace_keeps_the_normal_form(clause, chain_lattice)
-
-
-@settings(max_examples=300, deadline=None)
-@given(clauses_that_merge_features())
-def test_trace_does_not_change_the_normal_form(bundle):
-    # With trace on, merges go through the logging rule methods; without it,
-    # the solver merges in place and queues pairs already in one class too.
-    lattice, clause = bundle
-    _assert_trace_keeps_the_normal_form(clause, lattice)
 
 
 # -- the randomized small-step engine ------------------------------------------------

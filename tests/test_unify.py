@@ -27,7 +27,6 @@ from fuzzyosf import (
     term_to_graph,
     unify,
 )
-from fuzzyosf.normalize import _CLASS_NAMES
 from fuzzyosf.semantics import random_lattice, random_normal_term
 from fuzzyosf.terms import term_tags
 
@@ -256,18 +255,17 @@ def _chain(prefix: str, depth: int) -> Term:
     return node
 
 
-def test_class_names_outgrow_the_shared_table(chain_lattice):
-    # Two chains of equal length unify into one class per depth: more classes
-    # than unify has named so far in this process.
-    depth = len(_CLASS_NAMES) + 40
-    result = unify(_chain("A", depth), _chain("B", depth), chain_lattice)
-    assert list(result.tag_classes) == [f"_Z{n}" for n in range(depth)]
-    assert len(_CLASS_NAMES) >= depth
-    _assert_class_names_are_fresh(result, _chain("A", depth), _chain("B", depth))
-    # Input tags past the end of the table are skipped too.
-    t1, t2 = _chain("A", depth + 20), _chain("_Z", depth + 20)
+def test_class_names_on_many_classes_skip_input_tags(chain_lattice):
+    # Two chains of equal length unify into one class per depth.
+    depth = 120
+    t1, t2 = _chain("A", depth), _chain("B", depth)
     result = unify(t1, t2, chain_lattice)
-    assert len(result.tag_classes) == depth + 20
+    assert list(result.tag_classes) == [f"_Z{n}" for n in range(depth)]
+    _assert_class_names_are_fresh(result, t1, t2)
+    # Input tags named _Z0, _Z1, ... are skipped.
+    t1, t2 = _chain("A", depth), _chain("_Z", depth)
+    result = unify(t1, t2, chain_lattice)
+    assert len(result.tag_classes) == depth
     assert not set(result.tag_classes) & set(term_tags(t2))
     _assert_class_names_are_fresh(result, t1, t2)
 
