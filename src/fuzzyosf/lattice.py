@@ -233,6 +233,9 @@ class SortLattice:
     AND, and the GLB exists iff the sort at its highest bit has exactly that
     down-set.  ``validate()`` reads only the pairs of sorts above two join
     sorts, once.
+    :meth:`glb` and :meth:`degree` are the only query bodies, and the solver
+    calls them too: their index lookups are their name checks, so a subclass
+    that wraps the two methods sees every query.
     """
 
     def __init__(self, graph: SortGraph):
@@ -280,33 +283,20 @@ class SortLattice:
         self._rows[src] = row
         return row
 
-    def _degree(self, s: str, t: str) -> float:
-        """:meth:`degree` of two sorts of the signature, unchecked."""
+    def degree(self, s: str, t: str) -> float:
+        """Graded subsumption s below t: max over paths of min edge degree;
+        raises UnknownSort for the first name outside the signature."""
+        idx = self.graph._index
+        try:
+            i, j = idx[s], idx[t]
+        except KeyError:
+            raise UnknownSort(s if s not in idx else t) from None
         if s == t or s == BOT or t == TOP:
             return 1.0
         if s == TOP or t == BOT:
             return 0.0
-        idx = self.graph._index
-        i = idx[s]
         row = self._rows.get(i) or self._row(i)
-        return row.get(idx[t], 0.0)
-
-    def degree(self, s: str, t: str) -> float:
-        """Graded subsumption s below t: max over paths of min edge degree."""
-        idx = self.graph._index
-        if s not in idx:
-            raise UnknownSort(s)
-        if t not in idx:
-            raise UnknownSort(t)
-        if s == t:
-            return 1.0
-        if s == BOT or t == TOP:
-            return 1.0
-        if s == TOP or t == BOT:
-            return 0.0
-        i, j = idx[s], idx[t]
-        row = self._rows.get(i) or self._row(i)
-        return row[j] if j in row else 0.0
+        return row.get(j, 0.0)
 
     def _above(self, s: str) -> list[tuple[str, float]]:
         """Every ``(t, degree(s, t))`` with a positive degree, in sort order."""
@@ -335,32 +325,18 @@ class SortLattice:
                 covered |= down[u]
         return sorted(out)
 
-    def _glb(self, s: str, t: str) -> str:
-        """:meth:`glb` of two sorts of the signature, unchecked."""
+    def glb(self, s: str, t: str) -> str:
+        """Greatest lower bound on the crisp support; raises UnknownSort for the
+        first name outside the signature and NotALattice where there is none."""
         idx, down = self.graph._index, self._down
-        common = down[idx[s]] & down[idx[t]]
+        try:
+            common = down[idx[s]] & down[idx[t]]
+        except KeyError:
+            raise UnknownSort(s if s not in idx else t) from None
         high = self._order[common.bit_length() - 1]
         if down[high] != common:
             raise NotALattice(s, t, self._maximal(common))
         return self.graph.sorts[high]
-
-    def glb(self, s: str, t: str) -> str:
-        """Greatest lower bound on the crisp support; raises NotALattice."""
-        idx = self.graph._index
-        if s not in idx:
-            raise UnknownSort(s)
-        if t not in idx:
-            raise UnknownSort(t)
-        return self._glb(s, t)
-
-    def _kernels(self) -> tuple:
-        """The unchecked :meth:`glb` and :meth:`degree`, for sorts already
-        checked against the signature.  A subclass that wraps the checked
-        queries (to trace them, say) gets them back, so it sees every query."""
-        cls = type(self)
-        if cls.glb is SortLattice.glb and cls.degree is SortLattice.degree:
-            return self._glb, self._degree
-        return self.glb, self.degree
 
     def _meet(self, sorts: Iterable[str]) -> str:
         """The highest sort in the AND of the down-sets of ``sorts`` (one or
@@ -416,7 +392,7 @@ class SortLattice:
                 for b in above[i + 1 :]:
                     common = da & down[b]
                     if common != da and common != down[b] and down[order[common.bit_length() - 1]] != common:
-                        self._glb(g.sorts[a], g.sorts[b])  # raises NotALattice for that pair
+                        raise NotALattice(g.sorts[a], g.sorts[b], self._maximal(common))
             self._validated = True
         return self
 
@@ -563,7 +539,7 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
     def fail(lineno: int, msg: str, kind: type[OntologyError] = OntologyError) -> None:
         raise kind(f"line {lineno}: {msg}")
 
-    def add_sort(lineno: int, name: str) -> None:
+    def new_sort(lineno: int, name: str) -> None:
         if not _SORT_RE.match(name):
             fail(lineno, f"bad sort name: {name!r}")
         if name in features:
@@ -593,16 +569,16 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             if not 0.0 < d <= 1.0:
                 fail(lineno, f"edge degree must lie in (0, 1]: {field}")
             if sub not in index:
-                add_sort(lineno, sub)
+                new_sort(lineno, sub)
             if sup not in index:
-                add_sort(lineno, sup)
+                new_sort(lineno, sup)
             edges.append((sub, sup, d))
         elif kind == "sort":
             if len(parts) < 2:
                 fail(lineno, "expected: sort <name>...")
             for name in parts[1:]:
                 if name not in index:
-                    add_sort(lineno, name)
+                    new_sort(lineno, name)
                 elif name in (BOT, TOP):
                     fail(lineno, f"{name} is implicit and cannot be declared")
         elif kind == "feature":
@@ -622,9 +598,9 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             if not 0.0 <= d <= 1.0:
                 fail(lineno, f"sim degree must lie in [0, 1]: {field}")
             if a not in index:
-                add_sort(lineno, a)
+                new_sort(lineno, a)
             if b not in index:
-                add_sort(lineno, b)
+                new_sort(lineno, b)
             try:
                 _add_similarity(sim, a, b, d)
             except OntologyError as err:

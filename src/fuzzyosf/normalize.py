@@ -74,12 +74,13 @@ class _Solver:
     equal ranks the first root wins, so representatives follow insertion
     order).  A class carries at most one sort (``sort``) and one value per
     feature (``feats``, feature to tag number), both at the class's root.
-    A caller may fill these tables up front; constraints land through
-    :meth:`add_sort` and :meth:`add_feats`; equalities queue on ``pending``
-    and :meth:`drain` merges them, meeting the two classes' sorts through
-    ``meet`` (the lattice's unchecked GLB) and queueing the feature merges
-    they force.  A bot sort raises ``_Collapse``.  With ``trace`` set, every
-    rule firing is logged.
+    A caller may fill these tables up front.  :meth:`merge` applies sort
+    intersection (through ``meet``, the lattice's ``glb``), inconsistent sort
+    (a bot sort raises ``_Collapse``) and feature functionality (each pair of
+    values of one feature queues on ``pending``); it lands each sort or
+    feature constraint, and after each union :meth:`drain` hands it the
+    losing class's sort and features.  With ``trace`` set, every rule firing
+    is logged.
     """
 
     def __init__(self, meet: Callable[[str, str], str], names: list[str], trace: bool = False):
@@ -108,44 +109,43 @@ class _Solver:
         parent, find = self.parent, self.find
         return [up if parent[up] == up else find(up) for up in parent]
 
-    def add_sort(self, rep: int, sort: str) -> None:
-        cur = self.sort[rep]
-        if cur is not None:
-            meet = cur if cur == sort else self.meet(cur, sort)
-            if self.trace:
-                self.log.append(f"sort-intersection: {self.names[rep]} : glb({cur}, {sort}) = {meet}")
-            sort = meet
-        if sort == BOT:
-            if self.trace:
-                self.log.append(f"inconsistent-sort: {self.names[rep]} is {BOT}")
-            raise _Collapse(rep)
-        self.sort[rep] = sort
-
-    def add_feats(self, rep: int, edges: dict[str, int]) -> None:
-        """Add ``edges`` to ``rep``'s class; a class with no features takes the dict."""
-        bucket = self.feats[rep]
-        if bucket is None:
-            self.feats[rep] = edges
-            return
-        for feature, target in edges.items():
-            existing = bucket.setdefault(feature, target)
-            if existing != target and self.find(existing) != self.find(target):
+    def merge(self, rep: int, sort: str | None, edges: dict[str, int] | None) -> None:
+        """Land a sort and feature edges on ``rep``'s class: meet the sorts
+        (sort intersection), collapse on bot (inconsistent sort) and queue a
+        pair for each feature both sides carry (feature functionality).  A
+        class with no features takes ``edges`` itself."""
+        if sort is not None:
+            kept = self.sort[rep]
+            met = sort if kept is None or kept == sort else self.meet(kept, sort)
+            if self.trace and kept is not None:
+                self.log.append(f"sort-intersection: {self.names[rep]} : glb({kept}, {sort}) = {met}")
+            if met == BOT:
                 if self.trace:
-                    names = self.names
-                    forced = f"{names[existing]} = {names[target]}"
-                    self.log.append(f"feature-functionality: {names[rep]}.{feature} forces {forced}")
-                self.pending.append((existing, target))
+                    self.log.append(f"inconsistent-sort: {self.names[rep]} is {BOT}")
+                raise _Collapse(rep)
+            self.sort[rep] = met
+        if edges is not None:
+            bucket = self.feats[rep]
+            if bucket is None:
+                self.feats[rep] = edges
+                return
+            for feature, target in edges.items():
+                existing = bucket.setdefault(feature, target)
+                if existing != target:
+                    if self.trace and self.find(existing) != self.find(target):
+                        forced = f"{self.names[existing]} = {self.names[target]}"
+                        self.log.append(f"feature-functionality: {self.names[rep]}.{feature} forces {forced}")
+                    self.pending.append((existing, target))
 
     def drain(self) -> None:
         """Merge queued equalities until none is left.
 
-        A merge meets the two classes' sorts and pairs up their features in
-        place.  A forced pair whose tags already share a class is queued
-        anyway, and skipped unlogged when it comes up, so the trace is the
-        one :meth:`add_sort` and :meth:`add_feats` would write.
+        Each union hands the loser's sort and features to :meth:`merge` on
+        the winner.  A forced pair whose tags already share a class is queued
+        anyway, and skipped unlogged when it comes up.
         """
         pending, find, parent, rank = self.pending, self.find, self.parent, self.rank
-        sort, feats, meet, trace, names = self.sort, self.feats, self.meet, self.trace, self.names
+        sort, feats, merge, trace, names = self.sort, self.feats, self.merge, self.trace, self.names
         while pending:
             x, y = pending.popleft()
             winner = x if parent[x] == x else find(x)
@@ -160,36 +160,10 @@ class _Solver:
             parent[loser] = winner
             if trace:
                 self.log.append(f"tag-elimination: {names[loser]} -> {names[winner]}")
-            # A stored sort is never bot: add_sort raises before storing one.
-            lost = sort[loser]
-            if lost is not None:
-                sort[loser] = None
-                kept = sort[winner]
-                if kept is None:
-                    sort[winner] = lost
-                else:
-                    met = kept if kept == lost else meet(kept, lost)
-                    if trace:
-                        self.log.append(f"sort-intersection: {names[winner]} : glb({kept}, {lost}) = {met}")
-                    if met == BOT:
-                        if trace:
-                            self.log.append(f"inconsistent-sort: {names[winner]} is {BOT}")
-                        raise _Collapse(winner)
-                    sort[winner] = met
-            lost_feats = feats[loser]
-            if lost_feats is not None:
-                feats[loser] = None
-                bucket = feats[winner]
-                if bucket is None:
-                    feats[winner] = lost_feats
-                    continue
-                for feature, target in lost_feats.items():
-                    existing = bucket.setdefault(feature, target)
-                    if existing != target:
-                        if trace and find(existing) != find(target):
-                            forced = f"{names[existing]} = {names[target]}"
-                            self.log.append(f"feature-functionality: {names[winner]}.{feature} forces {forced}")
-                        pending.append((existing, target))
+            lost, lost_feats = sort[loser], feats[loser]
+            if lost is not None or lost_feats is not None:
+                sort[loser] = feats[loser] = None
+                merge(winner, lost, lost_feats)
 
 
 def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
@@ -216,16 +190,16 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
             x = number.setdefault(c.left, len(number))
             steps.append((x, None, number.setdefault(c.right, len(number))))
     names = list(number)
-    solver = _Solver(lattice._kernels()[0], names, trace)
-    find, pending = solver.find, solver.pending
+    solver = _Solver(lattice.glb, names, trace)
+    find, merge, pending = solver.find, solver.merge, solver.pending
     try:
         for x, name, y in steps:
             if y is None:
-                solver.add_sort(find(x), name)
+                merge(find(x), name, None)
             elif name is None:
                 pending.append((x, y))
             else:
-                solver.add_feats(find(x), {name: y})
+                merge(find(x), None, {name: y})
             if pending:
                 solver.drain()
     except _Collapse as stop:
@@ -300,8 +274,7 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     # tables, term 2's shifted past term 1's.
     n1 = len(tags1)
     names = tags1 + [renamed.get(tag, tag) for tag in tags2] if renamed else tags1 + tags2
-    meet, degree = lattice._kernels()
-    solver = _Solver(meet, names)
+    solver = _Solver(lattice.glb, names)
     solver.sort = sort = own1 + own2
     feats = solver.feats
     # Class names follow the combined clause's first mentions of the tags:
@@ -352,7 +325,7 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     for x, (rep, own) in enumerate(zip(roots, own1 + own2)):
         s = sort[rep]
         if s != own:
-            d = degree(s, own)
+            d = lattice.degree(s, own)
             if x < n1:
                 if d < beta1:
                     beta1 = d

@@ -77,12 +77,22 @@ def test_bounds_are_implicit(chain_lattice):
 
 
 def test_unknown_sort_raises(chain_lattice):
-    with pytest.raises(UnknownSort):
-        chain_lattice.degree("p", "nosuch")
-    with pytest.raises(UnknownSort):
-        chain_lattice.degree("nosuch", "p")
-    with pytest.raises(UnknownSort):
-        chain_lattice.glb("nosuch", "p")
+    # Each query names the first of its arguments outside the signature.
+    cases = [
+        (("p", "nosuch"), "nosuch"),
+        (("nosuch", "p"), "nosuch"),
+        (("nosuch", "other"), "nosuch"),
+        (("nosuch", "nosuch"), "nosuch"),
+        (("nosuch", BOT), "nosuch"),
+        ((BOT, "nosuch"), "nosuch"),
+        (("nosuch", TOP), "nosuch"),
+        ((TOP, "nosuch"), "nosuch"),
+    ]
+    for query in (chain_lattice.glb, chain_lattice.degree):
+        for args, name in cases:
+            with pytest.raises(UnknownSort) as exc:
+                query(*args)
+            assert exc.value.name == name, (query.__name__, args)
 
 
 def test_closure_pairs_lists_every_positive_degree(chain_lattice):

@@ -48,6 +48,7 @@ def test_inconsistent_sort(chain_lattice):
 def test_explicit_bot_is_inconsistent(chain_lattice):
     clause = Clause((SortConstraint("X", "bot"),))
     assert isinstance(normalize(clause, chain_lattice), Inconsistent)
+    assert normalize(clause, chain_lattice, trace=True).trace == ["inconsistent-sort: X is bot"]
 
 
 def test_feature_functionality(chain_lattice):
@@ -133,11 +134,17 @@ def test_inconsistent_trace_and_tag_frozen(chain_lattice):
 
 
 def test_trace_skips_a_forced_pair_already_in_one_class(chain_lattice):
-    # X = Z pairs up f's values Y and W, which Y = W has already merged.
-    clause = parse_clause("X.f = Y & Z.f = W & Y = W & X = Z", chain_lattice.graph)
-    nf = normalize(clause, chain_lattice, trace=True)
-    assert nf.trace == ["tag-elimination: W -> Y", "tag-elimination: Z -> X"]
-    assert nf.equalities == (("X", "Z"), ("Y", "W"))
+    rows = [
+        # X = Z pairs up f's values Y and W, which Y = W has already merged.
+        ("X.f = Y & Z.f = W & Y = W & X = Z",
+         ["tag-elimination: W -> Y", "tag-elimination: Z -> X"], (("X", "Z"), ("Y", "W"))),
+        # The second X.f lands on a class whose f value already shares W's class.
+        ("Y = W & X.f = Y & X.f = W", ["tag-elimination: W -> Y"], (("Y", "W"),)),
+    ]
+    for text, trace, equalities in rows:
+        nf = normalize(parse_clause(text, chain_lattice.graph), chain_lattice, trace=True)
+        assert nf.trace == trace, text
+        assert nf.equalities == equalities, text
 
 
 def test_normalize_keeps_the_root(chain_lattice):
