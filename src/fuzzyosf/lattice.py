@@ -15,8 +15,8 @@ their out-edges, not the whole hierarchy.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 BOT = "bot"
 TOP = "top"
@@ -75,6 +75,37 @@ class UnknownFeature(OntologyError):
 
 class SignatureMismatch(OntologyError):
     """A term refers to sorts or features outside the signature."""
+
+
+class _Frozen(tuple):
+    """Base of the immutable records, before a ``namedtuple``: equal only within
+    one class, hashed as the fields are.  A subclass sets ``__slots__ = ()``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class _Slots:
+    """Base of the mutable records, whose ``__slots__`` (and ``__match_args__``) name
+    their fields in order: ``repr`` spells them out, and ``==`` compares them within one class."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
 
 
 class _Names(dict):
@@ -426,14 +457,10 @@ def _add_similarity(table: dict[tuple[str, str], float], a: str, b: str, d: floa
         table[key] = float(d)
 
 
-@dataclass(frozen=True)
-class DroppedEdge:
-    """A derived edge that was rejected, with the reason why."""
+class DroppedEdge(_Frozen, namedtuple("DroppedEdge", ("sub", "sup", "degree", "reason"))):
+    """A derived edge that was rejected, with the reason why (``"self"`` or ``"cycle"``)."""
 
-    sub: str
-    sup: str
-    degree: float
-    reason: str  # "self" or "cycle"
+    __slots__ = ()
 
 
 def enrich_from_similarity(

@@ -33,31 +33,29 @@ are all top-sorted contribute nothing (degree 1).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from collections.abc import Callable
 
-from .lattice import BOT, SortLattice
-from .terms import Clause, Constraint, FeatureConstraint, SortConstraint, Term, _expand, _gate, fresh_tags
+from .lattice import BOT, SortLattice, _Slots
+from .terms import Clause, EqualityConstraint, FeatureConstraint, SortConstraint, Term, _expand, _gate, _new
+from .terms import _not_a_constraint, fresh_tags
 
 
-@dataclass
-class Inconsistent:
+class Inconsistent(_Slots):
     """Normalization collapsed the clause; ``tag`` is the first witness."""
 
-    tag: str
-    trace: list[str] = field(default_factory=list)
+    __match_args__ = __slots__ = ("tag", "trace")
+
+    def __init__(self, tag: str, trace: list[str] | None = None):
+        self.tag, self.trace = tag, [] if trace is None else trace
 
 
-@dataclass
-class Normalized:
-    """Solved constraints plus the equality bindings that were eliminated."""
+class Normalized(_Slots):
+    """Solved constraints plus the eliminated equalities as (representative, member) pairs."""
 
-    solved: Clause
-    equalities: tuple[tuple[str, str], ...]  # (representative, member) pairs
-    trace: list[str] = field(default_factory=list)
+    __match_args__ = __slots__ = ("solved", "equalities", "trace")
 
-
-NormalForm = Union[Inconsistent, Normalized]
+    def __init__(self, solved: Clause, equalities: tuple[tuple[str, str], ...], trace: list[str] | None = None):
+        self.solved, self.equalities, self.trace = solved, equalities, [] if trace is None else trace
 
 
 class _Collapse(Exception):
@@ -166,14 +164,15 @@ class _Solver:
                 merge(winner, lost, lost_feats)
 
 
-def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> NormalForm:
+def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Inconsistent | Normalized:
     """Drive a clause to solved form (or detect inconsistency) in near-linear time.
 
     Inconsistency is a value, not an error.  The solved part lists sort
     constraints first, then feature constraints, each in first-occurrence
     order of the input; equalities reproduce the union-find partition as
     (representative, member) pairs.  Before solving, the first unknown sort or
-    feature in constraint order raises UnknownSort or UnknownFeature.
+    feature in constraint order raises UnknownSort or UnknownFeature, and the
+    first item that is not a constraint raises TypeError.
     """
     # One pass numbers the tags and looks up each name (an unknown one raises):
     # a step is a tag number, a sort, feature or None, and a target or None.
@@ -186,9 +185,11 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
         elif isinstance(c, FeatureConstraint):
             x = number.setdefault(c.tag, len(number))
             steps.append((x, feature_names[c.feature], number.setdefault(c.target, len(number))))
-        else:
+        elif isinstance(c, EqualityConstraint):
             x = number.setdefault(c.left, len(number))
             steps.append((x, None, number.setdefault(c.right, len(number))))
+        else:
+            raise _not_a_constraint(c)
     names = list(number)
     solver = _Solver(lattice.glb, names, trace)
     find, merge, pending = solver.find, solver.merge, solver.pending
@@ -203,29 +204,22 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Norm
             if pending:
                 solver.drain()
     except _Collapse as stop:
-        return Inconsistent(tag=names[stop.tag], trace=solver.log)
+        return Inconsistent(names[stop.tag], solver.log)
 
     roots = solver.roots()
     classes: dict[int, list[int]] = {}
     for x, rep in enumerate(roots):
         classes.setdefault(rep, []).append(x)
     sort, feats = solver.sort, solver.feats
-    constraints: list[Constraint] = [
-        SortConstraint(names[r], sort[r]) for r in classes if sort[r] is not None
-    ]
-    constraints += [FeatureConstraint(names[r], f, names[roots[t]])
+    constraints = [_new(SortConstraint, (names[r], sort[r])) for r in classes if sort[r] is not None]
+    constraints += [_new(FeatureConstraint, (names[r], f, names[roots[t]]))
                     for r in classes if feats[r] for f, t in feats[r].items()]
     equalities = [(names[r], names[x]) for r, members in classes.items() for x in members if x != r]
     root = names[roots[number[clause.root]]] if clause.root in number else clause.root
-    return Normalized(
-        solved=Clause(tuple(constraints), root=root),
-        equalities=tuple(equalities),
-        trace=solver.log,
-    )
+    return Normalized(_new(Clause, (tuple(constraints), root)), tuple(equalities), solver.log)
 
 
-@dataclass
-class UnifyResult:
+class UnifyResult(_Slots):
     """Outcome of unifying two terms.
 
     ``unifier`` is None exactly when the terms are incompatible (bottom);
@@ -234,12 +228,12 @@ class UnifyResult:
     term, whose renames are listed in ``renamed``).
     """
 
-    unifier: Term | None
-    beta1: float
-    beta2: float
-    beta: float
-    tag_classes: dict[str, tuple[str, ...]]
-    renamed: dict[str, str]
+    __match_args__ = __slots__ = ("unifier", "beta1", "beta2", "beta", "tag_classes", "renamed")
+
+    def __init__(self, unifier: Term | None, beta1: float, beta2: float, beta: float,
+                 tag_classes: dict[str, tuple[str, ...]], renamed: dict[str, str]):
+        self.unifier, self.beta1, self.beta2, self.beta = unifier, beta1, beta2, beta
+        self.tag_classes, self.renamed = tag_classes, renamed
 
     @property
     def is_bottom(self) -> bool:
@@ -248,15 +242,22 @@ class UnifyResult:
 
 def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     """Renames of the second term's tags that clash with the first's: each
-    clashing tag takes ``_`` suffixes until its name is unused."""
+    clashing tag takes ``_`` suffixes until its name is unused.  A used name
+    may point ahead, past used names only, and each search leaves every name
+    it passed pointing at the unused one it found."""
     taken = set(tags1)
     clash = [tag for tag in tags2 if tag in taken]
     taken.update(tags2)
     mapping: dict[str, str] = {}
+    ahead: dict[str, str] = {}
     for tag in clash:
+        passed = []
         candidate = tag
         while candidate in taken:
-            candidate = candidate + "_"
+            passed.append(candidate)
+            candidate = ahead.get(candidate) or candidate + "_"
+        for name in passed:
+            ahead[name] = candidate
         mapping[tag] = candidate
         taken.add(candidate)
     return mapping

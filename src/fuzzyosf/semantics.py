@@ -22,12 +22,10 @@ sample models and randomized ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from .lattice import BOT, TOP, NotALattice, OntologyError, SortGraph, SortLattice
-from .lattice import _fmt, _read_degree
+from .lattice import _Slots, _fmt, _read_degree
 from .terms import (
     Clause,
     EqualityConstraint,
@@ -35,6 +33,7 @@ from .terms import (
     OsfGraph,
     SortConstraint,
     Term,
+    _not_a_constraint,
     _solved_structure,
     graph_to_term,
     parse_clause,
@@ -45,9 +44,6 @@ from .terms import (
 )
 from .normalize import Inconsistent, normalize
 from .subsumption import fuzzy_subsumption_degree
-
-if TYPE_CHECKING:
-    import random
 
 
 class Interpretation:
@@ -326,27 +322,31 @@ def denote(t: Term, model, alpha: dict[str, object]) -> float:
     for tag in term_tags(t):
         if alpha.get(tag) is None:
             raise ValueError(f"assignment missing tag {tag}")
-    return _denotation(t, model, alpha[t.tag], alpha)
+    element = alpha[t.tag]
+    return _denotation(t, model, element, model.sort_degree(t.sort, element), alpha)
 
 
 def best_denotation(t: Term, model, element) -> float:
     """Max over assignments of the element's degree — computed by forcing.
 
     Feature images force every tag's assignment; a tag demanded at two
-    different elements admits no assignment, so the degree is 0.
+    different elements admits no assignment, so the degree is 0.  A root
+    held at 0, or without arguments, answers from its own degree.
     """
-    return _denotation(t, model, element, None)
+    sd = model.sort_degree(t[1], element)  # fields by position: a parsed root has four
+    if sd == 0.0 or not t[2]:
+        return sd if sd < 1.0 else 1.0
+    return _denotation(t, model, element, sd, None)
 
 
-def _denotation(t: Term, model, element, alpha: dict[str, object] | None) -> float:
-    """The min of sort degrees along ``t``'s feature images from ``element``.
+def _denotation(t: Term, model, element, sd: float, alpha: dict[str, object] | None) -> float:
+    """The min of sort degrees along ``t``'s feature images from ``element``,
+    at whose root ``t`` holds to degree ``sd``.
 
     ``alpha``, when given, binds every tag; without it, the first image a
     tag meets binds it.  A tag met at an element other than its binding
-    makes the degree 0.  A root held at 0, or without arguments, answers
-    from its own degree.
+    makes the degree 0.
     """
-    sd = model.sort_degree(t[1], element)  # fields by position: a parsed root has four
     value = sd if sd < 1.0 else 1.0
     if value == 0.0 or not t[2]:
         return value
@@ -385,12 +385,14 @@ def satisfaction_degree(clause: Clause, model, alpha: dict[str, object]) -> floa
             d = model.sort_degree(c.sort, alpha[c.tag])
             if d < value:
                 value = d
+        elif isinstance(c, FeatureConstraint):
+            if model.feature_image(c.feature, alpha[c.tag]) != alpha[c.target]:
+                return 0.0
         elif isinstance(c, EqualityConstraint):
             if alpha[c.left] != alpha[c.right]:
                 return 0.0
         else:
-            if model.feature_image(c.feature, alpha[c.tag]) != alpha[c.target]:
-                return 0.0
+            raise _not_a_constraint(c)
         if value == 0.0:
             return 0.0
     return value
@@ -424,8 +426,7 @@ def generated_subalgebra(model: Interpretation, seeds: list[str]) -> Interpretat
 # -- graded morphisms -----------------------------------------------------------
 
 
-@dataclass
-class Morphism:
+class Morphism(_Slots):
     """A feature-commuting map between models and the best degree it works at.
 
     ``max_beta`` is 1 when no sort membership drops across the map, 0 when
@@ -433,8 +434,10 @@ class Morphism:
     degree), otherwise the least degree it drops to.
     """
 
-    mapping: dict
-    max_beta: float
+    __match_args__ = __slots__ = ("mapping", "max_beta")
+
+    def __init__(self, mapping: dict, max_beta: float):
+        self.mapping, self.max_beta = mapping, max_beta
 
 
 def morphism_max_beta(model_from, model_to, mapping) -> float:
@@ -669,11 +672,11 @@ def random_clause(rng: random.Random, lattice: SortLattice, max_tags: int) -> Cl
 # -- the harness ------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+class CheckResult(_Slots):
+    __match_args__ = __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int = 0, failures: list[str] | None = None):
+        self.name, self.cases, self.failures = name, cases, [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -688,10 +691,11 @@ class CheckResult:
         return bool(failure)
 
 
-@dataclass
-class TheoremReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    seed: int = 0
+class TheoremReport(_Slots):
+    __match_args__ = __slots__ = ("checks", "seed")
+
+    def __init__(self, checks: list[CheckResult] | None = None, seed: int = 0):
+        self.checks, self.seed = [] if checks is None else checks, seed
 
     @property
     def passed(self) -> bool:
@@ -728,7 +732,7 @@ def check_theorems(
     rounds: int = 40,
 ) -> TheoremReport:
     """Run every semantic self-check; see the module docstring for the claims."""
-    import random  # here, not at module level: only the harness draws
+    import random  # only the harness draws; the annotations that name it are never evaluated
 
     from . import samples
 

@@ -18,14 +18,11 @@ Both terms are read as the numbered records of their normal-form gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lattice import SortLattice, TOP
+from .lattice import SortLattice, TOP, _Slots
 from .terms import Term, _gate, fresh_tags
 
 
-@dataclass
-class SubsumptionWitness:
+class SubsumptionWitness(_Slots):
     """A witness map with its graded degree and the per-tag contributions.
 
     ``mapping`` sends each tag of the more general term to the tag of the
@@ -34,9 +31,10 @@ class SubsumptionWitness:
     order.
     """
 
-    mapping: dict[str, str]
-    degree: float
-    per_tag: dict[str, tuple[str, str, float]]
+    __match_args__ = __slots__ = ("mapping", "degree", "per_tag")
+
+    def __init__(self, mapping: dict[str, str], degree: float, per_tag: dict[str, tuple[str, str, float]]):
+        self.mapping, self.degree, self.per_tag = mapping, degree, per_tag
 
 
 def _find_witness(tags0: list[str], edges0: dict, edges1: dict) -> dict[int, int] | None:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass
-from typing import Iterator, NoReturn, Union
+from collections.abc import Iterator
 
-from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort, _Names
+from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort, _Frozen, _Names, _Slots
 
 
 class TermSyntaxError(ValueError):
@@ -61,7 +60,8 @@ class Term(namedtuple("Term", ("tag", "sort", "args"), defaults=((),))):
     args: tuple[tuple[str, Term], ...]
 
     def __reduce__(self):
-        return Term, (self.tag, self.sort, self.args)
+        # A flat table, so that a deep term pickles and copies without recursion.
+        return _unflatten, (_preorder(self),)
 
     def __iter__(self):
         return iter(self[:3])
@@ -92,50 +92,51 @@ class Term(namedtuple("Term", ("tag", "sort", "args"), defaults=((),))):
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        # Equal terms have equal preorder node sequences.
-        return hash(tuple((n.tag, n.sort, tuple(f for f, _ in n.args)) for n in term_nodes(self)))
+        return hash(_preorder(self))  # equal terms have equal tables
 
 
-_new = tuple.__new__  # builds a Term from its fields without a Python-level call
+_new = tuple.__new__  # builds a Term or a record from its fields without a Python-level call
 
 
-@dataclass(frozen=True)
-class SortConstraint:
-    tag: str
-    sort: str
+def _preorder(t: Term) -> tuple:
+    """Each node's tag, sort and feature names, in preorder."""
+    return tuple((n.tag, n.sort, tuple(f for f, _ in n.args)) for n in term_nodes(t))
+
+
+def _unflatten(table: tuple) -> Term:
+    """The term of a :func:`_preorder` table, built bottom-up in one loop."""
+    done: list[Term] = []  # finished subterms: a node's k children are the top k, first child last
+    for tag, sort, feats in reversed(table):
+        k = len(feats)
+        done[len(done) - k :] = [_new(Term, (tag, sort, tuple(zip(feats, done[: -k - 1 : -1]))))]
+    return done[0]
+
+
+class SortConstraint(_Frozen, namedtuple("SortConstraint", ("tag", "sort"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.tag}:{self.sort}"
 
 
-@dataclass(frozen=True)
-class FeatureConstraint:
-    tag: str
-    feature: str
-    target: str
+class FeatureConstraint(_Frozen, namedtuple("FeatureConstraint", ("tag", "feature", "target"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.tag}.{self.feature} ≐ {self.target}"
 
 
-@dataclass(frozen=True)
-class EqualityConstraint:
-    left: str
-    right: str
+class EqualityConstraint(_Frozen, namedtuple("EqualityConstraint", ("left", "right"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.left} ≐ {self.right}"
 
 
-Constraint = Union[SortConstraint, FeatureConstraint, EqualityConstraint]
+class Clause(_Frozen, namedtuple("Clause", ("constraints", "root"), defaults=(None,))):
+    """A conjunction of constraints (a tuple of the three kinds), optionally rooted at one tag."""
 
-
-@dataclass(frozen=True)
-class Clause:
-    """A conjunction of constraints, optionally rooted at one tag."""
-
-    constraints: tuple[Constraint, ...]
-    root: str | None = None
+    __slots__ = ()
 
     def tags(self) -> list[str]:
         """Every tag mentioned, in first-occurrence order."""
@@ -146,9 +147,11 @@ class Clause:
             elif isinstance(c, FeatureConstraint):
                 seen.setdefault(c.tag, None)
                 seen.setdefault(c.target, None)
-            else:
+            elif isinstance(c, EqualityConstraint):
                 seen.setdefault(c.left, None)
                 seen.setdefault(c.right, None)
+            else:
+                raise _not_a_constraint(c)
         return list(seen)
 
     def __str__(self) -> str:
@@ -157,6 +160,10 @@ class Clause:
 
 def format_clause(clause: Clause) -> str:
     return " & ".join(str(c) for c in clause.constraints)
+
+
+def _not_a_constraint(c: object) -> TypeError:
+    return TypeError(f"not a constraint: {type(c).__name__}")
 
 
 # -- tag utilities -----------------------------------------------------------
@@ -368,7 +375,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
 
 
 def _reject(text: str, unit: tuple | None, after: str, error: Exception | None,
-            stack: list, args: list, feature_names: dict) -> NoReturn:
+            stack: list, args: list, feature_names: dict) -> NoReturn:  # noqa: F821 (never evaluated)
     """Raise the first error in ``text``, which is not one term.
 
     A stray character outranks all.  Otherwise the first error in reading
@@ -435,24 +442,24 @@ def parse_clause(text: str, graph: SortGraph | None) -> Clause:
     """
     sort_names = graph._sort_names if graph is not None else _ANY_NAME
     feature_names = graph._feature_names if graph is not None else _ANY_NAME
-    constraints: list[Constraint] = []
+    constraints = []
     for atom in text.split("&"):
         if not atom.strip():
             raise TermSyntaxError("empty constraint in clause")
         m = _ATOM_SORT_RE.match(atom)
         if m:
-            constraints.append(SortConstraint(m.group(1), sort_names[m.group(2)]))
+            constraints.append(_new(SortConstraint, (m.group(1), sort_names[m.group(2)])))
             continue
         m = _ATOM_FEAT_RE.match(atom)
         if m:
-            constraints.append(FeatureConstraint(m.group(1), feature_names[m.group(2)], m.group(3)))
+            constraints.append(_new(FeatureConstraint, (m.group(1), feature_names[m.group(2)], m.group(3))))
             continue
         m = _ATOM_EQ_RE.match(atom)
         if m:
-            constraints.append(EqualityConstraint(m.group(1), m.group(2)))
+            constraints.append(_new(EqualityConstraint, m.groups()))
             continue
         raise TermSyntaxError(f"cannot parse constraint: {atom.strip()!r}")
-    return Clause(tuple(constraints))
+    return _new(Clause, (tuple(constraints), None))
 
 
 # -- printing ----------------------------------------------------------------
@@ -503,7 +510,7 @@ def term_to_clause(t: Term) -> Clause:
     feature constraint per argument, and a trailing ``X:top`` for tags that
     never received a sort (so every tag of the result is explicitly sorted).
     """
-    constraints: list[Constraint] = []
+    constraints = []
     sorted_tags: set[str] = set()
     all_tags: dict[str, None] = {}
     stack = [t]
@@ -511,16 +518,16 @@ def term_to_clause(t: Term) -> Clause:
         node = stack.pop()
         all_tags.setdefault(node.tag, None)
         if node.sort != TOP:
-            constraints.append(SortConstraint(node.tag, node.sort))
+            constraints.append(_new(SortConstraint, (node.tag, node.sort)))
             sorted_tags.add(node.tag)
         for f, child in node.args:
-            constraints.append(FeatureConstraint(node.tag, f, child.tag))
+            constraints.append(_new(FeatureConstraint, (node.tag, f, child.tag)))
         for _, child in reversed(node.args):
             stack.append(child)
     for tag in all_tags:
         if tag not in sorted_tags:
-            constraints.append(SortConstraint(tag, TOP))
-    return Clause(tuple(constraints), root=t.tag)
+            constraints.append(_new(SortConstraint, (tag, TOP)))
+    return _new(Clause, (tuple(constraints), t.tag))
 
 
 def _solved_structure(
@@ -535,19 +542,21 @@ def _solved_structure(
     feats: dict[str, list[tuple[str, str]]] = {}
     valued: set[tuple[str, str]] = set()
     for c in clause.constraints:
-        if isinstance(c, EqualityConstraint):
-            raise NotSolved(f"clause still has an equality: {c}")
         if isinstance(c, SortConstraint):
             if c.tag in sort_of:
                 raise NotSolved(f"tag {c.tag} has more than one sort constraint")
             if c.sort == BOT:
                 raise NotSolved(f"tag {c.tag} is sorted {BOT}")
             sort_of[c.tag] = c.sort
-        else:
+        elif isinstance(c, FeatureConstraint):
             if (c.tag, c.feature) in valued:
                 raise NotSolved(f"tag {c.tag} has more than one value for feature {c.feature}")
             valued.add((c.tag, c.feature))
             feats.setdefault(c.tag, []).append((c.feature, c.target))
+        elif isinstance(c, EqualityConstraint):
+            raise NotSolved(f"clause still has an equality: {c}")
+        else:
+            raise _not_a_constraint(c)
     return sort_of, feats
 
 
@@ -615,19 +624,20 @@ def _expand(root: int, names: list, sorts: list, out: list) -> Term:
 # -- term <-> graph, canonical form and equivalence --------------------------
 
 
-@dataclass
-class OsfGraph:
+class OsfGraph(_Slots):
     """A rooted, sort-labeled, feature-edged graph.
 
-    ``out`` keeps edge order per node (feature names unique per node).
+    ``sorts`` maps each node to its sort, and ``out`` each node to its
+    ``(feature, target)`` edges, in order (feature names unique per node).
     Equality (``==``) is representation equality; use
     :func:`graph_isomorphic` or :func:`graph_equivalent` for the semantic
     relations.
     """
 
-    root: str
-    sorts: dict[str, str]
-    out: dict[str, tuple[tuple[str, str], ...]]
+    __match_args__ = __slots__ = ("root", "sorts", "out")
+
+    def __init__(self, root: str, sorts: dict[str, str], out: dict[str, tuple[tuple[str, str], ...]]):
+        self.root, self.sorts, self.out = root, sorts, out
 
 
 def term_to_graph(t: Term) -> OsfGraph:

@@ -477,6 +477,22 @@ def lattice_problems(model, sorts: list[str], edges: list[tuple[str, str, float]
 
 # -- small-step normalization -------------------------------------------------------
 #
+def disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
+    """Renames of the second term's tags that clash with the first's, one
+    suffix at a time: each clashing tag, in order, appends ``_`` until its
+    name is neither a tag of either term nor an earlier rename."""
+    taken = set(tags1) | set(tags2)
+    mapping = {}
+    for tag in tags2:
+        if tag in tags1:
+            candidate = tag + "_"
+            while candidate in taken:
+                candidate += "_"
+            mapping[tag] = candidate
+            taken.add(candidate)
+    return mapping
+
+
 # The reference engine for the four rewrite rules of the library's
 # ``normalize``: it applies one rule instance at a time, in a seedable random
 # order, to a list of tuple constraints, and rewrites by renaming tuples.

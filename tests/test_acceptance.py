@@ -9,11 +9,11 @@ budgets as constants below.
 from __future__ import annotations
 
 import random
-import sys
 import time
 
 import oracles
 import strategies
+from linecount import line_events
 from oracles import canonical_normal_form, clause_constraints, normalize_small_step, step_bound
 from fuzzyosf import (
     BOT,
@@ -402,23 +402,6 @@ def test_criterion_9_performance_envelope(capsys):
     )
 
 
-def _line_events(call, *args) -> int:
-    """The line events Python traces while ``call(*args)`` runs."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    sys.settrace(lambda frame, event, arg: local)
-    try:
-        call(*args)
-    finally:
-        sys.settrace(None)
-    return count
-
-
 def test_criterion_9_line_counts_grow_linearly(capsys):
     # Executed lines, not time, on 1,000-, 2,000- and 4,000-tag chains: unify
     # and subsumption on two chains, normalize on both chains' clauses with
@@ -441,17 +424,17 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
         assert len(unify(cycle, loop, tiny).tag_classes) == 1
         g0, g1 = term_to_graph(left), term_to_graph(right)
         counts.append([
-            _line_events(unify, left, right, tiny),
-            _line_events(subsumption_witness, left, right, tiny),
-            _line_events(normalize, phi, tiny),
-            _line_events(unify, cycle, loop, tiny),
-            _line_events(format_term, left),
-            _line_events(check_normal, left),
-            _line_events(term_to_clause, left),
-            _line_events(clause_to_term, term_to_clause(left)),
-            _line_events(term_to_graph, left),
-            _line_events(graph_to_term, g0),
-            _line_events(graph_equivalent, g0, g1),
+            line_events(unify, left, right, tiny),
+            line_events(subsumption_witness, left, right, tiny),
+            line_events(normalize, phi, tiny),
+            line_events(unify, cycle, loop, tiny),
+            line_events(format_term, left),
+            line_events(check_normal, left),
+            line_events(term_to_clause, left),
+            line_events(clause_to_term, term_to_clause(left)),
+            line_events(term_to_graph, left),
+            line_events(graph_to_term, g0),
+            line_events(graph_equivalent, g0, g1),
         ])
     for small, large in zip(counts, counts[1:]):
         for a, b in zip(small, large):
@@ -482,9 +465,9 @@ def test_criterion_9_loading_line_counts_grow_linearly(capsys):
             f"deg {rng.choice(names)} {e} 0.5\nfun f {e} {rng.choice(elements)}\n" for e in elements
         )
         counts.append([
-            _line_events(load_ontology, format_ontology(graph, sim)),
-            _line_events(SortGraph, names, ["f"], edges),
-            _line_events(load_interpretation, model, graph),
+            line_events(load_ontology, format_ontology(graph, sim)),
+            line_events(SortGraph, names, ["f"], edges),
+            line_events(load_interpretation, model, graph),
         ])
     for small, large in zip(counts, counts[1:]):
         for a, b in zip(small, large):
@@ -522,9 +505,9 @@ def test_criterion_9_model_line_counts_grow_linearly(capsys):
             "meet gap: s0 and s1 both hold of e0 but glb bot does not"
         ]
         counts.append([
-            _line_events(find_morphism, model, model, ("e0", "e0")),
-            _line_events(validate_interpretation, model, lattice),
-            _line_events(validate_interpretation, broken, lattice),
+            line_events(find_morphism, model, model, ("e0", "e0")),
+            line_events(validate_interpretation, model, lattice),
+            line_events(validate_interpretation, broken, lattice),
         ])
     for small, large in zip(counts, counts[1:]):
         for a, b in zip(small, large):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import sys
 import time
 from unittest import mock
 
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from linecount import line_events
 from fuzzyosf import lattice
 from fuzzyosf import (
     BOT,
@@ -566,30 +566,9 @@ def test_validate_time_on_a_dense_grid():
     assert lattice.glb("g3_17", "g25_4") == "g3_4"
 
 
-def _line_events(call, *args) -> int:
-    """The number of lines ``call(*args)`` executes, counted by a tracer; a
-    NotALattice it raises ends the count."""
-    count = 0
-
-    def trace(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return trace
-
-    old = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        call(*args)
-    except NotALattice:
-        pass
-    finally:
-        sys.settrace(old)
-    return count
-
-
 def _validate_line_events(names: list[str], edges: list[tuple[str, str, float]]) -> int:
     """The number of lines validate() executes."""
-    return _line_events(SortLattice(SortGraph(names, [], edges)).validate)
+    return line_events(SortLattice(SortGraph(names, [], edges)).validate, expected=(NotALattice,))
 
 
 def test_validate_line_count_on_generated_hierarchies():
@@ -616,7 +595,7 @@ def _row_line_events(names: list[str], edges: list[tuple[str, str, float]], src:
     index = lattice.graph._index
     if memoized is not None:
         lattice._row(index[memoized])
-    return _line_events(lattice._row, index[src])
+    return line_events(lattice._row, index[src])
 
 
 def test_one_row_line_count_grows_linearly():
@@ -656,7 +635,7 @@ def test_row_line_count_with_every_row_above_memoized():
         index = lattice.graph._index
         for c in chain:
             lattice._row(index[c])
-        counts.append(_line_events(lattice._row, index["s"]))
+        counts.append(line_events(lattice._row, index["s"]))
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.3 * small, counts
 

@@ -20,10 +20,12 @@ from fuzzyosf import (
     SortConstraint,
     UnknownFeature,
     UnknownSort,
+    clause_to_term,
     format_clause,
     normalize,
     parse_clause,
     parse_term,
+    satisfaction_degree,
     term_to_clause,
 )
 
@@ -237,6 +239,20 @@ def clauses_that_merge_features(draw):
     ]
     extra += [EqualityConstraint(rng.choice(tags), rng.choice(tags)) for _ in range(rng.randint(1, 3))]
     return lattice, Clause(clause.constraints + tuple(extra))
+
+
+@pytest.mark.parametrize("item", [("X", "movie"), "X: movie"], ids=["tuple", "str"])
+def test_an_item_that_is_not_a_constraint_raises_type_error_naming_its_type(movies, movie_model, item):
+    # A plain tuple has the shape of a constraint record but is none.
+    clause = Clause((item, SortConstraint("X", "movie")), root="X")
+    for call in (
+        lambda: normalize(clause, movies),
+        lambda: satisfaction_degree(clause, movie_model, {"X": "psycho"}),
+        clause.tags,
+        lambda: clause_to_term(clause),
+    ):
+        with pytest.raises(TypeError, match=f"^not a constraint: {type(item).__name__}$"):
+            call()
 
 
 @settings(max_examples=300, deadline=None)

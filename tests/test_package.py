@@ -128,12 +128,18 @@ def test_module_imports_are_frozen():
 
 
 def test_the_cli_does_not_import_random():
-    # Only the harness draws, and it imports random itself.  -S keeps site
-    # out: a .pth file can import random before the package is read.
+    # Only the harness draws, and it imports random itself.  The records are
+    # plain classes and annotations are never evaluated, so neither
+    # dataclasses (with inspect under it) nor typing is read either.  -S keeps
+    # site out: a .pth file can import any of them before the package is read.
     parent = str(Path(fuzzyosf.__file__).parent.parent)
-    code = f"import sys; sys.path.insert(0, {parent!r}); import fuzzyosf.cli; print('random' in sys.modules)"
+    unwanted = ["dataclasses", "inspect", "typing", "random"]
+    code = (
+        f"import sys; sys.path.insert(0, {parent!r}); import fuzzyosf.cli; "
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
+    )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_no_unused_imports():

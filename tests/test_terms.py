@@ -7,7 +7,6 @@ import hashlib
 import pickle
 import random
 import re
-import sys
 import time
 
 import pytest
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from linecount import line_events
 from fuzzyosf import (
     BOT,
     CanonicalAlgebra,
@@ -181,26 +181,6 @@ def test_parse_edge_cases_without_a_signature(text, explicit):
     assert format_term(parse_term(text, None)) == explicit
 
 
-def _lines_run(call, *args) -> int:
-    """The line events Python traces while ``call(*args)`` runs, whether it
-    returns or raises a parse error."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    sys.settrace(lambda frame, event, arg: local)
-    try:
-        call(*args)
-    except TermSyntaxError:
-        pass
-    finally:
-        sys.settrace(None)
-    return count
-
-
 def test_parse_cost_is_linear_and_an_error_at_the_end_is_not_read_twice(sig):
     # Chains X0: s(f -> X1: s(... f -> Xn-1: s(g -> Y)...)), parsed as they are
     # and with one error after the last node.  Line counts differ between
@@ -209,7 +189,7 @@ def test_parse_cost_is_linear_and_an_error_at_the_end_is_not_read_twice(sig):
     counts = {}
     for n in (1000, 2000, 4000):
         text = "".join(f"X{i}: s(f -> " for i in range(n - 1)) + f"X{n - 1}: s(g -> Y)" + ")" * (n - 1)
-        counts[n] = [_lines_run(parse_term, text + error, sig) for error in ["", *errors]]
+        counts[n] = [line_events(parse_term, text + error, sig, expected=(TermSyntaxError,)) for error in ["", *errors]]
     for n in (1000, 2000):
         for small, large in zip(counts[n], counts[2 * n]):
             assert large <= 2.3 * small
@@ -698,6 +678,17 @@ def test_copies_of_a_parsed_term_compare_equal_and_carry_no_record(sig):
         assert clone == t and hash(clone) == hash(t)
         assert _record(clone) is None
     assert _gate(t, sig) == _gate(pickle.loads(pickle.dumps(t)), sig)
+
+
+def test_a_deep_term_pickles_and_copies_without_recursion(sig):
+    # A 100,000-deep chain, at the default recursion limit: Term.__reduce__
+    # hands over a flat preorder table, which one loop rebuilds.
+    n = 100_000
+    t = parse_term("".join(f"X{i}: s(f -> " for i in range(n - 1)) + f"X{n - 1}: u" + ")" * (n - 1), sig)
+    assert _record(t) is not None
+    for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert clone == t and len(clone) == 3
+        assert _record(clone) is None
 
 
 def test_a_parsed_root_unpacks_as_its_three_fields():

@@ -11,7 +11,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+import oracles
 import strategies
+from linecount import line_events
 from oracles import naive_meet, shapes_match, term_constraints
 from fuzzyosf import (
     NotNormalTerm,
@@ -27,6 +29,7 @@ from fuzzyosf import (
     term_to_graph,
     unify,
 )
+from fuzzyosf.normalize import _disjoint_rename
 from fuzzyosf.semantics import random_lattice, random_normal_term
 from fuzzyosf.terms import term_tags
 
@@ -180,6 +183,33 @@ def test_unify_renaming_frozen(chain_lattice, left, right, unifier, betas, class
     assert list(result.tag_classes) == list(classes)
     assert result.renamed == renamed
     assert list(result.renamed) == list(renamed)
+
+
+def test_renaming_matches_the_one_suffix_at_a_time_search():
+    # Suffix-rich tag sets: every name is a stem with up to five '_' after it.
+    rng = random.Random(1618)
+    pool = [stem + "_" * k for stem in ("X", "Y1", "_Z0", "_") for k in range(6)]
+    for _ in range(2_000):
+        tags1 = rng.sample(pool, rng.randint(0, len(pool)))
+        tags2 = rng.sample(pool, rng.randint(0, len(pool)))
+        got = _disjoint_rename(tags1, tags2)
+        assert list(got.items()) == list(oracles.disjoint_rename(tags1, tags2).items())
+
+
+def test_renaming_clashes_costs_linear_lines():
+    # Tags X, X_, X__, ... on both sides: each clash's first free name lies
+    # past all of them.  A chain so tagged, unified with itself, renames them all.
+    tiny = SortLattice(SortGraph(["s"], ["f"], [])).validate()
+    counts = []
+    for n in (250, 500, 1000):
+        tags = ["X" + "_" * i for i in range(n)]
+        chain = Term(tags[-1], "s")
+        for tag in reversed(tags[:-1]):
+            chain = Term(tag, "s", (("f", chain),))
+        counts.append([line_events(_disjoint_rename, tags, tags), line_events(unify, chain, chain, tiny)])
+    for small, large in zip(counts, counts[1:]):
+        for a, b in zip(small, large):
+            assert b <= 2.3 * a, counts
 
 
 def test_bottom_keeps_renames(movies):
