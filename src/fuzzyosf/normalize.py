@@ -251,13 +251,14 @@ def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     mapping: dict[str, str] = {}
     ahead: dict[str, str] = {}
     for tag in clash:
-        passed = []
-        candidate = tag
-        while candidate in taken:
-            passed.append(candidate)
-            candidate = ahead.get(candidate) or candidate + "_"
-        for name in passed:
-            ahead[name] = candidate
+        candidate = tag + "_"
+        if candidate in taken:
+            passed = [tag]
+            while candidate in taken:
+                passed.append(candidate)
+                candidate = ahead.get(candidate) or candidate + "_"
+            for name in passed:
+                ahead[name] = candidate
         mapping[tag] = candidate
         taken.add(candidate)
     return mapping
@@ -295,9 +296,7 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     try:
         solver.drain()
     except _Collapse:
-        return UnifyResult(
-            unifier=None, beta1=1.0, beta2=1.0, beta=1.0, tag_classes={}, renamed=renamed
-        )
+        return UnifyResult(None, 1.0, 1.0, 1.0, {}, renamed)
 
     # Classes get fresh names in first-mention order; each class's features
     # then point at class roots, and the unifier expands from the tables.
@@ -332,11 +331,5 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
                     beta1 = d
             elif d < beta2:
                 beta2 = d
-    return UnifyResult(
-        unifier=unifier,
-        beta1=beta1,
-        beta2=beta2,
-        beta=min(beta1, beta2),
-        tag_classes={name: tuple(members) for name, members in classes.items()},
-        renamed=renamed,
-    )
+    tag_classes = {name: tuple(members) for name, members in classes.items()}
+    return UnifyResult(unifier, beta1, beta2, min(beta1, beta2), tag_classes, renamed)

@@ -255,6 +255,14 @@ def test_an_item_that_is_not_a_constraint_raises_type_error_naming_its_type(movi
             call()
 
 
+def test_a_result_matches_by_position(movies):
+    match normalize(parse_clause("X: movie & X: person", movies.graph), movies):
+        case Inconsistent(tag, trace):
+            assert (tag, trace) == ("X", [])
+        case _:
+            pytest.fail("Inconsistent did not match by position")
+
+
 @settings(max_examples=300, deadline=None)
 @given(clauses_that_merge_features())
 def test_trace_does_not_change_the_normal_form(bundle):
