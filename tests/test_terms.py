@@ -40,7 +40,7 @@ from fuzzyosf import (
     parse_term,
     term_to_clause,
 )
-from fuzzyosf.semantics import random_lattice, random_normal_term
+from fuzzyosf.semantics import random_clause, random_lattice, random_normal_term
 from fuzzyosf.terms import _gate, _walk
 
 
@@ -709,15 +709,16 @@ _UNIT = re.compile(r"[A-Za-z0-9_]+|->|\S")
 _SPACING = ["", " ", "  ", "\t", "\n", " \n\t"]
 
 
-def _variants(rng: random.Random, text: str) -> list[str]:
-    """A printed term re-spaced, then as it is, without one unit, and with one
-    character inserted, deleted or replaced (the mutations of ``term_texts``)."""
+def _variants(rng: random.Random, text: str, marks: str = "Xsf():,->9é \t") -> list[str]:
+    """A printed term or clause re-spaced, then as it is, without one unit, and
+    with one character inserted, deleted or replaced by one of ``marks`` (for a
+    term, the mutations of ``term_texts``)."""
     units = _UNIT.findall(text)
     text = "".join(rng.choice(_SPACING) + unit for unit in units) + rng.choice(_SPACING)
     spans = [m.span() for m in _UNIT.finditer(text)]
     start, end = rng.choice(spans)
     k = rng.randint(0, len(text))
-    c = rng.choice("Xsf():,->9é \t")
+    c = rng.choice(marks)
     head, tail = text[:k], text[k + 1 :]
     changed = rng.choice([head + c + text[k:], head + tail, head + c + tail])
     return [text, text[:start] + text[end:], changed]
@@ -748,3 +749,29 @@ def test_parse_outcomes_are_frozen():
                 outcomes += [_outcome(variant, lattice.graph), _outcome(variant, None)]
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == PARSE_OUTCOMES_DIGEST
+
+
+def _clause_outcome(text: str, graph: SortGraph | None):
+    """The parsed clause, or the error's type and message."""
+    try:
+        return parse_clause(text, graph)
+    except (TermSyntaxError, UnknownSort, UnknownFeature) as err:
+        return type(err).__name__, str(err)
+
+
+PARSE_CLAUSE_OUTCOMES_DIGEST = "e6493459599317656c6df2e23fa0b28e461e550bedebc0c83a5ad56bca9449f9"
+
+
+def test_parse_clause_outcomes_are_frozen(movies):
+    # 3,000 printed random clauses over the movie signature, some with '='
+    # for '≐', each re-spaced and mutated, parsed over the signature and over none.
+    rng = random.Random(3737)
+    outcomes = []
+    for _ in range(3000):
+        text = format_clause(random_clause(rng, movies, 4))
+        if rng.random() < 0.5:
+            text = text.replace("≐", "=")
+        for variant in _variants(rng, text, "XYsf_.:=≐&9é \t"):
+            outcomes += [_clause_outcome(variant, movies.graph), _clause_outcome(variant, None)]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == PARSE_CLAUSE_OUTCOMES_DIGEST
