@@ -6,7 +6,7 @@ min/max arithmetic.  A finite model layer interprets terms as graded sets and
 cross-checks the algebra's laws on randomized instances.
 """
 
-from __future__ import annotations
+import types
 
 from .lattice import (
     BOT,
@@ -79,69 +79,7 @@ from .semantics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOT",
-    "TOP",
-    "CanonicalAlgebra",
-    "Clause",
-    "CycleDetected",
-    "DegreeOutOfRange",
-    "DroppedEdge",
-    "DuplicateName",
-    "EqualityConstraint",
-    "FeatureConstraint",
-    "Inconsistent",
-    "Interpretation",
-    "Morphism",
-    "NotALattice",
-    "NotNormalTerm",
-    "NotRooted",
-    "NotSolved",
-    "Normalized",
-    "OntologyError",
-    "OsfGraph",
-    "SignatureMismatch",
-    "SortConstraint",
-    "SortGraph",
-    "SortLattice",
-    "SubsumptionWitness",
-    "Term",
-    "TermSyntaxError",
-    "TheoremReport",
-    "UnifyResult",
-    "UnknownFeature",
-    "UnknownSort",
-    "approximation_degree",
-    "best_denotation",
-    "build_similarity",
-    "canonical_form",
-    "check_normal",
-    "check_theorems",
-    "clause_to_term",
-    "crisp_subsumes",
-    "denote",
-    "enrich_from_similarity",
-    "find_morphism",
-    "format_clause",
-    "format_ontology",
-    "format_term",
-    "fuzzy_subsumption_degree",
-    "generated_subalgebra",
-    "graph_equivalent",
-    "graph_isomorphic",
-    "graph_to_dot",
-    "graph_to_term",
-    "load_interpretation",
-    "load_ontology",
-    "morphism_max_beta",
-    "normalize",
-    "parse_clause",
-    "parse_term",
-    "satisfaction_degree",
-    "satisfies",
-    "subsumption_witness",
-    "term_to_clause",
-    "term_to_graph",
-    "unify",
-    "validate_interpretation",
-]
+# Every name imported above, and nothing else: the package's public surface.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

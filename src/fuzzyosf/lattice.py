@@ -21,8 +21,8 @@ from collections.abc import Iterable, Iterator
 BOT = "bot"
 TOP = "top"
 
-_SORT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_FEATURE_RE = _SORT_RE
+_NAME = "[a-z][A-Za-z0-9_]*"  # a sort or feature name, here and in terms and clauses
+_SORT_RE = re.compile(rf"{_NAME}\Z")
 
 
 class OntologyError(Exception):
@@ -159,7 +159,7 @@ class SortGraph:
             index[name] = len(index)
         feats: set[str] = set()
         for name in features:
-            if not isinstance(name, str) or not _FEATURE_RE.match(name):
+            if not isinstance(name, str) or not _SORT_RE.match(name):
                 raise OntologyError(f"bad feature name: {name!r}")
             if name in feats:
                 raise DuplicateName(f"feature declared twice: {name}")
@@ -612,7 +612,7 @@ def load_ontology(text: str) -> tuple[SortGraph, dict[tuple[str, str], float]]:
             if len(parts) < 2:
                 fail(lineno, "expected: feature <name>...")
             for name in parts[1:]:
-                if not _FEATURE_RE.match(name):
+                if not _SORT_RE.match(name):
                     fail(lineno, f"bad feature name: {name!r}")
                 if name in index:
                     fail(lineno, f"name used as both sort and feature: {name}", DuplicateName)

@@ -24,7 +24,8 @@ import re
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 
-from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort, _Frozen, _Names, _Slots
+from .lattice import BOT, TOP, SignatureMismatch, SortGraph, UnknownFeature, UnknownSort
+from .lattice import _Frozen, _NAME, _Names, _Slots
 
 
 class TermSyntaxError(ValueError):
@@ -73,26 +74,14 @@ class Term(namedtuple("Term", ("tag", "sort", "args"), defaults=((),))):
         return f"Term({self.tag}:{self.sort}, {len(self.args)} args)"
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return False  # not NotImplemented: a plain tuple would then compare as one
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.tag != b.tag or a.sort != b.sort or len(a.args) != len(b.args):
-                return False
-            for (f, x), (g, y) in zip(a.args, b.args):
-                if f != g:
-                    return False
-                stack.append((x, y))
-        return True
+        # Not NotImplemented for another class: a plain tuple would then compare as one.
+        return other.__class__ is self.__class__ and _preorder(self) == _preorder(other)
 
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash(_preorder(self))  # equal terms have equal tables
+        return hash(_preorder(self))
 
 
 _new = tuple.__new__  # builds a Term or a record from its fields without a Python-level call
@@ -275,7 +264,6 @@ def _gate(t: Term, graph: SortGraph | None) -> tuple:
 _ANY_NAME = _Names()  # the names of no signature
 
 _TAG = "[A-Z_][A-Za-z0-9_]*"
-_NAME = "[a-z][A-Za-z0-9_]*"
 # One match per node, in preorder: its head (``Tag``, ``Tag: sort`` or a bare
 # sort), then '(' or a run of ')' and a ',' with the next feature and its
 # arrow, or else a last run of ')'.  A stray match swallows the rest of the
@@ -428,10 +416,11 @@ def _expected(what: str, after: str) -> TermSyntaxError:
     return TermSyntaxError(f"expected {what}, found {_LEAD.match(after)[0]!r}")
 
 
-# Clause atoms, with the tags and names of terms.
-_ATOM_SORT_RE = re.compile(rf"\s*({_TAG})\s*:\s*({_NAME})\s*\Z")
-_ATOM_FEAT_RE = re.compile(rf"\s*({_TAG})\s*\.\s*({_NAME})\s*(?:≐|=)\s*({_TAG})\s*\Z")
-_ATOM_EQ_RE = re.compile(rf"\s*({_TAG})\s*(?:≐|=)\s*({_TAG})\s*\Z")
+# A clause atom, with the tags and names of terms: a sort (group 2), a feature
+# and its target (groups 3 and 4), or the right-hand tag of an equality (group 5).
+_ATOM = re.compile(
+    rf"\s*({_TAG})\s*(?::\s*({_NAME})|\.\s*({_NAME})\s*(?:≐|=)\s*({_TAG})|(?:≐|=)\s*({_TAG}))\s*\Z"
+)
 
 
 def parse_clause(text: str, graph: SortGraph | None) -> Clause:
@@ -446,19 +435,16 @@ def parse_clause(text: str, graph: SortGraph | None) -> Clause:
     for atom in text.split("&"):
         if not atom.strip():
             raise TermSyntaxError("empty constraint in clause")
-        m = _ATOM_SORT_RE.match(atom)
-        if m:
-            constraints.append(_new(SortConstraint, (m.group(1), sort_names[m.group(2)])))
-            continue
-        m = _ATOM_FEAT_RE.match(atom)
-        if m:
-            constraints.append(_new(FeatureConstraint, (m.group(1), feature_names[m.group(2)], m.group(3))))
-            continue
-        m = _ATOM_EQ_RE.match(atom)
-        if m:
-            constraints.append(_new(EqualityConstraint, m.groups()))
-            continue
-        raise TermSyntaxError(f"cannot parse constraint: {atom.strip()!r}")
+        m = _ATOM.match(atom)
+        if not m:
+            raise TermSyntaxError(f"cannot parse constraint: {atom.strip()!r}")
+        tag, sort, feature, target, right = m.groups()
+        if sort is not None:
+            constraints.append(_new(SortConstraint, (tag, sort_names[sort])))
+        elif feature is not None:
+            constraints.append(_new(FeatureConstraint, (tag, feature_names[feature], target)))
+        else:
+            constraints.append(_new(EqualityConstraint, (tag, right)))
     return _new(Clause, (tuple(constraints), None))
 
 

@@ -5,9 +5,10 @@ library: closure by Floyd–Warshall-style relaxation over a materialized
 node set, meets by explicit down-set intersection, similarity enrichment by
 a fresh reachability search per candidate edge, crisp subsumption by a
 naive substitution-based solver plus a from-scratch rooted-graph matcher,
-denotation by translating a term into its constraint reading and scoring
-each constraint directly, and normalization by a small-step engine that
-fires one rule instance at a time in a random order.  Slow on purpose;
+term equality by recursion over the fields, denotation by translating a
+term into its constraint reading and scoring each constraint directly, and
+normalization by a small-step engine that fires one rule instance at a time
+in a random order.  Slow on purpose;
 used only on small instances to cross-check the fast paths.  The module
 imports nothing from the library: it reads library objects through their
 fields, and the small-step engine takes its meets from a ``glb`` callable.
@@ -376,6 +377,17 @@ def crisp_subsumes(specific, general, sorts, edges) -> bool:
     own = naive_meet(set(c0), r0, sorts, edges)
     assert own is not None
     return shapes_match((sort_of, out, root), own)
+
+
+# -- term identity ---------------------------------------------------------------
+
+
+def same_term(a, b) -> bool:
+    """Field-by-field equality by recursion: tag, sort, then each feature name
+    and argument in order.  Reads only .tag/.sort/.args; small terms only."""
+    if a.tag != b.tag or a.sort != b.sort or len(a.args) != len(b.args):
+        return False
+    return all(f == g and same_term(x, y) for (f, x), (g, y) in zip(a.args, b.args))
 
 
 # -- denotation ------------------------------------------------------------------

@@ -18,6 +18,7 @@ import strategies
 from linecount import line_events
 from fuzzyosf import (
     BOT,
+    TOP,
     CanonicalAlgebra,
     Clause,
     EqualityConstraint,
@@ -41,7 +42,7 @@ from fuzzyosf import (
     term_to_clause,
 )
 from fuzzyosf.semantics import random_clause, random_lattice, random_normal_term
-from fuzzyosf.terms import _gate, _walk
+from fuzzyosf.terms import _gate, _walk, term_nodes
 
 
 @pytest.fixture(scope="module")
@@ -669,6 +670,69 @@ def test_a_term_is_not_equal_to_its_fields():
     assert not t == ("X", "s", ()) and not ("X", "s", ()) == t
     # Same shape, tags and sorts; only the feature names differ.
     assert Term("X", "s", (("f", Term("Y", "u")),)) != Term("X", "s", (("g", Term("Y", "u")),))
+
+
+def _copy(t: Term, build=None) -> Term:
+    """A node-by-node copy of ``t``; ``build(tag, sort, args, node)``, if given, makes each node."""
+    args = tuple((f, _copy(x, build)) for f, x in t.args)
+    return build(t.tag, t.sort, args, t) if build else Term(t.tag, t.sort, args)
+
+
+def _changed(rng: random.Random, t: Term, lattice) -> Term:
+    """A copy of ``t`` with one change at one random node: its tag, its sort,
+    one feature name, or one argument more or fewer."""
+    target = rng.choice(list(term_nodes(t)))
+    kind = rng.choice(["tag", "sort", "more"] + (["feature", "fewer"] if target.args else []))
+
+    def build(tag: str, sort: str, args: tuple, node: Term) -> Term:
+        if node is not target:
+            return Term(tag, sort, args)
+        if kind == "tag":
+            return Term(tag + "_", sort, args)
+        if kind == "sort":
+            return Term(tag, rng.choice([s for s in lattice.graph.sorts if s != sort]), args)
+        k = rng.randrange(len(args) + (kind == "more"))
+        if kind == "more":
+            return Term(tag, sort, args[:k] + (("g", Term("W", TOP)),) + args[k:])
+        if kind == "fewer":
+            return Term(tag, sort, args[:k] + args[k + 1 :])
+        f, x = args[k]
+        return Term(tag, sort, args[:k] + ((f + "x", x),) + args[k + 1 :])
+
+    return _copy(t, build)
+
+
+def test_term_equality_matches_the_recursive_oracle():
+    # 1,000 random terms, each against a field-by-field copy (equal) and
+    # against that copy with one change at one node (unequal).
+    rng = random.Random(37)
+    for _ in range(100):
+        lattice = random_lattice(rng, 6, 3)
+        for _ in range(10):
+            t = random_normal_term(rng, lattice, 8)
+            twin = _copy(t)
+            assert twin is not t and oracles.same_term(twin, t)
+            assert twin == t and not twin != t and hash(twin) == hash(t)
+            other = _changed(rng, t, lattice)
+            assert not oracles.same_term(other, t) and not oracles.same_term(t, other)
+            assert other != t and t != other and not other == t
+
+
+def test_deep_chains_differing_at_the_last_leaf_compare_unequal():
+    # Two 10,000-deep chains, equal but for the last leaf's sort or tag: no
+    # RecursionError at the default limit.
+    n = 10_000
+
+    def chain(last: Term) -> Term:
+        t = last
+        for i in reversed(range(n - 1)):
+            t = Term(f"X{i}", "s", (("f", t),))
+        return t
+
+    a = chain(Term(f"X{n - 1}", "u"))
+    assert a == chain(Term(f"X{n - 1}", "u"))
+    for b in (chain(Term(f"X{n - 1}", "s")), chain(Term("Y", "u"))):
+        assert a != b and b != a and not a == b
 
 
 def test_copies_of_a_parsed_term_compare_equal_and_carry_no_record(sig):
