@@ -33,7 +33,6 @@ from .terms import (
     OsfGraph,
     SortConstraint,
     Term,
-    _not_a_constraint,
     _solved_structure,
     graph_to_term,
     parse_clause,
@@ -372,13 +371,14 @@ def _denotation(t: Term, model, element, sd: float, alpha: dict[str, object] | N
 
 def satisfies(clause: Clause, model, alpha: dict[str, object], beta: float) -> bool:
     """Threshold satisfaction; every clause holds at degree 0 or below."""
-    if beta <= 0.0:
-        return True
-    return satisfaction_degree(clause, model, alpha) >= beta
+    return satisfaction_degree(clause, model, alpha) >= beta or beta <= 0.0
 
 
 def satisfaction_degree(clause: Clause, model, alpha: dict[str, object]) -> float:
-    """The largest degree at which the assignment satisfies the clause."""
+    """The largest degree at which ``alpha`` satisfies the clause; a tag it leaves unbound is a ValueError."""
+    for tag in clause.tags():
+        if alpha.get(tag) is None:
+            raise ValueError(f"assignment missing tag {tag}")
     value = 1.0
     for c in clause.constraints:
         if isinstance(c, SortConstraint):
@@ -388,11 +388,8 @@ def satisfaction_degree(clause: Clause, model, alpha: dict[str, object]) -> floa
         elif isinstance(c, FeatureConstraint):
             if model.feature_image(c.feature, alpha[c.tag]) != alpha[c.target]:
                 return 0.0
-        elif isinstance(c, EqualityConstraint):
-            if alpha[c.left] != alpha[c.right]:
-                return 0.0
-        else:
-            raise _not_a_constraint(c)
+        elif alpha[c.left] != alpha[c.right]:  # an equality: tags() lets no other item through
+            return 0.0
         if value == 0.0:
             return 0.0
     return value

@@ -426,6 +426,25 @@ def test_satisfaction_thresholds(movies, movie_model, query):
     assert satisfies(clause, movie_model, alpha, beta=0.0)
 
 
+def test_satisfaction_names_the_first_unbound_tag(movies, movie_model):
+    # Every tag is checked up front, in Clause.tags() order, before any
+    # constraint is scored: X: director is 0 at psycho, yet the missing Y is
+    # named.  A tag bound to None is unbound, as for denote.
+    clause = parse_clause("X: director & Y: movie", movies.graph)
+    for alpha, tag in [({"X": "psycho"}, "Y"), ({"X": None, "Y": "psycho"}, "X"), ({"Y": None}, "X")]:
+        for call in (
+            lambda: satisfaction_degree(clause, movie_model, alpha),
+            lambda: satisfies(clause, movie_model, alpha, 0.5),
+            lambda: satisfies(clause, movie_model, alpha, 0.0),
+        ):
+            with pytest.raises(ValueError, match=f"^assignment missing tag {tag}$"):
+                call()
+    clause = parse_clause("X: thriller & X.directed_by = Y", movies.graph)
+    with pytest.raises(ValueError, match="^assignment missing tag Y$"):
+        satisfaction_degree(clause, movie_model, {"X": "psycho"})
+    assert satisfaction_degree(clause, movie_model, {"X": "psycho", "Y": "hitchcock"}) == 1.0
+
+
 def test_denotation_agrees_with_oracle(movies, movie_model, query):
     for e in movie_model.elements:
         assert best_denotation(query, movie_model, e) == oracles.best_denotation(
