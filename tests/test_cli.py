@@ -785,3 +785,132 @@ def test_cli_input_errors(capsys, movies_file, tmp_path, command, message):
     argv = [arg.format(**paths) for arg in command]
     expected = "error: " + message.format(**paths) + "\n"
     assert run(capsys, "--ontology", movies_file, *argv) == (1, "", expected)
+
+
+# -- whole transcripts -----------------------------------------------------------------
+
+GRID = "".join(  # g{i}{j} below g{i+1}{j} and g{i}{j+1}: nine sorts, every pair with a unique GLB
+    (f"edge g{i}{j} g{i + 1}{j} 1\n" if i < 2 else "") + (f"edge g{i}{j} g{i}{j + 1} 1\n" if j < 2 else "")
+    for i in range(3)
+    for j in range(3)
+)
+AF = "sort a b\nfeature f\n"
+ABC = "sort a b c\nfeature f\nedge a b 0.5\n"  # a below b at 0.5
+
+# One row per command line, by name: the ontology, the arguments ('{file}' names a
+# second file, written with the row's text), and the whole (exit code,
+# stdout, stderr).
+TRANSCRIPTS = {
+    # eval on a model with one gap: x is in a, not in b above a.
+    "eval-gap": (
+        "sort a b\nedge a b 1\n",
+        ["eval", "--interp", "{file}", "X: a"],
+        "elem x\ndeg a x 1\n",
+        (
+            2,
+            "",
+            "invalid interpretation: membership gap: a(x)=1 and degree(a,b)=1 force b(x) >= 1, found 0\n"
+            "error: 1 validity violations\n",
+        ),
+    ),
+    # The two sim lines state a ~ b both ways, so b -> a would close the
+    # cycle a -> b -> a and is dropped; the result is a lattice.
+    "enrich-drops-cycle": (
+        "sort a b c\nedge a c 1\nedge b c 1\nsim a b 0.5\nsim b a 0.5\n",
+        ["enrich"],
+        None,
+        (0, "sort a\nsort b\nsort c\nedge a c 1\nedge b c 1\nedge a b 0.5\n# dropped b a 0.5 (cycle)\n", ""),
+    ),
+    # A stray character outranks the unknown sort before it.
+    "unify-stray-character-first": (
+        "sort a b\n",
+        ["unify", "X: nosuch(f -> Y) é", "Z: b"],
+        None,
+        (1, "", "error: unexpected character 'é' at position 18\n"),
+    ),
+    # A batch line that ends inside a term is named.
+    "batch-line-inside-term": (
+        "sort a b\n",
+        ["unify", "--batch", "{file}"],
+        "X: a\tY: b\nX: a(\tY: b\n",
+        (1, "", "error: {file}:2: unexpected end of input; expected a feature name\n"),
+    ),
+    # The loader reads the lines again and names the first that declares a step of the cycle.
+    "check-cycle-line": (
+        "edge c d 1\nedge b a 1\nedge a b 1\n",
+        ["check"],
+        None,
+        (1, "", "error: line 2: subsumption cycle: b -> a -> b\n"),
+    ),
+    # An out-of-range degree on line 2 outranks a bad name on line 3.
+    "check-degree-before-name": (
+        "sort a\nedge a b 2\nsort Bad\n",
+        ["check"],
+        None,
+        (1, "", "error: line 2: edge degree must lie in (0, 1]: 2\n"),
+    ),
+    "check-grid": (GRID, ["check"], None, (0, "ok: 11 sorts, 0 features, 12 edges\n", "")),
+    "glb-grid": (GRID, ["glb", "g12", "g21"], None, (0, "g11\n", "")),
+    "dot-term": (
+        AF,
+        ["dot", "--term", "X: a(f -> Y: b)"],
+        None,
+        (
+            0,
+            'digraph term {\n  rankdir=LR;\n  "X" [label="X: a", peripheries=2];\n  "Y" [label="Y: b"];\n'
+            '  "X" -> "Y" [label="f"];\n}\n',
+            "",
+        ),
+    ),
+    "unify": (
+        AF,
+        ["unify", "X: a(f -> Y: b)", "Z: a"],
+        None,
+        (0, "_Z0: a(f -> _Z1: b)\nbeta1=1 beta2=1 beta=1\nclass _Z0 = X Z\nclass _Z1 = Y\n", ""),
+    ),
+    # Term 2's clashing X becomes X___: X_ and X__ are taken.
+    "unify-renames-clash": (
+        AF,
+        ["unify", "X: a(f -> X_: b)", "X: a(f -> X__: b)"],
+        None,
+        (0, "_Z0: a(f -> _Z1: b)\nbeta1=1 beta2=1 beta=1\nclass _Z0 = X X___\nclass _Z1 = X_ X__\n", ""),
+    ),
+    "normalize": (AF, ["normalize", "X: a & X.f = Y & X.f ≐ Z & Z: b"], None, (0, "X:a & Y:b & X.f ≐ Y\nEQ Y Z\n", "")),
+    # Only term 2's W moves down (b to a), so beta1 is 1 and beta2 is 0.5.
+    "unify-betas": (
+        ABC,
+        ["unify", "X: a(f -> Y: b)", "Z: b(f -> W: b)"],
+        None,
+        (0, "_Z0: a(f -> _Z1: b)\nbeta1=1 beta2=0.5 beta=0.5\nclass _Z0 = X Z\nclass _Z1 = Y W\n", ""),
+    ),
+    # b meets c at bot, so the pair is BOTTOM at degree 1.
+    "unify-bottom": (ABC, ["unify", "X: a(f -> Y: b)", "Z: b(f -> W: c)"], None, (0, "BOTTOM beta=1\n", "")),
+    # The two values of X.f force Y = Z, and the merged class meets b and c
+    # at bot: one trace line per rule firing, in firing order.
+    "normalize-trace": (
+        ABC,
+        ["--trace", "normalize", "X: b & X: a & X.f = Y & X.f = Z & Y: b & Z: c"],
+        None,
+        (
+            0,
+            "INCONSISTENT (Y)\n"
+            "trace: sort-intersection: X : glb(b, a) = a\n"
+            "trace: feature-functionality: X.f forces Y = Z\n"
+            "trace: tag-elimination: Z -> Y\n"
+            "trace: sort-intersection: Y : glb(b, c) = bot\n"
+            "trace: inconsistent-sort: Y is bot\n",
+            "",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("ontology,argv,text,expected", list(TRANSCRIPTS.values()), ids=list(TRANSCRIPTS))
+def test_transcripts(capsys, tmp_ontology, tmp_path, ontology, argv, text, expected):
+    path = tmp_path / "file.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    code, out, err = expected
+    expected = (code, out, err.replace("{file}", str(path)))
+    assert run(capsys, "--ontology", tmp_ontology(ontology), *argv) == expected
