@@ -517,3 +517,45 @@ def test_unify_outcomes_are_frozen():
             ))
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == UNIFY_OUTCOMES_DIGEST
+
+
+UNIFY_CLASH_OUTCOMES_DIGEST = "30aa108ca739765bac6b3ca3c505f2200f226dd2ae29c25137dcd44cecdecbba"
+
+
+def _retagged(t: Term, names: dict[str, str]) -> Term:
+    return Term(names.get(t.tag, t.tag), t.sort, tuple((f, _retagged(c, names)) for f, c in t.args))
+
+
+def test_unify_clash_outcomes_are_frozen():
+    # 1,000 seeded pairs whose tags are partly renamed to _Z<k> and _Z<k>_, the
+    # names unify gives its classes and the names its renaming gives a clash on
+    # them; half are parsed from their printed form, which tags each untagged
+    # node _Z<n>.
+    rng = random.Random(2718)
+    pool = [f"_Z{k}{tail}" for k in range(4) for tail in ("", "_")]
+    outcomes = []
+    for _ in range(20):
+        lattice = strategies.with_diamond(rng, random_lattice(rng, 6, 3))
+        for _ in range(50):
+            pair = []
+            for _ in range(2):
+                t = random_normal_term(rng, lattice, 8)
+                fresh = iter(rng.sample(pool, len(pool)))
+                pair.append(_retagged(t, {tag: next(fresh) for tag in term_tags(t) if rng.random() < 0.6}))
+            t1, t2 = pair
+            if rng.random() < 0.5:
+                styles = [rng.choice(["explicit", "compact"]) for _ in range(2)]
+                t1, t2 = (parse_term(format_term(t, s), lattice.graph) for t, s in zip((t1, t2), styles))
+            r = unify(t1, t2, lattice)
+            _assert_class_names_are_fresh(r, t1, t2)
+            outcomes.append((
+                None if r.unifier is None else format_term(r.unifier),
+                r.beta1, r.beta2, r.beta,
+                list(r.tag_classes.items()),
+                list(r.renamed.items()),
+            ))
+    # About a third of the pairs rename a clash, most of those a _Z tag.
+    assert sum(bool(renamed) for *_, renamed in outcomes) >= 300
+    assert sum(any("_Z" in tag for tag, _ in renamed) for *_, renamed in outcomes) >= 200
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == UNIFY_CLASH_OUTCOMES_DIGEST
