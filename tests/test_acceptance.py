@@ -408,14 +408,22 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
     # their roots equated, and unify of a cycle with a self-loop, which merges
     # every tag into one class; then printing, the normal-form check, both
     # directions of term <-> clause and term <-> graph, and graph equivalence
-    # of the two chains.  Counts differ between Python versions, so only their
-    # ratios are asserted.
+    # of the two chains.  Last, two more unify shapes: a chain with one tagged
+    # _Z0, _Z1, ..., the names of unify's classes, and a complete binary tree
+    # of 2,047, 4,095 or 8,191 tags with a knot that collapses it into one
+    # class.  Counts differ between Python versions, so only their ratios are
+    # asserted.
     tiny = SortLattice(SortGraph(["s"], ["f"], [])).validate()
+    forked = SortLattice(SortGraph(["a"], ["l", "r"], [])).validate()
     loop = Term("L", "s", (("f", Term("L", TOP, ())),))
+    knot = Term("X", "a", (("l", Term("X", TOP, ())), ("r", Term("X", TOP, ()))))
     counts = []
-    for n in (1000, 2000, 4000):
+    for n, size in ((1000, 2047), (2000, 4095), (4000, 8191)):
         left, right = _chain_term("A", n), _chain_term("B", n)
         cycle = _chain_term("C", n, (("f", Term("C0", TOP, ())),))
+        tree = [Term(f"N{i}", "a") for i in range(size)]  # heap order: node i's children are 2i + 1 and 2i + 2
+        for i in range(size // 2 - 1, -1, -1):
+            tree[i] = Term(f"N{i}", "a", (("l", tree[2 * i + 1]), ("r", tree[2 * i + 2])))
         phi = Clause(
             term_to_clause(left).constraints
             + term_to_clause(right).constraints
@@ -435,6 +443,8 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
             line_events(term_to_graph, left),
             line_events(graph_to_term, g0),
             line_events(graph_equivalent, g0, g1),
+            line_events(unify, left, _chain_term("_Z", n), tiny),
+            line_events(unify, tree[0], knot, forked),
         ])
     for small, large in zip(counts, counts[1:]):
         for a, b in zip(small, large):
@@ -443,8 +453,8 @@ def test_criterion_9_line_counts_grow_linearly(capsys):
         capsys,
         "PASS criterion 9: unify, subsumption_witness, normalize, a merging cycle"
         " unify, format_term, check_normal, term_to_clause, clause_to_term,"
-        " term_to_graph, graph_to_term and graph_equivalent run"
-        f" {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 tags",
+        " term_to_graph, graph_to_term, graph_equivalent, a _Z-tagged unify and"
+        f" a collapsing tree unify run {counts[0]} / {counts[-1]} lines at 1,000 / 4,000 tags",
     )
 
 
