@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from itertools import filterfalse
 
 from .lattice import BOT, SortLattice, _Slots
 from .terms import Clause, EqualityConstraint, FeatureConstraint, SortConstraint, Term, _expand, _gate, _new
-from .terms import _not_a_constraint, fresh_tags
+from .terms import _not_a_constraint
 
 
 class Inconsistent(_Slots):
@@ -72,22 +73,22 @@ class _Solver:
     equal ranks the first root wins, so representatives follow insertion
     order).  A class carries at most one sort (``sort``) and one value per
     feature (``feats``, feature to tag number), both at the class's root.
-    A caller may fill these tables up front.  :meth:`merge` applies sort
-    intersection (through ``meet``, the lattice's ``glb``), inconsistent sort
-    (a bot sort raises ``_Collapse``) and feature functionality (each pair of
-    values of one feature queues on ``pending``); it lands each sort or
-    feature constraint, and after each union :meth:`drain` hands it the
-    losing class's sort and features.  With ``trace`` set, every rule firing
-    is logged.
+    The caller hands over ``sort`` and may fill ``feats``.  :meth:`merge`
+    applies sort intersection (through ``meet``, the lattice's ``glb``),
+    inconsistent sort (a bot sort raises ``_Collapse``) and feature
+    functionality (each pair of values of one feature queues on
+    ``pending``); it lands each sort or feature constraint, and after each
+    union :meth:`drain` hands it the losing class's sort and features.  With
+    ``trace`` set, every rule firing is logged.
     """
 
-    def __init__(self, meet: Callable[[str, str], str], names: list[str], trace: bool = False):
+    def __init__(self, meet: Callable[[str, str], str], names: list[str], sort: list, trace: bool = False):
         self.meet = meet
         self.trace = trace
         self.names = names
         self.parent = list(range(len(names)))
         self.rank = [0] * len(names)
-        self.sort: list[str | None] = [None] * len(names)
+        self.sort = sort
         self.feats: list[dict[str, int] | None] = [None] * len(names)
         self.pending: deque[tuple[int, int]] = deque()
         self.log: list[str] = []
@@ -191,7 +192,7 @@ def normalize(clause: Clause, lattice: SortLattice, trace: bool = False) -> Inco
         else:
             raise _not_a_constraint(c)
     names = list(number)
-    solver = _Solver(lattice.glb, names, trace)
+    solver = _Solver(lattice.glb, names, [None] * len(names), trace)
     find, merge, pending = solver.find, solver.merge, solver.pending
     try:
         for x, name, y in steps:
@@ -246,6 +247,8 @@ def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     may point ahead, past used names only, and each search leaves every name
     it passed pointing at the unused one it found."""
     taken = set(tags1)
+    if taken.isdisjoint(tags2):
+        return {}
     clash = [tag for tag in tags2 if tag in taken]
     taken.update(tags2)
     mapping: dict[str, str] = {}
@@ -264,8 +267,12 @@ def _disjoint_rename(tags1: list[str], tags2: list[str]) -> dict[str, str]:
     return mapping
 
 
+_CLASS_NAMES: list[str] = []  # _Z0, _Z1, ...: unify's class names, as many as it has needed so far
+
+
 def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     """Unify two normal terms over a sort lattice."""
+    global _CLASS_NAMES
     tags1, own1, edges1 = _gate(t1, lattice.graph)
     tags2, own2, edges2 = _gate(t2, lattice.graph)
     renamed = _disjoint_rename(tags1, tags2)
@@ -276,8 +283,8 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     # tables, term 2's shifted past term 1's.
     n1 = len(tags1)
     names = tags1 + [renamed.get(tag, tag) for tag in tags2] if renamed else tags1 + tags2
-    solver = _Solver(lattice.glb, names)
-    solver.sort = sort = own1 + own2
+    sort = own1 + own2
+    solver = _Solver(lattice.glb, names, sort)
     feats = solver.feats
     # Class names follow the combined clause's first mentions of the tags:
     # each root, then each feature's target, node by node in preorder.
@@ -298,38 +305,39 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
     except _Collapse:
         return UnifyResult(None, 1.0, 1.0, 1.0, {}, renamed)
 
-    # Classes get fresh names in first-mention order; each class's features
-    # then point at class roots, and the unifier expands from the tables.
-    # Only an input tag that contains "_Z" can clash with a fresh name.
+    # Classes, by root in first-mention order, take the names _Z0, _Z1, ...
+    # in turn, less any input tag (only one that contains "_Z" can be one);
+    # each class's features then point at class roots, and the unifier
+    # expands from the tables.
     roots = solver.roots()
-    fresh = fresh_tags(set(names) if "_Z" in "".join(names) else set(), prefix="_Z")
-    class_name: list[str | None] = [None] * len(names)  # per class root
-    classes: dict[str, list[str]] = {}  # each class's members, in first-mention order
+    members: dict[int, list[str]] = {}
     for x in dict.fromkeys(mention):
-        rep = roots[x]
-        name = class_name[rep]
-        if name is None:
-            name = class_name[rep] = next(fresh)
-            classes[name] = [names[x]]
-            out = feats[rep]
-            if out:
-                for f, y in out.items():
-                    out[f] = roots[y]
-        else:
-            classes[name].append(names[x])
+        members.setdefault(roots[x], []).append(names[x])
+    for rep in members:
+        out = feats[rep]
+        if out:
+            for f, y in out.items():
+                out[f] = roots[y]
+    taken = set(names) if "_Z" in "".join(names) else ()
+    need, table = len(members) + len(taken), _CLASS_NAMES  # a table is replaced, never changed
+    if len(table) < need:
+        table = _CLASS_NAMES = [*table, *map("_Z{}".format, range(len(table), need))]
+    class_name = dict(zip(members, filterfalse(taken.__contains__, table) if taken else table))
     unifier = _expand(roots[0], class_name, sort, feats)
 
     # Each tag's degree, term 1's tags first, each term's in walk order; a tag
     # whose class kept its own sort has degree 1 by reflexivity.
+    classes = map(sort.__getitem__, roots)  # each tag's class sort; zip(own1, ...) stops short of term 2's
     beta1 = beta2 = 1.0
-    for x, (rep, own) in enumerate(zip(roots, own1 + own2)):
-        s = sort[rep]
+    for own, s in zip(own1, classes):
         if s != own:
             d = lattice.degree(s, own)
-            if x < n1:
-                if d < beta1:
-                    beta1 = d
-            elif d < beta2:
+            if d < beta1:
+                beta1 = d
+    for own, s in zip(own2, classes):
+        if s != own:
+            d = lattice.degree(s, own)
+            if d < beta2:
                 beta2 = d
-    tag_classes = {name: tuple(members) for name, members in classes.items()}
+    tag_classes = dict(zip(class_name.values(), map(tuple, members.values())))
     return UnifyResult(unifier, beta1, beta2, min(beta1, beta2), tag_classes, renamed)

@@ -190,12 +190,12 @@ def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], tup
     """One preorder walk of ``t``, the reading of a term that :func:`parse_term`
     repeats as it parses.
 
-    Returns the normal-form violations in walk order, each flagged True when
-    it names a sort or feature outside ``graph``'s signature, and, for a
-    normal term, its record: the tags numbered by first occurrence, each
-    tag's sort at its structured occurrence (top if it has none), and each
-    node with arguments as ``{tag number: {feature: child number}}``, in
-    preorder.
+    Returns the normal-form violations in walk order, bad tags last, each
+    flagged True when it names a sort or feature outside ``graph``'s
+    signature, and, for a normal term, its record: the tags numbered by
+    first occurrence, each tag's sort at its structured occurrence (top if
+    it has none), and each node with arguments as ``{tag number: {feature:
+    child number}}``, in preorder.
     """
     problems: list[tuple[bool, str]] = []
     number: dict[str, int] = {}
@@ -230,6 +230,10 @@ def _walk(t: Term, graph: SortGraph | None) -> tuple[list[tuple[bool, str]], tup
         sorts[x] = sort
     problems += [(False, f"tag {tag} has {k} structured occurrences")
                  for tag, k in structured.items() if k > 1]
+    tags = " ".join(number)  # splits back into the tags if none holds a space: one match checks them all
+    if tags.count(" ") != len(number) - 1 or not _TAGS.fullmatch(tags):
+        problems += [(False, f"tag {tag!r} is not an uppercase or _-initial identifier")
+                     for tag in number if not re.fullmatch(_TAG, tag)]
     return problems, None if problems else (list(number), sorts, edges)
 
 
@@ -264,6 +268,7 @@ def _gate(t: Term, graph: SortGraph | None) -> tuple:
 _ANY_NAME = _Names()  # the names of no signature
 
 _TAG = "[A-Z_][A-Za-z0-9_]*"
+_TAGS = re.compile(rf"{_TAG}(?: {_TAG})*")  # tags joined by spaces
 # One match per node, in preorder: its head (``Tag``, ``Tag: sort`` or a bare
 # sort), then '(' or a run of ')' and a ',' with the next feature and its
 # arrow, or else a last run of ')'.  A stray match swallows the rest of the
@@ -358,7 +363,7 @@ def parse_term(text: str, graph: SortGraph | None) -> Term:
     if normal and graph is not None and BOT not in sorts:
         if None in sorts:
             sorts = [TOP if s is None else s for s in sorts]
-        node = _new(Term, (*node, [(graph, list(number), sorts, edges)]))
+        node = _new(Term, (node[0], node[1], node[2], [(graph, list(number), sorts, edges)]))
     return node
 
 
@@ -576,7 +581,7 @@ def clause_to_term(clause: Clause) -> Term:
     return t
 
 
-def _expand(root: int, names: list, sorts: list, out: list) -> Term:
+def _expand(root: int, names: list | dict, sorts: list, out: list) -> Term:
     """The term of a rooted, numbered structure: ``names[x]`` is the tag,
     ``sorts[x]`` the sort and ``out[x]`` (None for none) the ordered
     ``{feature: number}`` edges of ``root`` and of every number they reach.

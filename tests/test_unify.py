@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -21,6 +22,8 @@ from fuzzyosf import (
     SortGraph,
     SortLattice,
     Term,
+    TermSyntaxError,
+    check_normal,
     format_term,
     fuzzy_subsumption_degree,
     graph_equivalent,
@@ -118,6 +121,28 @@ def test_non_normal_inputs_rejected(movies):
     bad = parse_term("X: movie(genre -> Y: horror, genre -> Z: thriller)", g)
     with pytest.raises(NotNormalTerm):
         unify(bad, Term("T", "top", ()), movies)
+
+
+@pytest.mark.parametrize("tag", ["X Y", "x", ""])
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_tag_the_parser_cannot_read_is_not_normal(movies, tag, nested):
+    # Such a term prints as text that parse_term rejects, so no entry point takes it.
+    bad = Term(tag, "movie")
+    if nested:
+        bad = Term("X", "movie", (("directed_by", bad),))
+    with pytest.raises(TermSyntaxError):
+        parse_term(format_term(bad), movies.graph)
+    assert check_normal(bad) == [f"tag {tag!r} is not an uppercase or _-initial identifier"]
+    good = parse_term("X: movie", movies.graph)
+    for call in (
+        lambda: unify(bad, good, movies),
+        lambda: unify(good, bad, movies),
+        lambda: subsumption_witness(bad, good, movies),
+        lambda: subsumption_witness(good, bad, movies),
+        lambda: term_to_graph(bad),
+    ):
+        with pytest.raises(NotNormalTerm, match=re.escape(repr(tag))):
+            call()
 
 
 def test_foreign_signature_rejected(chain_lattice):
