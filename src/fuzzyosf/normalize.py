@@ -327,14 +327,14 @@ def unify(t1: Term, t2: Term, lattice: SortLattice) -> UnifyResult:
 
     # Each tag's degree, term 1's tags first, each term's in walk order; a tag
     # whose class kept its own sort has degree 1 by reflexivity.
-    classes = map(sort.__getitem__, roots)  # each tag's class sort; zip(own1, ...) stops short of term 2's
+    class_sorts = map(sort.__getitem__, roots)  # zip(own1, ...) stops short of term 2's tags
     beta1 = beta2 = 1.0
-    for own, s in zip(own1, classes):
+    for own, s in zip(own1, class_sorts):
         if s != own:
             d = lattice.degree(s, own)
             if d < beta1:
                 beta1 = d
-    for own, s in zip(own2, classes):
+    for own, s in zip(own2, class_sorts):
         if s != own:
             d = lattice.degree(s, own)
             if d < beta2:
